@@ -12,9 +12,8 @@
 //!   MAC oracle's pair-sweep wall time serial vs. parallel, each paired
 //!   with the committed pre-rewrite baseline.
 //! * `memsys` → `BENCH_memsys.json` — host ns per simulated memory op and
-//!   simulated IPC for the blocking driver vs. the event pipeline at
-//!   `mlp ∈ {1, 2, 4}`, on two MAC-heavy profiles; the committed report
-//!   records how much batched MAC verification cuts host time.
+//!   simulated IPC of the event pipeline at `mlp ∈ {1, 2, 4}` on three
+//!   MAC-heavy profiles.
 //! * `serve` → `BENCH_serve.json` — full latency *distribution* (p50/p99/
 //!   p999 from the same [`serve::hist::Log2Hist`] the load generator
 //!   reports with) of the coalescing core's drain at batch sizes 1/2/4/8,
@@ -47,7 +46,7 @@ use ptguard_bench::harness::{black_box, effective_budget, measure, Measurement};
 use ptguard_bench::sample_pte_line;
 use qarma::pac::PacKey;
 use qarma::{Qarma128, Qarma64, Sbox};
-use simx::runner::{build_machine_from_source_cfg, run_blocking, Protection};
+use simx::runner::{build_machine_from_source_cfg, Protection};
 use workloads::profiles::by_name;
 use workloads::tracegen::TraceGenerator;
 
@@ -522,27 +521,11 @@ fn check_arena(committed: &Value) -> Result<(), String> {
 
 /// Profiles for the pipeline benchmark: the pointer-chaser with the
 /// densest page-walk traffic (`sssp`), the paper's worst slowdown case
-/// (`xalancbmk`), and a frontier-driven graph traversal (`bfs`) whose
-/// sparser miss stream is where the event pump's per-op savings first
-/// overtake the blocking driver.
+/// (`xalancbmk`), and a frontier-driven graph traversal (`bfs`) with a
+/// sparser miss stream.
 const MEMSYS_PROFILES: [&str; 3] = ["sssp", "xalancbmk", "bfs"];
 
-/// How one `bench memsys` mode drives the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Legacy blocking driver (`run_blocking`).
-    Blocking,
-    /// Windowed driver with the batched drain-time MAC kernel.
-    Pipelined,
-    /// Windowed driver with the pre-event per-op polling discipline
-    /// (`run_polling`) — the host-cost control for the event pump.
-    Polling,
-    /// Windowed driver with scalar per-chunk MAC verification — the
-    /// unbatched control (`MemoryController::set_unbatched_mac`).
-    ScalarMac,
-}
-
-/// One measured pipeline configuration on one profile.
+/// One measured window size on one profile.
 struct MemsysPoint {
     mode: &'static str,
     ns_per_sim_op: f64,
@@ -552,8 +535,9 @@ struct MemsysPoint {
     dram_reads: u64,
 }
 
-/// Measures every driver mode on one profile: best-of-`reps` host ns per
-/// simulated memory op, plus the (deterministic) simulated metrics.
+/// Measures every `(mode, mlp)` window on one profile: best-of-`reps`
+/// host ns per simulated memory op, plus the (deterministic) simulated
+/// metrics.
 ///
 /// Reps are *interleaved* across modes — each sweep times every mode once,
 /// back to back — so slow host drift (frequency scaling, background load)
@@ -561,19 +545,14 @@ struct MemsysPoint {
 /// best-of-sweeps then compares like with like.
 fn memsys_profile(
     name: &str,
-    modes: &[(&'static str, usize, Mode)],
+    modes: &[(&'static str, usize)],
     instrs: u64,
     reps: usize,
 ) -> Vec<MemsysPoint> {
     let p = by_name(name).expect("profile");
-    let go = |m: &mut _, mode: Mode| match mode {
-        Mode::Blocking => run_blocking(m, instrs),
-        Mode::Polling => simx::runner::run_polling(m, instrs),
-        Mode::Pipelined | Mode::ScalarMac => simx::runner::run(m, instrs),
-    };
     let mut machines: Vec<_> = modes
         .iter()
-        .map(|&(_, mlp, mode)| {
+        .map(|&(_, mlp)| {
             let mem_cfg = MemSysConfig {
                 mlp,
                 ..MemSysConfig::default()
@@ -585,11 +564,7 @@ fn memsys_profile(
                 4,
                 mem_cfg,
             );
-            machine
-                .sys
-                .controller
-                .set_unbatched_mac(mode == Mode::ScalarMac);
-            let _ = go(&mut machine, mode); // warm-up: caches, TLB, page tables
+            let _ = simx::runner::run(&mut machine, instrs); // warm-up: caches, TLB, page tables
             machine
         })
         .collect();
@@ -601,7 +576,7 @@ fn memsys_profile(
         for k in 0..modes.len() {
             let i = (rep + k) % modes.len();
             let t = Instant::now();
-            let r = go(&mut machines[i], modes[i].2);
+            let r = simx::runner::run(&mut machines[i], instrs);
             let ns = t.elapsed().as_nanos() as f64;
             best[i] = best[i].min(ns / r.mem_ops.max(1) as f64);
             last[i] = Some(r);
@@ -612,7 +587,7 @@ fn memsys_profile(
         .zip(&machines)
         .zip(best)
         .zip(last)
-        .map(|(((&(mode, _, _), machine), ns_per_sim_op), r)| {
+        .map(|(((&(mode, _), machine), ns_per_sim_op), r)| {
             let r = r.expect("at least one rep");
             MemsysPoint {
                 mode,
@@ -626,24 +601,12 @@ fn memsys_profile(
         .collect()
 }
 
-/// The memsys target: blocking vs. pipelined drivers across the window
-/// sweep, rendered as the `ptguard-bench-memsys/v1` report.
+/// The memsys target: the event pipeline across the window sweep,
+/// rendered as the `ptguard-bench-memsys/v2` report.
 fn bench_memsys(fast: bool) -> Value {
     let (instrs, reps) = if fast { (20_000, 2) } else { (60_000, 25) };
-    let modes: [(&'static str, usize, Mode); 6] = [
-        ("blocking", 1, Mode::Blocking),
-        ("mlp1", 1, Mode::Pipelined),
-        ("mlp2", 2, Mode::Pipelined),
-        ("mlp4", 4, Mode::Pipelined),
-        // Same window as mlp4, but every op goes through the op machinery
-        // and completion buffer — the pre-event polling control.
-        ("mlp4-poll", 4, Mode::Polling),
-        // Same window as mlp4, but the drain verifies with one scalar
-        // cipher call per chunk — the unbatched-verification control.
-        ("mlp4-scalar", 4, Mode::ScalarMac),
-    ];
+    let modes = [("mlp1", 1), ("mlp2", 2), ("mlp4", 4)];
     let mut profiles = Vec::new();
-    let mut batch_effect = Vec::new();
     for name in MEMSYS_PROFILES {
         let points = memsys_profile(name, &modes, instrs, reps);
         for p in &points {
@@ -652,17 +615,6 @@ fn bench_memsys(fast: bool) -> Value {
                 p.mode, p.ns_per_sim_op, p.sim_ipc, p.mac_computations, p.dram_reads
             );
         }
-        let ns_of = |mode: &str| {
-            points
-                .iter()
-                .find(|p| p.mode == mode)
-                .expect("mode measured")
-                .ns_per_sim_op
-        };
-        batch_effect.push((
-            name.to_string(),
-            Value::F64(ns_of("mlp4-scalar") / ns_of("mlp4").max(1e-9)),
-        ));
         profiles.push((
             name.to_string(),
             Value::Obj(
@@ -685,73 +637,32 @@ fn bench_memsys(fast: bool) -> Value {
         ));
     }
     Value::obj(vec![
-        ("schema", Value::Str("ptguard-bench-memsys/v1".to_string())),
+        ("schema", Value::Str(MEMSYS_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
         ("instructions", Value::U64(instrs)),
         ("reps", Value::U64(reps as u64)),
         ("profiles", Value::Obj(profiles)),
-        (
-            "host_ns_per_op_scalar_over_batched",
-            Value::Obj(batch_effect),
-        ),
     ])
 }
 
-/// The memsys arm of the `--check` gate: the committed report must show
-/// the batched pipeline beating the serial one on at least one profile,
-/// the event-driven mlp4 pipeline at or under the blocking driver's host
-/// cost on at least one profile (the point of replacing per-step polling
-/// with the event wheel), and a fresh quick measurement must not have
-/// regressed more than 2×.
+/// Schema tag of the `bench memsys` report.
+const MEMSYS_SCHEMA: &str = "ptguard-bench-memsys/v2";
+
+/// The memsys arm of the `--check` gate: a fresh quick `mlp1` measurement
+/// must not have regressed more than 2× over the committed one.
 fn check_memsys(committed: &Value) -> Result<(), String> {
-    let ns_of = |profile: &str, mode: &str| {
-        committed
-            .get("profiles")
-            .and_then(|p| p.get(profile))
-            .and_then(|p| p.get(mode))
-            .and_then(|m| m.get("ns_per_sim_op"))
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("committed report lacks profiles.{profile}.{mode}"))
-    };
-    let mut batched_wins = false;
-    for p in MEMSYS_PROFILES {
-        let (scalar, batched) = (ns_of(p, "mlp4-scalar")?, ns_of(p, "mlp4")?);
-        println!(
-            "check: {p} committed mlp4-scalar {scalar:.1} vs mlp4 {batched:.1} host-ns/sim-op"
-        );
-        if batched < scalar {
-            batched_wins = true;
-        }
-    }
-    if !batched_wins {
-        return Err("committed BENCH_memsys shows no batched-MAC win on any profile".to_string());
-    }
-    let mut event_wins = false;
-    for p in MEMSYS_PROFILES {
-        let (blocking, event) = (ns_of(p, "blocking")?, ns_of(p, "mlp4")?);
-        println!("check: {p} committed blocking {blocking:.1} vs mlp4 {event:.1} host-ns/sim-op");
-        if event <= blocking {
-            event_wins = true;
-        }
-    }
-    if !event_wins {
-        return Err(
-            "committed BENCH_memsys shows the event-driven mlp4 pipeline costlier than the \
-             blocking driver on every profile"
-                .to_string(),
-        );
-    }
-    let committed_ns = ns_of(MEMSYS_PROFILES[0], "mlp1")?;
-    let fresh = memsys_profile(
-        MEMSYS_PROFILES[0],
-        &[("mlp1", 1, Mode::Pipelined)],
-        20_000,
-        2,
-    )
-    .remove(0);
+    let profile = MEMSYS_PROFILES[0];
+    let committed_ns = committed
+        .get("profiles")
+        .and_then(|p| p.get(profile))
+        .and_then(|p| p.get("mlp1"))
+        .and_then(|m| m.get("ns_per_sim_op"))
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("committed report lacks profiles.{profile}.mlp1"))?;
+    let fresh = memsys_profile(profile, &[("mlp1", 1)], 20_000, 2).remove(0);
     println!(
-        "check: {} mlp1 fresh {:.1} host-ns/sim-op vs committed {committed_ns:.1} (gate 2x)",
-        MEMSYS_PROFILES[0], fresh.ns_per_sim_op
+        "check: {profile} mlp1 fresh {:.1} host-ns/sim-op vs committed {committed_ns:.1} (gate 2x)",
+        fresh.ns_per_sim_op
     );
     if fresh.ns_per_sim_op > 2.0 * committed_ns {
         return Err(format!(
@@ -949,7 +860,7 @@ fn check(path: &PathBuf) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let committed = Value::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    if committed.get("schema").and_then(Value::as_str) == Some("ptguard-bench-memsys/v1") {
+    if committed.get("schema").and_then(Value::as_str) == Some(MEMSYS_SCHEMA) {
         return check_memsys(&committed);
     }
     if committed.get("schema").and_then(Value::as_str) == Some("ptguard-bench-channels/v1") {

@@ -66,10 +66,10 @@ pub struct MemSysConfig {
     /// Core clock in GHz (Table III: 3 GHz), used to convert DRAM ns.
     pub core_ghz: f64,
     /// Memory-level parallelism: the bounded window of in-flight memory
-    /// operations the pipelined drivers issue against the event pipeline.
-    /// `1` degenerates to the blocking model bit-for-bit; larger windows
-    /// (the default is 4) overlap misses across banks and let the
-    /// controller batch MAC verification over each drain.
+    /// operations the `simx` drivers issue against the event engine. `1`
+    /// (the default) is the paper's blocking in-order core; larger windows
+    /// overlap misses across banks and let the controller batch MAC
+    /// verification over each drain.
     pub mlp: usize,
     /// Memory channels: one [`crate::MemoryController`] + DRAM device per
     /// channel behind the shared LLC, with lines spread by the XOR-folded
@@ -104,7 +104,7 @@ impl Default for MemSysConfig {
             mmu_cache_ways: 4,
             mmu_cache_latency_cycles: 2,
             core_ghz: 3.0,
-            mlp: 4,
+            mlp: 1,
             channels: 1,
         }
     }
@@ -196,6 +196,7 @@ mod tests {
         assert_eq!(c.llc.sets(), 2048);
         assert_eq!(c.tlb_entries, 64);
         assert_eq!(c.mmu_cache_entries, 1024);
+        assert_eq!(c.mlp, 1, "Table III's core is blocking and in-order");
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! The memory controller: DRAM scheduling plus the PT-Guard engine hook
 //! (Figure 5 of the paper).
 //!
-//! Two datapaths share one implementation:
+//! The memory system's reads go through the banked queues
+//! ([`MemoryController::enqueue_read`] / [`MemoryController::drain_reads`]):
+//! a drain schedules each bank's queue FR-FCFS against the device's
+//! per-bank busy-until timing and verifies all ready PTE MACs through one
+//! [`ptguard::mac::PteMac::compute_batch`] call.
 //!
-//! * the **blocking** path ([`MemoryController::read_line`]) services one
-//!   request to completion, exactly as before the pipeline refactor;
-//! * the **banked-queue** path ([`MemoryController::enqueue_read`] /
-//!   [`MemoryController::drain_reads`]) accepts a window of outstanding
-//!   reads, schedules each bank's queue FR-FCFS against the device's
-//!   per-bank busy-until timing, and verifies all ready PTE MACs through
-//!   one [`ptguard::mac::PteMac::compute_batch`] call per drain.
-//!
-//! A drain of a single request is *bit-identical* to one `read_line` call:
-//! the bank wait is exactly `0.0`, a batch of one computes the same MAC,
-//! and both paths funnel through the same `finish_read` tail.
+//! [`MemoryController::read_line`] services one read to completion at the
+//! device's current time, for functional reads and for the blocking
+//! reference core (`oracle::refmachine`). A drain of a single request is
+//! *bit-identical* to one `read_line` call: the bank wait is exactly zero,
+//! a batch of one computes the same MAC, and both end in the same
+//! `finish_read` tail.
 
 use std::collections::VecDeque;
 
@@ -167,11 +166,6 @@ pub struct MemoryController {
     next_req_id: u64,
     /// Reusable drain buffers (see [`DrainScratch`]).
     scratch: DrainScratch,
-    /// Benchmark control: when set, drained reads are verified with one
-    /// scalar cipher call per chunk instead of the batched SWAR kernel.
-    /// MAC values — and therefore every simulated outcome — are identical;
-    /// only host time differs. See [`Self::set_unbatched_mac`].
-    unbatched_mac: bool,
 }
 
 impl MemoryController {
@@ -191,7 +185,6 @@ impl MemoryController {
             queued: 0,
             next_req_id: 0,
             scratch: DrainScratch::default(),
-            unbatched_mac: false,
         }
     }
 
@@ -215,7 +208,6 @@ impl MemoryController {
             queued: 0,
             next_req_id: 0,
             scratch: DrainScratch::default(),
-            unbatched_mac: false,
         }
     }
 
@@ -241,9 +233,9 @@ impl MemoryController {
 
     /// The shared tail of a line read: PT-Guard / full-memory-MAC
     /// verification and stat accounting for a line whose DRAM service
-    /// (`dram_ps`) and raw contents (`raw`) are already known. Both the
-    /// blocking path and the drain path end here; `precomputed_mac` carries
-    /// the batched MAC when the drain already computed it.
+    /// (`dram_ps`) and raw contents (`raw`) are already known. Both
+    /// [`Self::read_line`] and the drain end here; `precomputed_mac`
+    /// carries the batched MAC when the drain already computed it.
     fn finish_read(
         &mut self,
         addr: PhysAddr,
@@ -386,12 +378,7 @@ impl MemoryController {
             let mac = match &self.engine {
                 Some(engine) if engine.read_needs_mac(&raw, q.addr, q.is_pte) => {
                     self.stats.mac_batch_hist[0] += 1;
-                    let unit = engine.mac_unit();
-                    Some(if self.unbatched_mac {
-                        unit.compute_unbatched(&raw, q.addr)
-                    } else {
-                        unit.compute(&raw, q.addr)
-                    })
+                    Some(engine.mac_unit().compute(&raw, q.addr))
                 }
                 _ => None,
             };
@@ -461,8 +448,8 @@ impl MemoryController {
                 let dram_ps = t.wait_ps + t.latency_ps;
                 // The raw line must be read *immediately* after this
                 // request's own service: the activation may have flipped
-                // bits (Rowhammer), and the blocking path reads right after
-                // its access — later requests' disturbance must not leak
+                // bits (Rowhammer), and `read_line` reads right after its
+                // access — later requests' disturbance must not leak
                 // backwards into this one.
                 let raw = Line::from_bytes(&self.device.read_line(q.addr));
                 s.serviced.push(ServicedRead {
@@ -495,17 +482,9 @@ impl MemoryController {
             }
             if !s.needing.is_empty() {
                 s.computed.clear();
-                if self.unbatched_mac {
-                    // Unbatched-verification control: one scalar cipher call
-                    // per chunk, same MAC values (see `set_unbatched_mac`).
-                    let mac = engine.mac_unit();
-                    s.computed
-                        .extend(s.items.iter().map(|(l, a)| mac.compute_unbatched(l, *a)));
-                } else {
-                    engine
-                        .mac_unit()
-                        .compute_batch_into(&s.items, &mut s.computed);
-                }
+                engine
+                    .mac_unit()
+                    .compute_batch_into(&s.items, &mut s.computed);
                 for (&i, &mac) in s.needing.iter().zip(&s.computed) {
                     s.macs[i] = Some(mac);
                 }
@@ -562,19 +541,6 @@ impl MemoryController {
     /// Mutable DRAM device access (fault injection, hammering).
     pub fn device_mut(&mut self) -> &mut DramDevice {
         &mut self.device
-    }
-
-    /// Switches drain-time MAC verification between the batched SWAR kernel
-    /// (default) and the scalar per-chunk reference path
-    /// ([`ptguard::mac::PteMac::compute_unbatched`]).
-    ///
-    /// The two paths produce bit-identical MACs, so simulated cycle counts,
-    /// verdicts, and stats are unaffected — the knob exists so `bench
-    /// memsys` can isolate the *host-time* cost of unbatched verification
-    /// at an otherwise identical pipeline configuration. No-op for a
-    /// controller without a PT-Guard engine.
-    pub fn set_unbatched_mac(&mut self, on: bool) {
-        self.unbatched_mac = on;
     }
 
     /// The PT-Guard engine, if mounted.

@@ -15,11 +15,12 @@
 //!   the `PTECheckFailed` response bit propagates to the core (Figure 5).
 //! * [`system`] — [`system::MemorySystem`], the full hierarchy: virtual
 //!   loads/stores with TLB lookup, hardware page walks, cache traversal,
-//!   and per-access latency in CPU cycles. Two access paths share every
-//!   helper: the blocking path (`load`/`store`) services each access to
-//!   completion, and the pipelined path (`pipe_issue`/`pipe_step`) keeps a
-//!   window of ops in flight over MSHR-tracked misses and the controller's
-//!   banked queues (the `mlp` knob in [`config::MemSysConfig`]).
+//!   and per-access latency in CPU cycles. One event-driven engine serves
+//!   every access: `pipe_issue_event` runs an op until it completes or
+//!   suspends on an MSHR-tracked miss, and `advance_to_next_event` fires
+//!   the controllers' banked-queue drains. `load`/`store` pump one op to
+//!   completion; the `simx` drivers keep up to `mlp` ops in flight (see
+//!   [`config::MemSysConfig`]).
 
 #![warn(missing_docs)]
 

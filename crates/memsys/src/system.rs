@@ -6,6 +6,13 @@
 //! queues independently, and completions retire in deterministic
 //! `(integer-ps finish, channel, request id)` order. With one channel every
 //! path degenerates — bit for bit — to the single-controller model.
+//!
+//! Every access runs on one engine: an op state machine (walk, then data)
+//! that suspends on MSHR-tracked misses and resumes when the event wheel
+//! fires its channel's drain. [`MemorySystem::load`] and
+//! [`MemorySystem::store`] issue one op and pump it to completion — the
+//! blocking in-order core; the windowed drivers in `simx` keep up to
+//! [`MemSysConfig::mlp`] ops in flight.
 
 use dram::ChannelInterleave;
 use pagetable::addr::{Frame, PhysAddr, VirtAddr};
@@ -94,6 +101,7 @@ pub enum IssueOutcome {
     /// the in-flight window.
     Done(AccessOutcome),
     /// The access suspended on a DRAM read; its outcome arrives through
+    /// [`MemorySystem::pipe_wait`], or through
     /// [`MemorySystem::pipe_drain_completed`] after
     /// [`MemorySystem::advance_to_next_event`] fires the miss.
     Pending(u64),
@@ -122,7 +130,7 @@ pub struct PumpStats {
     /// costs a wheel round-trip).
     pub bank_ready_events: u64,
     /// Distributed-refresh slices (one tREFI each) completed across the
-    /// channel devices, blocking interludes included.
+    /// channel devices, off-wheel writes and functional reads included.
     pub refresh_events: u64,
     /// Calls to [`MemorySystem::advance_to_next_event`] that fired events.
     pub advances: u64,
@@ -131,8 +139,7 @@ pub struct PumpStats {
     pub idle_skip_ps: Log2Hist,
 }
 
-/// Result of classifying one walk-level PTE (shared by the blocking walk
-/// and the pipelined op state machine).
+/// Result of classifying one walk-level PTE in the op state machine.
 enum WalkStep {
     /// Non-present or out-of-bounds entry at `level`.
     Fault {
@@ -230,9 +237,10 @@ pub struct MemorySystem {
     mshr: Vec<MshrEntry>,
     /// Ops suspended on an MSHR entry.
     pending: Vec<PendingOp>,
-    /// Ops that finished since the last [`MemorySystem::pipe_take_completed`].
+    /// Ops that finished since the last [`MemorySystem::pipe_drain_completed`].
     completed: Vec<(u64, AccessOutcome)>,
-    /// Reusable buffer for one channel's drain in [`MemorySystem::pipe_step`].
+    /// Reusable buffer for one channel's drain in
+    /// [`MemorySystem::advance_to_next_event`].
     drain_buf: Vec<(u64, crate::controller::DramRead)>,
     /// Reusable channel-tagged retire buffer for the cross-channel merge.
     merge_buf: Vec<(u32, u64, crate::controller::DramRead)>,
@@ -455,99 +463,48 @@ impl MemorySystem {
         self.tlb.stats()
     }
 
-    /// A demand load from virtual address `va`.
+    /// A demand load from virtual address `va`, serviced to completion —
+    /// the blocking in-order core of Table III.
     pub fn load(&mut self, va: VirtAddr) -> AccessOutcome {
-        self.stats.loads += 1;
-        self.access(va, false)
+        self.complete(va, false)
     }
 
-    /// A demand store to virtual address `va`.
+    /// A demand store to virtual address `va`, serviced to completion.
     pub fn store(&mut self, va: VirtAddr) -> AccessOutcome {
-        self.stats.stores += 1;
-        self.access(va, true)
+        self.complete(va, true)
     }
 
-    fn access(&mut self, va: VirtAddr, write: bool) -> AccessOutcome {
-        let mut cycles = self.cfg.tlb_latency_cycles;
-        let leaf = match self.tlb.lookup(va.vpn()) {
-            Some(pte) => pte,
-            None => {
-                self.stats.walks += 1;
-                match self.walk(va, &mut cycles) {
-                    Ok(pte) => pte,
-                    Err(out) => return out,
-                }
-            }
-        };
-        let pa = leaf.target(va.page_offset());
-        let (_, c, llc_miss, _) = self.line_access(pa, write, false);
-        cycles += c;
-        if llc_miss {
-            self.stats.llc_misses += 1;
+    /// Issues one access on the event engine and pumps it to completion.
+    fn complete(&mut self, va: VirtAddr, write: bool) -> AccessOutcome {
+        match self.pipe_issue_event(va, write) {
+            IssueOutcome::Done(out) => out,
+            IssueOutcome::Pending(id) => self.pipe_wait(id),
         }
-        AccessOutcome::Ok { cycles, llc_miss }
     }
 
-    /// Hardware page walk with MMU-cache acceleration. Adds latency into
-    /// `cycles`; returns the leaf PTE or a fault outcome.
-    fn walk(&mut self, va: VirtAddr, cycles: &mut u64) -> Result<Pte, AccessOutcome> {
-        let mut table = self.root;
-        for level in (0..4usize).rev() {
-            let entry_addr =
-                PhysAddr::new(table.base().as_u64() + (va.level_index(level) as u64) * 8);
-            let pte = if level > 0 {
-                if let Some(hit) = self.mmu.lookup(entry_addr) {
-                    *cycles += self.mmu.latency_cycles;
-                    hit
-                } else {
-                    let (line, c, llc_miss, verdict) = self.line_access(entry_addr, false, true);
-                    *cycles += c;
-                    if llc_miss {
-                        self.stats.walk_llc_misses += 1;
-                    }
-                    if verdict == ReadVerdict::CheckFailed {
-                        self.stats.integrity_faults += 1;
-                        return Err(AccessOutcome::PteCheckFailed {
-                            cycles: *cycles,
-                            level,
-                        });
-                    }
-                    let pte = Pte::from_raw(line.word(entry_addr.line_offset() / 8));
-                    self.mmu.insert(entry_addr, pte);
-                    pte
-                }
-            } else {
-                let (line, c, llc_miss, verdict) = self.line_access(entry_addr, false, true);
-                *cycles += c;
-                if llc_miss {
-                    self.stats.walk_llc_misses += 1;
-                }
-                if verdict == ReadVerdict::CheckFailed {
-                    self.stats.integrity_faults += 1;
-                    return Err(AccessOutcome::PteCheckFailed {
-                        cycles: *cycles,
-                        level,
-                    });
-                }
-                Pte::from_raw(line.word(entry_addr.line_offset() / 8))
-            };
-            match self.classify_pte(va, level, pte) {
-                WalkStep::Fault { level } => {
-                    return Err(AccessOutcome::PageFault {
-                        cycles: *cycles,
-                        level,
-                    })
-                }
-                WalkStep::Leaf(leaf) => return Ok(leaf),
-                WalkStep::Descend(next) => table = next,
+    /// Pumps the event engine until the pending op `id` completes and
+    /// returns its outcome. Other ops' outcomes stay buffered for
+    /// [`Self::pipe_drain_completed`] or a later wait.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not in flight: no event could ever complete it.
+    pub fn pipe_wait(&mut self, id: u64) -> AccessOutcome {
+        loop {
+            if let Some(pos) = self.completed.iter().position(|&(cid, _)| cid == id) {
+                return self.completed.remove(pos).1;
             }
+            let progressed = self.advance_to_next_event();
+            assert!(
+                progressed,
+                "event pump stalled: op {id} in flight but no event is scheduled"
+            );
         }
-        unreachable!("level 0 returns");
     }
 
     /// Classifies one walk-level PTE: fault, leaf (TLB inserted, huge pages
-    /// splintered to 4 KB granularity), or descend. Shared verbatim by the
-    /// blocking walk and the pipelined resume path.
+    /// splintered to 4 KB granularity), or descend. Shared by the drive and
+    /// resume steps of the op state machine.
     fn classify_pte(&mut self, va: VirtAddr, level: usize, pte: Pte) -> WalkStep {
         let max_frame = 1u64 << (self.max_phys_bits - 12);
         if !pte.present() {
@@ -573,36 +530,10 @@ impl MemorySystem {
         WalkStep::Descend(pte.frame())
     }
 
-    /// Core line-access path: L1 → L2 → LLC → controller.
-    ///
-    /// Returns `(line, cycles, llc_miss, verdict)`. Walk accesses
-    /// (`is_pte`) skip the L1 and are installed into L2/LLC, mirroring
-    /// hardware walkers.
-    fn line_access(
-        &mut self,
-        addr: PhysAddr,
-        write: bool,
-        is_pte: bool,
-    ) -> (Line, u64, bool, ReadVerdict) {
-        match self.probe_caches(addr, write, is_pte) {
-            Ok((line, cycles)) => (line, cycles, false, ReadVerdict::Forwarded),
-            Err(mut cycles) => {
-                let read = self.ctrl_for(addr).read_line(addr, is_pte);
-                cycles += read.latency_cycles;
-                if read.verdict == ReadVerdict::CheckFailed {
-                    // The line is not installed anywhere (Section IV-F).
-                    return (read.line, cycles, true, read.verdict);
-                }
-                self.install_fill(addr, read.line, write, is_pte);
-                (read.line, cycles, true, read.verdict)
-            }
-        }
-    }
-
     /// Probes L1 → L2 → LLC. On a hit, performs the usual upward fills /
     /// store-dirtying and returns the line plus probe cycles; on a full
-    /// miss, returns the accumulated probe cycles — the caller either reads
-    /// DRAM inline (blocking path) or suspends on the pipeline.
+    /// miss, returns the accumulated probe cycles and the caller suspends
+    /// the op on the MSHR file.
     fn probe_caches(
         &mut self,
         addr: PhysAddr,
@@ -641,7 +572,6 @@ impl MemorySystem {
 
     /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses),
     /// evicting through [`Self::writeback`] / the controller as usual.
-    /// Shared by the blocking miss path and the pipelined resume path.
     fn install_fill(&mut self, addr: PhysAddr, line: Line, write: bool, is_pte: bool) {
         if let Some((wa, wl)) = self.llc.fill(addr, line, false) {
             self.ctrl_for(wa).write_line(wa, wl);
@@ -653,8 +583,7 @@ impl MemorySystem {
     }
 
     /// Fills `addr` into cache level `level` (0 = L1D, 1 = L2), writing any
-    /// evicted dirty line back through [`Self::writeback`] — the one
-    /// level-indexed fill/eviction helper both access paths share.
+    /// evicted dirty line back through [`Self::writeback`].
     fn fill_level(&mut self, level: usize, addr: PhysAddr, line: Line, dirty: bool) {
         let evicted = match level {
             0 => self.l1d.fill(addr, line, dirty),
@@ -769,48 +698,18 @@ impl MemorySystem {
         }
     }
 
-    /// Issues a demand access into the pipelined path and returns its op id.
-    /// The op runs as far as the caches allow; a full miss suspends it on
-    /// the MSHR file until a [`Self::pipe_step`] drains the controller. The
-    /// result is collected via [`Self::pipe_take_completed`].
-    pub fn pipe_issue(&mut self, va: VirtAddr, write: bool) -> u64 {
-        if write {
-            self.stats.stores += 1;
-        } else {
-            self.stats.loads += 1;
-        }
-        let id = self.next_op_id;
-        self.next_op_id += 1;
-        let mut op = PendingOp {
-            id,
-            va,
-            write,
-            cycles: self.cfg.tlb_latency_cycles,
-            state: OpState::Walk {
-                table: self.root,
-                level: 3,
-            },
-        };
-        if let Some(leaf) = self.tlb.lookup(va.vpn()) {
-            op.state = OpState::Data { leaf };
-        } else {
-            self.stats.walks += 1;
-        }
-        self.drive(op);
-        id
-    }
-
     /// Issues a demand access on the event-driven pipeline, resolving
     /// synchronous completions inline.
     ///
-    /// Equivalent to [`Self::pipe_issue`] followed by checking whether the
-    /// op already completed — same stats, same cache/TLB side effects,
-    /// same cycle counts — but a TLB hit that also hits the caches skips
-    /// the op machinery entirely (no id, no completion-buffer round trip),
-    /// which is the overwhelmingly common case the per-step polling
-    /// pipeline made every access pay for. Ops that complete synchronously
-    /// never consume an op id; ids stay monotonic across the ops that do
-    /// suspend, which is all the MSHR merge order needs.
+    /// The op runs as far as the TLB, MMU cache and caches allow. A TLB hit
+    /// that also hits the caches skips the op machinery entirely (no id, no
+    /// completion-buffer round trip) — the overwhelmingly common case. A
+    /// full miss suspends the op on the MSHR file; its outcome arrives
+    /// through [`Self::pipe_drain_completed`] once
+    /// [`Self::advance_to_next_event`] fires the DRAM read. Ops that
+    /// complete synchronously never consume an op id; ids stay monotonic
+    /// across the ops that do suspend, which is all the MSHR merge order
+    /// needs.
     pub fn pipe_issue_event(&mut self, va: VirtAddr, write: bool) -> IssueOutcome {
         if write {
             self.stats.stores += 1;
@@ -864,13 +763,6 @@ impl MemorySystem {
             }
         }
         IssueOutcome::Pending(id)
-    }
-
-    /// Steps the pipeline once (compatibility shim over the event engine:
-    /// exactly [`Self::advance_to_next_event`], discarding the progress
-    /// flag).
-    pub fn pipe_step(&mut self) {
-        let _ = self.advance_to_next_event();
     }
 
     /// Pumps the event engine one round: jumps virtual time to the next
@@ -998,15 +890,9 @@ impl MemorySystem {
         self.pending.len()
     }
 
-    /// Takes the `(op id, outcome)` pairs completed so far.
-    pub fn pipe_take_completed(&mut self) -> Vec<(u64, AccessOutcome)> {
-        std::mem::take(&mut self.completed)
-    }
-
     /// Appends the `(op id, outcome)` pairs completed so far to `out`,
-    /// leaving the internal buffer empty but with its capacity intact —
-    /// the allocation-free variant of [`Self::pipe_take_completed`] the
-    /// windowed drivers use every op.
+    /// leaving the internal buffer empty but with its capacity intact, so
+    /// the windowed drivers collect outcomes every op without allocating.
     pub fn pipe_drain_completed(&mut self, out: &mut Vec<(u64, AccessOutcome)>) {
         out.append(&mut self.completed);
     }
@@ -1088,7 +974,7 @@ impl MemorySystem {
                     }
                 }
                 OpState::AwaitWalk { .. } | OpState::AwaitData { .. } => {
-                    unreachable!("suspended ops resume through pipe_step")
+                    unreachable!("suspended ops resume through advance_to_next_event")
                 }
             }
         }
@@ -1186,8 +1072,7 @@ impl MemorySystem {
             }
             OpState::AwaitData { pa } => {
                 self.stats.llc_misses += 1;
-                // The demand path consumes the line whatever the verdict
-                // (matching the blocking path, which ignores it for data),
+                // The demand path consumes the line whatever the verdict,
                 // but a failed check is never installed (Section IV-F).
                 if read.verdict != ReadVerdict::CheckFailed {
                     if primary {
@@ -1493,33 +1378,44 @@ mod tests {
         }
     }
 
+    /// Issues an access that must suspend on a miss and returns its op id.
+    fn issue_pending(sys: &mut MemorySystem, va: VirtAddr, write: bool) -> u64 {
+        match sys.pipe_issue_event(va, write) {
+            IssueOutcome::Pending(id) => id,
+            IssueOutcome::Done(out) => panic!("access completed at issue: {out:?}"),
+        }
+    }
+
+    /// Pumps the wheel until no op is pending and returns every outcome.
+    fn pump_all(sys: &mut MemorySystem) -> Vec<(u64, AccessOutcome)> {
+        while sys.pipe_pending() > 0 {
+            sys.advance_to_next_event();
+        }
+        let mut done = Vec::new();
+        sys.pipe_drain_completed(&mut done);
+        done
+    }
+
     #[test]
-    fn pipelined_access_matches_blocking_cycles() {
-        // One cold access through each path, from identical machine state,
-        // must cost identical cycles — the pipeline is a refactor of the
-        // same event sequence, not a new timing model.
-        let mut blocking = system(true);
-        let (space_b, base) = setup(&mut blocking, 8);
-        let mut piped = system(true);
-        let (space_p, _) = setup(&mut piped, 8);
-        for i in 0..8 {
-            let va = VirtAddr::new(base + i * 4096);
-            cold_start(&mut blocking, &space_b);
-            cold_start(&mut piped, &space_p);
-            let out_b = blocking.load(va);
-            let id = piped.pipe_issue(va, false);
-            while piped.pipe_pending() > 0 {
-                piped.pipe_step();
-            }
-            let done = piped.pipe_take_completed();
-            assert_eq!(done.len(), 1);
-            assert_eq!(done[0].0, id);
-            assert!(done[0].1.is_ok());
-            assert_eq!(
-                out_b.cycles(),
-                done[0].1.cycles(),
-                "page {i}: blocking vs pipelined latency"
+    fn cold_load_and_store_return_with_the_wheel_drained() {
+        let mut sys = system(true);
+        let (space, base) = setup(&mut sys, 4);
+        for (i, write) in [false, true].into_iter().enumerate() {
+            cold_start(&mut sys, &space);
+            let posted_before = sys.pump_stats().events_posted;
+            let va = VirtAddr::new(base + i as u64 * 4096);
+            let out = if write { sys.store(va) } else { sys.load(va) };
+            assert!(out.is_ok(), "cold access faulted: {out:?}");
+            let pump = sys.pump_stats();
+            assert!(
+                pump.events_posted > posted_before,
+                "a cold access must reach DRAM through the wheel"
             );
+            assert_eq!(
+                pump.events_posted, pump.events_fired,
+                "write={write}: the access returned with events still scheduled"
+            );
+            assert_eq!(sys.pipe_pending(), 0);
         }
     }
 
@@ -1531,13 +1427,14 @@ mod tests {
         // Issue a window of stores that all miss to DRAM; their dirty fills
         // exist only in the pipeline until the misses complete.
         let ids: Vec<u64> = (0..4)
-            .map(|i| sys.pipe_issue(VirtAddr::new(base + i * 4096), true))
+            .map(|i| issue_pending(&mut sys, VirtAddr::new(base + i * 4096), true))
             .collect();
         assert!(sys.pipe_pending() > 0, "cold stores must suspend on misses");
         assert!(sys.controller.has_queued_reads());
         sys.flush_caches();
         assert_eq!(sys.pipe_pending(), 0, "flush must drain the MSHR file");
-        let done = sys.pipe_take_completed();
+        let mut done = Vec::new();
+        sys.pipe_drain_completed(&mut done);
         assert_eq!(done.len(), ids.len(), "no in-flight op may be dropped");
         for (id, out) in &done {
             assert!(ids.contains(id));
@@ -1563,13 +1460,10 @@ mod tests {
         };
         sys.invalidate_line(pa);
         let reads_before = sys.controller.stats().reads;
-        let a = sys.pipe_issue(VirtAddr::new(base), false);
-        let b = sys.pipe_issue(VirtAddr::new(base + 8), false);
+        let a = issue_pending(&mut sys, VirtAddr::new(base), false);
+        let b = issue_pending(&mut sys, VirtAddr::new(base + 8), false);
         assert_eq!(sys.pipe_pending(), 2, "both ops wait on the same miss");
-        while sys.pipe_pending() > 0 {
-            sys.pipe_step();
-        }
-        let done = sys.pipe_take_completed();
+        let done = pump_all(&mut sys);
         assert_eq!(done.len(), 2);
         for (id, out) in &done {
             assert!(*id == a || *id == b);
@@ -1646,12 +1540,9 @@ mod tests {
             let (space, base) = setup(&mut sys, 32);
             cold_start(&mut sys, &space);
             let ids: Vec<u64> = (0..32)
-                .map(|i| sys.pipe_issue(VirtAddr::new(base + i * 4096), i % 3 == 0))
+                .map(|i| issue_pending(&mut sys, VirtAddr::new(base + i * 4096), i % 3 == 0))
                 .collect();
-            while sys.pipe_pending() > 0 {
-                sys.pipe_step();
-            }
-            let done = sys.pipe_take_completed();
+            let done = pump_all(&mut sys);
             assert_eq!(done.len(), ids.len(), "no in-flight op may be dropped");
             done
         };

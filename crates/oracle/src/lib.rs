@@ -11,7 +11,9 @@
 //!   SplitMix64 operation streams ([`ops`]), with the drivers in [`diff`].
 //!   On divergence, a ddmin-style shrinking loop reduces the stream to a
 //!   minimal reproducer and serialises it with the `trace` crate's binary
-//!   primitives.
+//!   primitives. [`refmachine`] assembles the same models into a naive
+//!   blocking core over the real controllers: the reference the event
+//!   engine must match op for op at `mlp = 1`.
 //! * [`macoracle`] — a bit-level MAC oracle that rebuilds the Table IV
 //!   protected masks by explicit bit enumeration and recomputes the
 //!   QARMA-128 PTE MAC independently of `ptguard::PteMac`, asserting
@@ -34,6 +36,7 @@ pub mod campaign;
 pub mod diff;
 pub mod macoracle;
 pub mod ops;
+pub mod refmachine;
 pub mod refmodel;
 pub mod refwalk;
 

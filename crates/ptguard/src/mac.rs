@@ -160,10 +160,7 @@ impl PteMac {
     /// IV-F construction: it is what a controller without the batched SWAR
     /// verify kernel would run, one QARMA invocation per 16-byte chunk. It
     /// returns bit-identical MACs to [`Self::compute`] (the tests pin this),
-    /// so it serves two roles: an independent oracle for the batched
-    /// kernels, and the unbatched-verification control in `bench memsys`
-    /// (the `mlp4-scalar` mode), which isolates how much host time the
-    /// batched drain actually saves.
+    /// which makes it an independent oracle for the batched kernels.
     #[must_use]
     pub fn compute_unbatched(&self, line: &Line, addr: PhysAddr) -> u128 {
         let masked = line.masked(self.protected_mask);

@@ -14,25 +14,24 @@
 //! (`tests/pipeline_identity.rs`, `tests/controller_cycles.rs`) pin the
 //! extraction bit-for-bit.
 //!
-//! Issue goes through [`MemorySystem::pipe_issue_event`]: an access that
-//! completes synchronously (TLB + cache hit — the overwhelmingly common
-//! case) folds into the clock at issue and never occupies the window,
-//! while misses suspend and retire through
-//! [`MemorySystem::advance_to_next_event`] — the event pump that jumps
-//! virtual time to the next DRAM completion instead of stepping and
-//! re-scanning. The fold is a running max, so resolving hits at issue
-//! time is order-independent and leaves the final cycle count identical.
-//! [`WindowedDriver::new_polling`] keeps the pre-event discipline (every
-//! op through the op machinery and the completion buffer) as a benchmark
-//! control. Both modes issue the same accesses and verify the same MACs
-//! against the same DRAM reads; at `mlp > 1` their cycle counts diverge,
-//! because the polling discipline composes windows differently (a hit
-//! occupies a slot instead of folding at issue), so only the event
-//! discipline's totals are pinned.
+//! Issue goes through [`MemorySystem::pipe_issue_event`], and the window
+//! semantics are those of DESIGN.md §9:
+//!
+//! * a hit resolves at issue: it takes no slot, and stalls the front end
+//!   for its latency (the clock moves to `max(finish_prev, issue +
+//!   latency)`);
+//! * a miss holds a slot until it retires: [`MemorySystem::pipe_wait`]
+//!   runs the event pump, which jumps virtual time to the next DRAM
+//!   completion; misses retire in order,
+//!   `finish = max(finish_prev, issue + latency)`.
+//!
+//! At `mlp = 1` this is the paper's blocking sum, checked op for op
+//! against the reference core `oracle::refmachine`
+//! (`tests/pipeline_identity.rs`).
 
 use std::collections::VecDeque;
 
-use memsys::system::{AccessOutcome, IssueOutcome};
+use memsys::system::IssueOutcome;
 use memsys::MemorySystem;
 use pagetable::addr::VirtAddr;
 
@@ -51,15 +50,6 @@ pub(crate) struct WindowedDriver {
     finish_prev: u64,
     /// `(op id, issue time)` of in-flight ops, oldest first.
     inflight: VecDeque<(u64, u64)>,
-    /// Completed-but-not-retired outcomes. The window is small (a handful
-    /// of ops), so a linear-scanned Vec beats a HashMap on the per-op hot
-    /// path — and its capacity is reused for the whole run.
-    outcomes: Vec<(u64, AccessOutcome)>,
-    /// Benchmark control: issue every op through the op machinery
-    /// ([`MemorySystem::pipe_issue`]) instead of resolving synchronous
-    /// completions at issue. Identical simulated outcomes, legacy host
-    /// cost.
-    polling: bool,
 }
 
 impl WindowedDriver {
@@ -71,17 +61,6 @@ impl WindowedDriver {
             clock: 0,
             finish_prev: 0,
             inflight: VecDeque::new(),
-            outcomes: Vec::new(),
-            polling: false,
-        }
-    }
-
-    /// A driver using the pre-event per-op polling discipline (benchmark
-    /// control for event-vs-polling host-cost rows).
-    pub(crate) fn new_polling(window: usize, tick: u64, scale: u64) -> Self {
-        Self {
-            polling: true,
-            ..Self::new(window, tick, scale)
         }
     }
 
@@ -94,17 +73,11 @@ impl WindowedDriver {
     /// window is full. Synchronous completions fold into the clock at
     /// issue and never enter the window.
     pub(crate) fn mem_op(&mut self, sys: &mut MemorySystem, va: VirtAddr, write: bool) {
-        if self.polling {
-            let id = sys.pipe_issue(va, write);
-            self.track(sys, id);
-            return;
-        }
         match sys.pipe_issue_event(va, write) {
             IssueOutcome::Done(out) => {
                 debug_assert!(out.is_ok(), "unexpected fault: {out:?}");
-                // Folding at issue instead of retire is exact: the fold
-                // is a running max over finish times, so its result does
-                // not depend on the order hits and misses reach it.
+                // A hit takes no slot but stalls the front end for its
+                // latency: the fold moves the clock to its finish.
                 self.fold(self.clock, out.cycles());
             }
             IssueOutcome::Pending(id) => self.track(sys, id),
@@ -143,17 +116,7 @@ impl WindowedDriver {
             .inflight
             .pop_front()
             .expect("retire needs an op in flight");
-        let out = loop {
-            sys.pipe_drain_completed(&mut self.outcomes);
-            if let Some(pos) = self.outcomes.iter().position(|(cid, _)| *cid == id) {
-                break self.outcomes.swap_remove(pos).1;
-            }
-            let progressed = sys.advance_to_next_event();
-            assert!(
-                progressed,
-                "event pump stalled: op {id} in flight but no event is scheduled"
-            );
-        };
+        let out = sys.pipe_wait(id);
         debug_assert!(out.is_ok(), "unexpected fault: {out:?}");
         self.fold(t_issue, out.cycles());
     }

@@ -30,7 +30,7 @@ pub mod shared;
 pub mod source;
 
 pub use runner::{
-    build_machine, build_machine_from_source, build_machine_from_source_cfg, run, run_blocking,
-    run_polling, simulate_workload, simulate_workload_cfg, Machine, Protection, RunResult,
+    build_machine, build_machine_from_source, build_machine_from_source_cfg, run,
+    simulate_workload, Machine, Protection, RunResult,
 };
 pub use source::OpSource;

@@ -1,12 +1,10 @@
 //! Single-core simulation driver.
 //!
-//! Two drivers share one machine model: [`run_blocking`] executes each
-//! memory operation to completion (the pre-pipeline model, kept as the
-//! byte-identity reference), while [`run`] issues a bounded window of
-//! in-flight operations ([`MemSysConfig::mlp`]) against the pipelined
-//! memory system. With `mlp = 1` the windowed driver retires each op before
-//! the next instruction issues and reproduces the blocking driver's cycle
-//! count and cache state bit for bit.
+//! [`run`] issues a bounded window of in-flight operations
+//! ([`MemSysConfig::mlp`]) against the event-driven memory system. With
+//! `mlp = 1` — the default — every op retires before the next instruction
+//! issues: the paper's blocking in-order core, checked op for op against
+//! the reference core in `oracle::refmachine`.
 
 use dram::{DramDevice, DramGeometry, DramTiming, RowhammerConfig};
 use memsys::system::OsPort;
@@ -208,7 +206,7 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
 }
 
 /// Runs `instructions` instructions on a built machine through the
-/// pipelined memory system.
+/// event-driven memory system.
 ///
 /// The core is in-order (gem5 `TimingSimpleCPU`-like, matching the paper's
 /// pessimistic single-core setup): every instruction costs one cycle, and
@@ -217,7 +215,7 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
 /// front end stalls until the oldest op retires; ops retire in order, so
 /// the core clock advances to `max(issue + latency)` over the window. With
 /// `mlp = 1` every op retires before the next instruction issues — the
-/// exact blocking model (see [`run_blocking`]), bit for bit.
+/// blocking model, in which each memory instruction costs `1 + latency`.
 pub fn run<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResult {
     let stats_before = machine.sys.stats();
     let mac_before = read_mac_total(machine);
@@ -238,85 +236,18 @@ pub fn run<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResul
         driver.mem_op(&mut machine.sys, va, write);
     }
     driver.drain(&mut machine.sys);
-    finalize_result(
-        machine,
+    let stats = machine.sys.stats();
+    let llc_misses = (stats.llc_misses + stats.walk_llc_misses)
+        - (stats_before.llc_misses + stats_before.walk_llc_misses);
+    RunResult {
         instructions,
-        driver.clock(),
+        cycles: driver.clock(),
+        mpki: 1000.0 * llc_misses as f64 / instructions as f64,
+        walks: stats.walks - stats_before.walks,
+        integrity_faults: stats.integrity_faults - stats_before.integrity_faults,
+        mac_computations: read_mac_total(machine) - mac_before,
         mem_ops,
-        stats_before,
-        mac_before,
-    )
-}
-
-/// Runs `instructions` like [`run`], but issuing every memory op through
-/// the per-op polling discipline the event engine replaced (no
-/// synchronous-completion fast path). The access stream, MAC
-/// computations, and DRAM reads match [`run`] exactly, but cycle counts
-/// and IPC diverge at `mlp > 1`: hits occupy window slots here instead
-/// of folding at issue, so windows compose differently. Kept as the
-/// event-vs-polling benchmark control (`bench memsys`'s `mlp4-poll`
-/// row).
-pub fn run_polling<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResult {
-    let stats_before = machine.sys.stats();
-    let mac_before = read_mac_total(machine);
-    let mut mem_ops = 0u64;
-    let mut driver = WindowedDriver::new_polling(machine.sys.config().mlp, 1, 1);
-    for _ in 0..instructions {
-        driver.tick_instruction();
-        let (va, write) = match machine.source.next_op() {
-            Op::Compute => continue,
-            Op::Load(va) => (va, false),
-            Op::Store(va) => (va, true),
-        };
-        mem_ops += 1;
-        driver.mem_op(&mut machine.sys, va, write);
     }
-    driver.drain(&mut machine.sys);
-    finalize_result(
-        machine,
-        instructions,
-        driver.clock(),
-        mem_ops,
-        stats_before,
-        mac_before,
-    )
-}
-
-/// Runs `instructions` on a built machine with the legacy fully-blocking
-/// core: every memory operation completes inline before the next
-/// instruction. Kept as the differential reference for the `mlp = 1`
-/// byte-identity tests.
-pub fn run_blocking<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResult {
-    let mut cycles = 0u64;
-    let stats_before = machine.sys.stats();
-    let mac_before = read_mac_total(machine);
-    let mut mem_ops = 0u64;
-    for _ in 0..instructions {
-        cycles += 1;
-        match machine.source.next_op() {
-            Op::Compute => {}
-            Op::Load(va) => {
-                mem_ops += 1;
-                let out = machine.sys.load(va);
-                debug_assert!(out.is_ok(), "unexpected fault: {out:?}");
-                cycles += out.cycles();
-            }
-            Op::Store(va) => {
-                mem_ops += 1;
-                let out = machine.sys.store(va);
-                debug_assert!(out.is_ok(), "unexpected fault: {out:?}");
-                cycles += out.cycles();
-            }
-        }
-    }
-    finalize_result(
-        machine,
-        instructions,
-        cycles,
-        mem_ops,
-        stats_before,
-        mac_before,
-    )
 }
 
 /// Read-path MAC computations summed over every channel's engine.
@@ -325,30 +256,6 @@ fn read_mac_total<S: OpSource>(machine: &Machine<S>) -> u64 {
         .filter_map(|c| machine.sys.channel(c).engine())
         .map(|e| e.stats().read_mac_computations)
         .sum()
-}
-
-/// Shared [`RunResult`] assembly from the stat deltas of a run.
-fn finalize_result<S: OpSource>(
-    machine: &Machine<S>,
-    instructions: u64,
-    cycles: u64,
-    mem_ops: u64,
-    stats_before: memsys::system::SystemStats,
-    mac_before: u64,
-) -> RunResult {
-    let stats = machine.sys.stats();
-    let llc_misses = (stats.llc_misses + stats.walk_llc_misses)
-        - (stats_before.llc_misses + stats_before.walk_llc_misses);
-    let mac_computations = read_mac_total(machine) - mac_before;
-    RunResult {
-        instructions,
-        cycles,
-        mpki: 1000.0 * llc_misses as f64 / instructions as f64,
-        walks: stats.walks - stats_before.walks,
-        integrity_faults: stats.integrity_faults - stats_before.integrity_faults,
-        mac_computations,
-        mem_ops,
-    }
 }
 
 /// One-shot convenience: build, warm up (caches and TLB fill without being
@@ -363,31 +270,6 @@ pub fn simulate_workload(
 ) -> RunResult {
     let mut machine = build_machine(profile, guard, seed, 4);
     let _ = run(&mut machine, instructions); // warm-up, discarded
-    run(&mut machine, instructions)
-}
-
-/// [`simulate_workload`] with an explicit memory-system configuration
-/// (e.g. an `mlp` window larger than 1). Same warm-up/measure discipline.
-#[must_use]
-pub fn simulate_workload_cfg(
-    profile: WorkloadProfile,
-    guard: Option<PtGuardConfig>,
-    instructions: u64,
-    seed: u64,
-    mem_cfg: MemSysConfig,
-) -> RunResult {
-    let protection = match guard {
-        Some(cfg) => Protection::PtGuard(cfg),
-        None => Protection::None,
-    };
-    let mut machine = build_machine_from_source_cfg(
-        TraceGenerator::new(profile, seed),
-        profile,
-        protection,
-        4,
-        mem_cfg,
-    );
-    let _ = run(&mut machine, instructions);
     run(&mut machine, instructions)
 }
 

@@ -2,13 +2,13 @@
 //! the real cache hierarchy must land near its Figure 6 target — the
 //! substitution argument of DESIGN.md, enforced in CI.
 //!
-//! Measured at `mlp = 1`: the targets were calibrated under the blocking
-//! schedule, where every fill lands before the next probe. Wider windows
-//! legitimately re-miss lines whose fill is still in flight, which shifts
-//! MPKI on the memory-bound profiles without changing the working sets.
+//! Measured on the default configuration, the paper's blocking core: the
+//! targets were calibrated under it, where every fill lands before the next
+//! probe. Wider windows legitimately re-miss lines whose fill is still in
+//! flight, which shifts MPKI on the memory-bound profiles without changing
+//! the working sets.
 
-use memsys::MemSysConfig;
-use simx::{simulate_workload, simulate_workload_cfg};
+use simx::simulate_workload;
 use workloads::ALL_WORKLOADS;
 
 #[test]
@@ -16,16 +16,7 @@ fn measured_mpki_tracks_figure6_targets() {
     let mut report = String::new();
     let mut failures = 0;
     for (i, w) in ALL_WORKLOADS.iter().enumerate() {
-        let r = simulate_workload_cfg(
-            *w,
-            None,
-            120_000,
-            0xca11 + i as u64,
-            MemSysConfig {
-                mlp: 1,
-                ..MemSysConfig::default()
-            },
-        );
+        let r = simulate_workload(*w, None, 120_000, 0xca11 + i as u64);
         let ok = if w.target_mpki >= 2.0 {
             // Within ±35 % for measurable targets.
             (r.mpki / w.target_mpki - 1.0).abs() < 0.35

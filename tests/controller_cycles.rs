@@ -5,15 +5,14 @@
 //! rounding change anywhere in the read path moves the totals.
 
 use memsys::config::clock;
-use memsys::MemSysConfig;
-use simx::simulate_workload_cfg;
+use simx::simulate_workload;
 use workloads::ALL_WORKLOADS;
 
 /// Pinned total cycles for every Figure 6 workload, simulated for 60 000
-/// instructions under default PT-Guard at seed `0x5eed + index`, with
-/// `mlp` pinned to 1 — the blocking schedule these totals were minted
-/// under (the default window is wider now, but `mlp = 1` must stay
-/// byte-identical to it forever).
+/// instructions under default PT-Guard at seed `0x5eed + index` through
+/// [`simulate_workload`] — the entry point the Figure 6 and ablation
+/// artefacts call, so the pins guard what those artefacts run: the
+/// default configuration, the paper's blocking in-order core.
 /// Regenerate with `PIN_PRINT=1 cargo test -q --test controller_cycles -- --nocapture`.
 const PINNED_CYCLES: [(&str, u64); 25] = [
     ("perlbench", 321141),
@@ -48,15 +47,11 @@ fn cycle_totals_are_pinned_for_all_25_profiles() {
     let print = std::env::var_os("PIN_PRINT").is_some();
     let mut drift = String::new();
     for (i, w) in ALL_WORKLOADS.iter().enumerate() {
-        let r = simulate_workload_cfg(
+        let r = simulate_workload(
             *w,
             Some(ptguard::PtGuardConfig::default()),
             60_000,
             0x5eed + i as u64,
-            MemSysConfig {
-                mlp: 1,
-                ..MemSysConfig::default()
-            },
         );
         if print {
             println!("    (\"{}\", {}),", w.name, r.cycles);
