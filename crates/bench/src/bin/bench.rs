@@ -72,7 +72,8 @@ fn usage() -> ExitCode {
          \x20               BENCH_memsys.json / BENCH_channels.json / BENCH_serve.json\n\
          \x20               / BENCH_arena.json for those targets)\n\
          \x20 --fast        ~10x shorter samples (smoke mode; also via PTGUARD_BENCH_FAST)\n\
-         \x20 --jobs N      workers for the parallel pair-sweep timing (default: all cores)\n\
+         \x20 --jobs N      workers for the parallel pair-sweep timing (default: all cores;\n\
+         \x20               with fewer than 2 the pair_sweep row is omitted)\n\
          \x20 --check FILE  regression gate: fail if the report's anchor number regressed\n\
          \x20               more than 2x (dispatches on the file's schema field)"
     );
@@ -141,20 +142,6 @@ fn bench_qarma(rows: &mut Vec<Row>) {
             q128.decrypt(black_box(0x0123_4567_89ab_cdef), black_box(42))
         }),
     );
-
-    // Batch throughput: 8 blocks through the pairwise-interleaved path,
-    // reported per block so it is directly comparable to the scalar row.
-    let pairs: Vec<(u128, u128)> = (0..8u128).map(|i| (i * 0x1234_5677 + 1, i)).collect();
-    let mut out = vec![0u128; pairs.len()];
-    let n = pairs.len() as f64;
-    let mut m = measure(budget, || {
-        q128.encrypt_many(black_box(&pairs), &mut out);
-        out[7]
-    });
-    m.median_ns /= n;
-    m.lo_ns /= n;
-    m.hi_ns /= n;
-    report(rows, "qarma128_r9_encrypt_many_per_block", m);
 }
 
 fn bench_mac(rows: &mut Vec<Row>) {
@@ -210,8 +197,17 @@ fn bench_mac(rows: &mut Vec<Row>) {
 
 /// Times the MAC oracle's pair sweep serial and on a `jobs`-wide pool.
 /// Determinism means the two runs do identical work, so the ratio is a
-/// pure scaling measurement.
-fn bench_sweep(jobs: usize, fast: bool) -> Value {
+/// pure scaling measurement — which needs at least two workers: with one,
+/// the row is omitted and stderr says why.
+fn bench_sweep(jobs: usize, fast: bool) -> Option<Value> {
+    let pool = ThreadPool::new(jobs);
+    if pool.size() < 2 {
+        eprintln!(
+            "pair_sweep: omitted, the pool has {} worker (a parallel speedup needs at least 2; pass --jobs 2)",
+            pool.size()
+        );
+        return None;
+    }
     let cfg = PtGuardConfig::default();
     let (lines, budget) = if fast { (2, 2_000) } else { (4, 20_000) };
     let seed = 0xbe0c_5eed;
@@ -220,7 +216,6 @@ fn bench_sweep(jobs: usize, fast: bool) -> Value {
     let serial = ::oracle::macoracle::sweep(&cfg, seed, lines, budget);
     let serial_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let pool = ThreadPool::new(jobs);
     let t = Instant::now();
     let parallel = ::oracle::macoracle::sweep_with_pool(&cfg, seed, lines, budget, Some(&pool));
     let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -232,14 +227,14 @@ fn bench_sweep(jobs: usize, fast: bool) -> Value {
         pool.size(),
         serial_ms / parallel_ms.max(1e-9),
     );
-    Value::obj(vec![
+    Some(Value::obj(vec![
         ("lines", Value::U64(lines as u64)),
         ("pair_budget_per_line", Value::U64(budget as u64)),
         ("serial_ms", Value::F64(serial_ms)),
         ("parallel_ms", Value::F64(parallel_ms)),
         ("jobs", Value::U64(pool.size() as u64)),
         ("speedup", Value::F64(serial_ms / parallel_ms.max(1e-9))),
-    ])
+    ]))
 }
 
 fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
@@ -281,7 +276,7 @@ fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
             .collect(),
     );
     let mut pairs = vec![
-        ("schema", Value::Str("ptguard-bench-qarma/v1".to_string())),
+        ("schema", Value::Str("ptguard-bench-qarma/v2".to_string())),
         ("fast", Value::Bool(fast)),
         ("results", results),
         ("baseline_pre_rewrite", baseline),
@@ -384,8 +379,8 @@ fn bench_serve(fast: bool) -> Value {
 }
 
 /// The serve arm of the `--check` gate: the committed report must show the
-/// drain scaling linearly in batch size (the SWAR kernel already
-/// interleaves chunks within a line, so cross-line batching must not go
+/// drain scaling linearly in batch size (the batch is a loop over lines
+/// through the per-line MAC kernel, so cross-line batching must not go
 /// *superlinear* — the coalescing win is amortised queueing overhead, which
 /// lives in the server loop, not here), and a fresh quick measurement of
 /// the batch-8 drain must be within 2×.
@@ -878,6 +873,19 @@ fn check(path: &PathBuf) -> Result<(), String> {
         .and_then(|m| m.get("ns_per_op"))
         .and_then(Value::as_f64)
         .ok_or_else(|| "committed report lacks results.mac_compute.ns_per_op".to_string())?;
+    // The pair-sweep row is optional (omitted on a one-worker pool), but a
+    // committed one must have had a second worker to measure any scaling.
+    if let Some(sweep) = committed.get("pair_sweep") {
+        let jobs = sweep
+            .get("jobs")
+            .and_then(Value::as_u64)
+            .ok_or("committed pair_sweep lacks jobs")?;
+        if jobs < 2 {
+            return Err(format!(
+                "committed pair_sweep was measured with {jobs} worker and measures no speedup"
+            ));
+        }
+    }
 
     let mac = PteMac::from_config(&PtGuardConfig::default());
     let line = sample_pte_line();
@@ -939,13 +947,13 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         }
         "mac" => {
             bench_mac(&mut rows);
-            let sweep = Some(bench_sweep(jobs, fast));
+            let sweep = bench_sweep(jobs, fast);
             render_report(&rows, sweep, fast)
         }
         "all" => {
             bench_qarma(&mut rows);
             bench_mac(&mut rows);
-            let sweep = Some(bench_sweep(jobs, fast));
+            let sweep = bench_sweep(jobs, fast);
             render_report(&rows, sweep, fast)
         }
         "memsys" => bench_memsys(fast),

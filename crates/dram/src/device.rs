@@ -104,15 +104,19 @@ pub enum TimingEvent {
 
 /// A DRAM device with open-row bank state and Rowhammer disturbance.
 ///
-/// Functional reads and writes go through [`PhysMem`] and are untimed;
-/// [`DramDevice::access`] additionally models bank timing, advances the
+/// Functional reads and writes go through [`PhysMem`] and are untimed. The
+/// store is line-granular: a line or an aligned word is written with one
+/// row lookup, which re-arms the weak cells under the written bytes, and
+/// one lookup into the sparse page store, never byte by byte.
+/// [`DramDevice::access_ps`] additionally models bank timing, advances the
 /// device clock, applies disturbance, and handles refresh-window expiry.
 #[derive(Debug)]
 pub struct DramDevice {
     geometry: DramGeometry,
     timing: DramTiming,
     rh: RowhammerConfig,
-    /// Sparse backing store: 4 KB pages allocated on first write/flip.
+    /// Sparse backing store: 4 KB pages allocated on first write/flip,
+    /// written a line or an aligned word at a time.
     store: HashMap<u64, Box<[u8; STORE_PAGE]>>,
     capacity: u64,
     open_row: Vec<Option<u32>>,
@@ -149,8 +153,18 @@ pub struct DramDevice {
 impl DramDevice {
     /// Creates a device with the given organisation, timing, and
     /// vulnerability profile. Contents are zero-initialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not a whole number of 64-byte lines (the store
+    /// writes a line with one row lookup, so a line must never cross a row).
     #[must_use]
     pub fn new(geometry: DramGeometry, timing: DramTiming, rh: RowhammerConfig) -> Self {
+        assert_eq!(
+            geometry.row_bytes % 64,
+            0,
+            "row size must be a whole number of 64-byte lines"
+        );
         Self {
             store: HashMap::new(),
             capacity: geometry.capacity(),
@@ -510,19 +524,60 @@ impl DramDevice {
 
 impl DramDevice {
     fn load_u8(&self, addr: u64) -> u8 {
-        debug_assert!(addr < self.capacity, "address {addr:#x} beyond capacity");
-        self.store
-            .get(&(addr / STORE_PAGE as u64))
-            .map_or(0, |page| page[(addr % STORE_PAGE as u64) as usize])
+        self.load_bytes::<1>(addr)[0]
     }
 
+    /// Stores one byte without re-arming weak cells: the disturbance path
+    /// writes flipped values through here.
     fn store_u8(&mut self, addr: u64, value: u8) {
+        let (page, off) = self.page_mut(addr);
+        page[off] = value;
+    }
+
+    /// The store page holding `addr` (allocated on first write) and the
+    /// offset of `addr` in it.
+    fn page_mut(&mut self, addr: u64) -> (&mut [u8; STORE_PAGE], usize) {
         debug_assert!(addr < self.capacity, "address {addr:#x} beyond capacity");
         let page = self
             .store
             .entry(addr / STORE_PAGE as u64)
             .or_insert_with(|| Box::new([0u8; STORE_PAGE]));
-        page[(addr % STORE_PAGE as u64) as usize] = value;
+        (page, (addr % STORE_PAGE as u64) as usize)
+    }
+
+    /// Copies `N` bytes out of the store starting at `addr`. The range must
+    /// lie inside one store page (true of any aligned line or word).
+    fn load_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
+        debug_assert!(
+            addr + N as u64 <= self.capacity,
+            "address {addr:#x} beyond capacity"
+        );
+        let mut out = [0u8; N];
+        if let Some(page) = self.store.get(&(addr / STORE_PAGE as u64)) {
+            let off = (addr % STORE_PAGE as u64) as usize;
+            out.copy_from_slice(&page[off..off + N]);
+        }
+        out
+    }
+
+    /// A write of `bytes` at `addr`, with one row lookup and one page
+    /// lookup. A write restores full charge to the cells it covers, so
+    /// every weak cell of the row whose byte lies in the written range is
+    /// re-armed. The range must lie inside one row and one store page (true
+    /// of any aligned line or word: `new` asserts rows are whole lines).
+    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        let at = PhysAddr::new(addr);
+        if let Some(cells) = self.weak_cells.get_mut(&self.geometry.row_of(at)) {
+            let first = u64::from(self.geometry.column_of(at));
+            let written = first..first + bytes.len() as u64;
+            for c in cells.iter_mut() {
+                if written.contains(&(c.bit / 8)) {
+                    c.flipped = false;
+                }
+            }
+        }
+        let (page, off) = self.page_mut(addr);
+        page[off..off + bytes.len()].copy_from_slice(bytes);
     }
 }
 
@@ -536,30 +591,25 @@ impl PhysMem for DramDevice {
     }
 
     fn write_u8(&mut self, addr: PhysAddr, value: u8) {
-        // A write restores full charge to the cells of this byte: re-arm any
-        // weak cell covering it.
-        let row = self.geometry.row_of(addr);
-        if let Some(cells) = self.weak_cells.get_mut(&row) {
-            let byte_in_row = u64::from(self.geometry.column_of(addr));
-            for c in cells.iter_mut() {
-                if c.bit / 8 == byte_in_row {
-                    c.flipped = false;
-                }
-            }
-        }
-        self.store_u8(addr.as_u64(), value);
+        self.write_bytes(addr.as_u64(), &[value]);
+    }
+
+    fn read_u64(&self, addr: PhysAddr) -> u64 {
+        debug_assert_eq!(addr.as_u64() % 8, 0, "unaligned u64 read at {addr:?}");
+        u64::from_le_bytes(self.load_bytes(addr.as_u64()))
+    }
+
+    fn write_u64(&mut self, addr: PhysAddr, value: u64) {
+        debug_assert_eq!(addr.as_u64() % 8, 0, "unaligned u64 write at {addr:?}");
+        self.write_bytes(addr.as_u64(), &value.to_le_bytes());
     }
 
     fn read_line(&self, addr: PhysAddr) -> [u8; 64] {
-        // Fast path: a line never crosses a store page.
-        let base = addr.line_addr().as_u64();
-        debug_assert!(base + 64 <= self.capacity);
-        let mut out = [0u8; 64];
-        if let Some(page) = self.store.get(&(base / STORE_PAGE as u64)) {
-            let off = (base % STORE_PAGE as u64) as usize;
-            out.copy_from_slice(&page[off..off + 64]);
-        }
-        out
+        self.load_bytes(addr.line_addr().as_u64())
+    }
+
+    fn write_line(&mut self, addr: PhysAddr, line: &[u8; 64]) {
+        self.write_bytes(addr.line_addr().as_u64(), line);
     }
 }
 
@@ -770,6 +820,93 @@ mod tests {
             assert_eq!(t.wait_ps, busy - t0, "chain drifted at access {k}");
             busy += lat;
         }
+    }
+
+    /// Drives a device through the trait's byte-loop defaults: only
+    /// `read_u8` and `write_u8` are forwarded.
+    struct ByteLoop<'a>(&'a mut DramDevice);
+
+    impl PhysMem for ByteLoop<'_> {
+        fn size(&self) -> u64 {
+            self.0.size()
+        }
+
+        fn read_u8(&self, addr: PhysAddr) -> u8 {
+            self.0.read_u8(addr)
+        }
+
+        fn write_u8(&mut self, addr: PhysAddr, value: u8) {
+            self.0.write_u8(addr, value);
+        }
+    }
+
+    #[test]
+    fn line_and_word_writes_match_the_byte_loops() {
+        // Two twins hammered into the same state: weak cells of the victim
+        // row, some already discharged.
+        let aggressor = RowId { bank: 0, row: 400 };
+        let hammered = || {
+            let mut d = vulnerable_device();
+            let victim = aggressor.offset(1, d.geometry().rows_per_bank).unwrap();
+            let base = d.geometry().row_base(victim).as_u64();
+            for i in 0..u64::from(d.geometry().row_bytes) {
+                d.write_u8(PhysAddr::new(base + i), 0xff);
+            }
+            d.hammer(aggressor, 1500);
+            d
+        };
+        let (mut fast, mut bytes) = (hammered(), hammered());
+        let victim = aggressor.offset(1, fast.geometry().rows_per_bank).unwrap();
+        let base = fast.geometry().row_base(victim).as_u64();
+        let cells = fast.weak_cells(victim).to_vec();
+        assert!(cells.iter().any(|c| c.flipped), "no cell discharged");
+        assert!(cells.iter().any(|c| !c.flipped), "every cell discharged");
+
+        // The lines ending a store page and the row, plus the line and the
+        // word holding each weak cell, every other one rewritten.
+        let row_end = base + u64::from(fast.geometry().row_bytes) - 64;
+        let mut lines = vec![base + STORE_PAGE as u64 - 64, row_end];
+        lines.extend(cells.iter().step_by(2).map(|c| base + c.bit / 8));
+        let words: Vec<u64> = cells
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|c| base + c.bit / 8)
+            .collect();
+        let fill = |i: u64| std::array::from_fn(|b| (i as u8).wrapping_mul(37) ^ b as u8);
+        for (i, &a) in lines.iter().enumerate() {
+            let line = fill(i as u64);
+            fast.write_line(PhysAddr::new(a), &line);
+            ByteLoop(&mut bytes).write_line(PhysAddr::new(a), &line);
+        }
+        for (i, &a) in words.iter().enumerate() {
+            let a = PhysAddr::new(a & !7);
+            let v = 0xffff_ffff_0000_ff00 ^ i as u64;
+            assert_eq!(fast.read_u64(a), ByteLoop(&mut bytes).read_u64(a));
+            fast.write_u64(a, v);
+            ByteLoop(&mut bytes).write_u64(a, v);
+            assert_eq!(fast.read_u64(a), v);
+        }
+        for &a in &lines {
+            let a = PhysAddr::new(a);
+            assert_eq!(fast.read_line(a), ByteLoop(&mut bytes).read_line(a));
+        }
+        let same = |a: &DramDevice, b: &DramDevice, when: &str| {
+            assert!(a.store == b.store, "store bytes differ {when}");
+            assert_eq!(a.weak_cells, b.weak_cells, "weak-cell state differs {when}");
+            assert_eq!(a.flips(), b.flips(), "flip records differ {when}");
+        };
+        same(&fast, &bytes, "after the writes");
+
+        // Re-armed cells discharge again, identically on both twins.
+        let before = fast.stats().total_flips;
+        fast.hammer(aggressor, 1500);
+        bytes.hammer(aggressor, 1500);
+        assert!(
+            fast.stats().total_flips > before,
+            "no re-armed cell flipped"
+        );
+        same(&fast, &bytes, "after hammering again");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! a *tweakable* cipher makes natural) removes the aliasing; see
 //! `chunk_swap_aliasing_is_rejected` below and DESIGN.md.
 
-use qarma::{Qarma128, Sbox};
+use qarma::{Qarma128, Sbox, TweakSchedule};
 
 use crate::config::{PtGuardConfig, MAC_BITS};
 use crate::format::PteFormat;
@@ -40,6 +40,14 @@ pub const MAC_MASK: u128 = (1 << MAC_BITS) - 1;
 #[derive(Debug, Clone)]
 pub struct PteMac {
     cipher: Qarma128,
+    /// The cipher key, for the reference cipher behind
+    /// [`Self::compute_unbatched`].
+    key: [u128; 2],
+    /// Tweak schedules of the chunk offsets 16, 32 and 48. Chunk `i` of a
+    /// line enciphers under `base + 16i = base ⊕ 16i` (the base is
+    /// line-aligned) and the schedule is linear in the tweak, so a line
+    /// needs one schedule, for its base.
+    chunk_offsets: [TweakSchedule; 3],
     format: PteFormat,
     protected_mask: u64,
     pfn_mask: u64,
@@ -69,7 +77,9 @@ impl PteMac {
         let protected_mask = format.protected_mask(max_phys_bits);
         let pfn_mask = format.pfn_mask(max_phys_bits);
         let mut engine = Self {
+            chunk_offsets: [16, 32, 48].map(|off| cipher.tweak_schedule(off)),
             cipher,
+            key,
             format,
             protected_mask,
             pfn_mask,
@@ -98,7 +108,9 @@ impl PteMac {
     pub fn full_coverage(key: [u128; 2], rounds: usize, sbox: Sbox) -> Self {
         let cipher = Qarma128::new(key, rounds, sbox);
         let mut engine = Self {
+            chunk_offsets: [16, 32, 48].map(|off| cipher.tweak_schedule(off)),
             cipher,
+            key,
             format: PteFormat::X86_64,
             protected_mask: u64::MAX,
             pfn_mask: pagetable::x86_64::bits::PFN_MASK,
@@ -135,39 +147,37 @@ impl PteMac {
     /// Computes the 96-bit MAC of `line` at `addr`.
     ///
     /// Only the protected bits contribute; the MAC/identifier regions and
-    /// the accessed bits may hold anything.
+    /// the accessed bits may hold anything. One tweak schedule serves all
+    /// four chunks; the hot path allocates nothing.
     #[must_use]
     pub fn compute(&self, line: &Line, addr: PhysAddr) -> u128 {
-        let masked = line.masked(self.protected_mask);
-        let base = addr.line_addr().as_u64();
-        let chunks = masked.chunks();
-        // All four chunk encryptions go through the batched flat kernel on
-        // fixed stack buffers — every caller (controller verify, full-memory
-        // MAC, oracle sweeps) inherits the allocation-free path.
-        let mut pairs = [(0u128, 0u128); 4];
-        for (i, (pair, &chunk)) in pairs.iter_mut().zip(chunks.iter()).enumerate() {
-            *pair = (chunk, u128::from(base + 16 * i as u64));
+        let [c0, chunks @ ..] = line.masked(self.protected_mask).chunks();
+        let base = self
+            .cipher
+            .tweak_schedule(u128::from(addr.line_addr().as_u64()));
+        let mut x = self.cipher.encrypt_scheduled(c0, &base);
+        for (&chunk, &offset) in chunks.iter().zip(&self.chunk_offsets) {
+            x ^= self.cipher.encrypt_scheduled(chunk, &(base ^ offset));
         }
-        let mut q = [0u128; 4];
-        self.cipher.encrypt_many(&pairs, &mut q);
-        (q[0] ^ q[1] ^ q[2] ^ q[3]) & MAC_MASK
+        x & MAC_MASK
     }
 
-    /// Computes the MAC with one *scalar* cipher call per chunk — no
-    /// cross-chunk interleaving.
+    /// Computes the MAC through the straight-line reference cipher
+    /// ([`qarma::reference::encrypt128`]), one call per chunk under its own
+    /// tweak.
     ///
-    /// This is the straight-line reference implementation of the Section
-    /// IV-F construction: it is what a controller without the batched SWAR
-    /// verify kernel would run, one QARMA invocation per 16-byte chunk. It
-    /// returns bit-identical MACs to [`Self::compute`] (the tests pin this),
-    /// which makes it an independent oracle for the batched kernels.
+    /// This is the Section IV-F construction written out with no shared
+    /// schedule and none of the kernel's code, so tests use it as the
+    /// oracle for [`Self::compute`] and [`Self::compute_batch`].
     #[must_use]
     pub fn compute_unbatched(&self, line: &Line, addr: PhysAddr) -> u128 {
         let masked = line.masked(self.protected_mask);
         let base = addr.line_addr().as_u64();
+        let (rounds, sbox) = (self.cipher.rounds(), self.cipher.sbox());
         let mut x = 0u128;
         for (i, &chunk) in masked.chunks().iter().enumerate() {
-            x ^= self.cipher.encrypt(chunk, u128::from(base + 16 * i as u64));
+            let tweak = u128::from(base + 16 * i as u64);
+            x ^= qarma::reference::encrypt128(self.key, rounds, sbox, chunk, tweak);
         }
         x & MAC_MASK
     }
@@ -182,49 +192,10 @@ impl PteMac {
         out
     }
 
-    /// Appends the MACs of `items` to `out` (without clearing it).
-    ///
-    /// All `4 × items.len()` chunk encryptions are flattened into a single
-    /// [`Qarma128::encrypt_many`] call, amortising the kernel's entry cost
-    /// across the batch. Batches of up to 8 lines (32 chunk encryptions —
-    /// well above any realistic MLP window's drain) run entirely on stack
-    /// buffers, so the controller's drain step allocates nothing here.
+    /// Appends the MACs of `items` to `out` (without clearing it), one
+    /// [`Self::compute`] per line. Allocates only if `out` must grow.
     pub fn compute_batch_into(&self, items: &[(Line, PhysAddr)], out: &mut Vec<u128>) {
-        const STACK_LINES: usize = 8;
-        if items.len() <= STACK_LINES {
-            let mut pairs = [(0u128, 0u128); STACK_LINES * 4];
-            let mut q = [0u128; STACK_LINES * 4];
-            let n = self.fill_chunk_pairs(items, &mut pairs);
-            self.cipher.encrypt_many(&pairs[..n], &mut q[..n]);
-            Self::fold_macs(&q[..n], out);
-        } else {
-            let mut pairs = vec![(0u128, 0u128); items.len() * 4];
-            let mut q = vec![0u128; items.len() * 4];
-            let n = self.fill_chunk_pairs(items, &mut pairs);
-            self.cipher.encrypt_many(&pairs[..n], &mut q[..n]);
-            Self::fold_macs(&q[..n], out);
-        }
-    }
-
-    /// Writes each item's four masked `(chunk, tweak)` pairs into `buf` and
-    /// returns the pair count (`4 × items.len()`).
-    fn fill_chunk_pairs(&self, items: &[(Line, PhysAddr)], buf: &mut [(u128, u128)]) -> usize {
-        for ((line, addr), slot) in items.iter().zip(buf.chunks_exact_mut(4)) {
-            let masked = line.masked(self.protected_mask);
-            let base = addr.line_addr().as_u64();
-            for (i, (pair, &chunk)) in slot.iter_mut().zip(masked.chunks().iter()).enumerate() {
-                *pair = (chunk, u128::from(base + 16 * i as u64));
-            }
-        }
-        items.len() * 4
-    }
-
-    /// XOR-folds each consecutive quadruple of ciphertexts into a MAC.
-    fn fold_macs(q: &[u128], out: &mut Vec<u128>) {
-        out.extend(
-            q.chunks_exact(4)
-                .map(|c| (c[0] ^ c[1] ^ c[2] ^ c[3]) & MAC_MASK),
-        );
+        out.extend(items.iter().map(|(line, addr)| self.compute(line, *addr)));
     }
 
     /// Exact verification: computed MAC equals `stored`.
@@ -386,34 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn compute_batch_matches_scalar_for_all_sboxes_and_rounds() {
-        use qarma::Sbox;
-        // 11 items crosses the 8-line stack-buffer boundary, covering both
-        // the stack and the heap paths of `compute_batch_into`.
-        let items: Vec<(Line, PhysAddr)> = (0..11)
-            .map(|i| {
-                let mut l = sample_line();
-                l.set_word(i % 8, l.word(i % 8) ^ (0x1000 << i));
-                (l, PhysAddr::new(0x40 * (i as u64 + 1)))
-            })
-            .collect();
-        for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
-            for rounds in [1usize, 5, 9, 11] {
-                let e = PteMac::new([7, 13], rounds, sbox, 46);
-                let batch = e.compute_batch(&items);
-                for ((line, addr), &mac) in items.iter().zip(&batch) {
-                    assert_eq!(mac, e.compute(line, *addr), "r={rounds} sbox={sbox:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn compute_unbatched_is_an_independent_oracle_for_the_kernels() {
         use qarma::Sbox;
-        // The scalar per-chunk path must agree with both batched kernels —
-        // `compute` (one line through `encrypt_many`) and `compute_batch`
-        // (many lines flattened) — across sboxes and round counts.
+        // The reference-cipher path must agree with the kernel both per
+        // line (`compute`) and per batch (`compute_batch`), across sboxes
+        // and round counts.
         let items: Vec<(Line, PhysAddr)> = (0..5)
             .map(|i| {
                 let mut l = sample_line();
@@ -422,7 +370,7 @@ mod tests {
             })
             .collect();
         for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
-            for rounds in [1usize, 5, 9] {
+            for rounds in [1usize, 5, 9, 11] {
                 let e = PteMac::new([3, 17], rounds, sbox, 46);
                 let batch = e.compute_batch(&items);
                 for ((line, addr), &mac) in items.iter().zip(&batch) {

@@ -1,42 +1,70 @@
 //! Shared Even-Mansour reflection core used by both QARMA variants.
 //!
-//! The core operates on a *packed* state: one `u128` word holding all 16
-//! cells, one byte lane per cell, cell 0 in the most-significant lane (for
-//! QARMA-128 this is exactly the native block word, so the variant boundary
-//! is free; QARMA-64 spreads its 4-bit cells across the byte lanes). The two
-//! block sizes share one implementation of the round structure; the variant
-//! modules own packing and key specialisation.
+//! ## State layout
 //!
-//! The core is an *allocation-free flat-word kernel*:
+//! The core keeps the 16 cells in one `u128` word, one byte lane per cell,
+//! in *column-major* order: cell `(row r, column c)` — cell index `4r + c`
+//! in the specification's row-major numbering — sits in byte lane `4c + r`
+//! of the little-endian word, so column `c` is 32-bit word `c`. QARMA-128
+//! cells fill their lanes; QARMA-64's 4-bit cells sit in the low nibble of
+//! theirs. Only the boundary converts from the variants' packed big-endian
+//! words (cell 0 most significant): one byte swap and one 4×4 byte
+//! transpose, at the input block, the output block and the tweak.
 //!
-//! * Everything derivable from the key and the cipher parameters — the
-//!   byte-level S-box tables (forward and inverse), the lane masks backing
-//!   the MixColumns circulant and the tweak ω-LFSR, the inverse cell
-//!   permutation τ⁻¹, the expanded whitening/reflector keys, and the
-//!   per-round key words `k0 ⊕ cᵢ` / `k0 ⊕ α ⊕ cᵢ` — is precomputed once at
-//!   construction into fixed-size flat arrays sized by [`MAX_ROUNDS`].
-//! * `encrypt`/`decrypt` run entirely on the stack: the tweak schedule lives
-//!   in a `[u128; MAX_ROUNDS + 1]` array and the round loop performs word
-//!   XORs, SWAR rotations, and byte-table lookups only — zero heap
-//!   allocations on the hot path (pinned by `tests/alloc.rs`).
-//! * Key whitening, MixColumns, and the LFSR all operate on whole words:
-//!   the circulant's per-cell rotations become three masked word shifts and
-//!   the diagonal (structurally zero in QARMA's `M = Q`) vanishes.
+//! ## Fused rounds
+//!
+//! Between two S-box layers the forward half applies `⊕ key, τ, M` and the
+//! backward half `M, τ⁻¹, ⊕ key`. The kernel brackets each as one *fused
+//! layer* — S-box, cell permutation, MixColumns — followed by a key XOR:
+//!
+//! * forward: `u ← M·τ·S(u) ⊕ M·τ(k)`, so forward keys are stored in the
+//!   `M∘τ` frame;
+//! * backward, on the state kept in the τ-frame `y = τ(s)`:
+//!   `y ← M·τ⁻¹·S⁻¹(y) ⊕ τ(k)`, so backward keys are stored in the τ-frame.
+//!
+//! A fused layer is sixteen lookups into four 256-entry `u32` column tables
+//! (one per source row: the S-box image of a cell, pushed through
+//! MixColumns into the three other rows of its column) and twelve XORs;
+//! the permutation only chooses which lane feeds which table. The
+//! pseudo-reflector `τ⁻¹(M·τ(v) ⊕ k1)` lands in the τ-frame as `M·τ·S(u) ⊕
+//! k1`, so it is one more forward layer, and the last layer is a plain
+//! `τ⁻¹·S⁻¹`. Every XOR-in is linear, so the round keys and the tweak
+//! schedule are framed once and added separately.
+//!
+//! Decryption is the same kernel over the mirrored key set: `w0 ↔ w1`, the
+//! forward and backward round keys swapped, and reflector key `k0` (the
+//! inverse reflector `τ⁻¹(M(τ(s) ⊕ k1))` is `τ⁻¹(M·τ(s) ⊕ M·k1)` and
+//! `M·k1 = M·M·k0 = k0`, M being involutory).
+//!
+//! Everything derivable from the key — the tables, the framed keys of both
+//! directions, the LFSR masks — is precomputed at construction into
+//! fixed-size arrays sized by [`MAX_ROUNDS`], so `encrypt`/`decrypt` run on
+//! the stack with zero heap allocations (pinned by `tests/alloc.rs`).
+
+use std::ops::BitXor;
 
 use crate::consts::MAX_ROUNDS;
 use crate::sbox::Sbox;
 use crate::{H, LFSR_CELLS, NUM_CELLS, TAU};
 
-/// Replicates one byte into every lane of a packed word.
-const fn rep(b: u8) -> u128 {
-    u128::from_le_bytes([b; NUM_CELLS])
+/// Byte lane of cell `k` (row-major specification index) in the
+/// column-major state.
+const fn lane(k: usize) -> usize {
+    4 * (k % 4) + k / 4
 }
 
-/// Per-lane least-significant-bit mask.
-const LANE_LSB: u128 = rep(0x01);
+/// Word with `0xff` in each listed byte lane.
+const fn lane_mask(lanes: &[usize]) -> u128 {
+    let mut m = 0u128;
+    let mut i = 0;
+    while i < lanes.len() {
+        m |= 0xff << (8 * lanes[i]);
+        i += 1;
+    }
+    m
+}
 
-/// Inverse of τ as a compile-time constant so the shuffle loops unroll with
-/// constant lane indices.
+/// Inverse of τ in the specification's cell numbering.
 const TAU_INV: [usize; NUM_CELLS] = {
     let mut inv = [0usize; NUM_CELLS];
     let mut i = 0;
@@ -47,87 +75,247 @@ const TAU_INV: [usize; NUM_CELLS] = {
     inv
 };
 
-// Internally the kernel keeps cell `i` in byte lane `i` of the
-// *little-endian* representation: `to_le_bytes` is the identity on LE
-// hardware, so the lane views below compile to plain byte accesses, and
-// only the packed-BE boundary words pay a single byte swap.
-
-/// Applies a byte-level table to the eight lanes of one u64 half. Pure
-/// register arithmetic: no byte array is materialized, so the state never
-/// round-trips through the stack between rounds.
-#[inline(always)]
-fn map_half(tbl: &[u8; 256], h: u64) -> u64 {
-    let mut out = 0u64;
-    for i in 0..8 {
-        out |= u64::from(tbl[((h >> (8 * i)) & 0xff) as usize]) << (8 * i);
+/// A cell permutation (`out[k] = in[perm[k]]`) re-expressed on the
+/// column-major lanes, for [`permute_lanes`].
+const fn lane_perm(perm: &[usize; NUM_CELLS]) -> [usize; NUM_CELLS] {
+    let mut out = [0usize; NUM_CELLS];
+    let mut k = 0;
+    while k < NUM_CELLS {
+        out[lane(k)] = lane(perm[k]);
+        k += 1;
     }
     out
 }
 
-/// Applies a byte-level table to every lane.
+const TAU_LANES: [usize; NUM_CELLS] = lane_perm(&TAU);
+const TAU_INV_LANES: [usize; NUM_CELLS] = lane_perm(&TAU_INV);
+
+/// The tweak permutation `h` conjugated into the τ-frame (`τ∘h∘τ⁻¹`): the
+/// schedule keeps the tweak as `τ(tᵢ)`, the form the backward half adds,
+/// so each update costs one lane permutation instead of two.
+const H_IN_TAU_FRAME: [usize; NUM_CELLS] = {
+    let mut p = [0usize; NUM_CELLS];
+    let mut k = 0;
+    while k < NUM_CELLS {
+        p[k] = TAU_INV[H[TAU[k]]];
+        k += 1;
+    }
+    lane_perm(&p)
+};
+
+/// Byte `lane` of a state held as two u64 halves.
 #[inline(always)]
-fn map_lanes(tbl: &[u8; 256], x: u128) -> u128 {
-    (u128::from(map_half(tbl, (x >> 64) as u64)) << 64) | u128::from(map_half(tbl, x as u64))
+fn lane_byte(lo: u64, hi: u64, lane: usize) -> usize {
+    let half = if lane < 8 { lo } else { hi };
+    ((half >> (8 * (lane % 8))) & 0xff) as usize
 }
 
-/// Applies a cell permutation: output cell `i` takes input cell `perm[i]`.
+/// Applies a lane permutation: output lane `i` takes input lane `perm[i]`.
 /// With a `const` permutation every shift below folds to a constant.
 #[inline(always)]
 fn permute_lanes(perm: &[usize; NUM_CELLS], x: u128) -> u128 {
-    let lo = x as u64;
-    let hi = (x >> 64) as u64;
-    let lane = |src: usize| {
-        if src < 8 {
-            (lo >> (8 * src)) & 0xff
-        } else {
-            (hi >> (8 * (src - 8))) & 0xff
-        }
-    };
+    let (lo, hi) = (x as u64, (x >> 64) as u64);
     let mut out_lo = 0u64;
     let mut out_hi = 0u64;
     for i in 0..8 {
-        out_lo |= lane(perm[i]) << (8 * i);
-        out_hi |= lane(perm[i + 8]) << (8 * i);
+        out_lo |= (lane_byte(lo, hi, perm[i]) as u64) << (8 * i);
+        out_hi |= (lane_byte(lo, hi, perm[i + 8]) as u64) << (8 * i);
     }
     (u128::from(out_hi) << 64) | u128::from(out_lo)
 }
 
-/// Rotates every 8-bit lane left by `R` (0 < `R` < 8). Shift amounts and
-/// masks are compile-time constants, so each stripe is a handful of
-/// constant-shift word ops.
+/// Applies a byte table to every lane.
 #[inline(always)]
-fn rot8<const R: u32>(x: u128) -> u128 {
-    let hi = rep(((0xffu32 << R) & 0xff) as u8);
-    let lo = rep((0xffu32 >> (8 - R)) as u8);
-    ((x << R) & hi) | ((x >> (8 - R)) & lo)
+fn map_lanes(tbl: &[u8; 256], x: u128) -> u128 {
+    let (lo, hi) = (x as u64, (x >> 64) as u64);
+    let mut out_lo = 0u64;
+    let mut out_hi = 0u64;
+    for i in 0..8 {
+        out_lo |= u64::from(tbl[lane_byte(lo, hi, i)]) << (8 * i);
+        out_hi |= u64::from(tbl[lane_byte(lo, hi, i + 8)]) << (8 * i);
+    }
+    (u128::from(out_hi) << 64) | u128::from(out_lo)
+}
+
+/// One fused layer: S-box, the cell permutation `perm` (`τ` or `τ⁻¹`, in
+/// specification numbering) and MixColumns. Output column `c` is the XOR of
+/// one table word per source row `src`, indexed by the cell `perm` routes
+/// into row `src` of column `c`.
+#[inline(always)]
+fn fused(tbl: &[[u32; 256]; 4], perm: &[usize; NUM_CELLS], s: u128) -> u128 {
+    let (lo, hi) = (s as u64, (s >> 64) as u64);
+    let cell = |k: usize| lane_byte(lo, hi, lane(perm[k]));
+    let col = |c: usize| {
+        tbl[0][cell(c)] ^ tbl[1][cell(4 + c)] ^ tbl[2][cell(8 + c)] ^ tbl[3][cell(12 + c)]
+    };
+    let out_lo = u64::from(col(0)) | (u64::from(col(1)) << 32);
+    let out_hi = u64::from(col(2)) | (u64::from(col(3)) << 32);
+    (u128::from(out_hi) << 64) | u128::from(out_lo)
+}
+
+/// Converts between row-major and column-major lane order: a 4×4 byte
+/// transpose (its own inverse) as two delta swaps — within each 2×2 block
+/// (lanes 1, 3, 9, 11 ↔ +3), then of the off-diagonal blocks (lanes 2, 3,
+/// 6, 7 ↔ +6).
+#[inline(always)]
+fn transpose(x: u128) -> u128 {
+    const INNER: u128 = lane_mask(&[1, 3, 9, 11]);
+    const OUTER: u128 = lane_mask(&[2, 3, 6, 7]);
+    let t = ((x >> 24) ^ x) & INNER;
+    let x = x ^ t ^ (t << 24);
+    let t = ((x >> 48) ^ x) & OUTER;
+    x ^ t ^ (t << 48)
+}
+
+/// A packed big-endian word (cell 0 most significant) in column-major form.
+#[inline(always)]
+fn to_state(packed: u128) -> u128 {
+    transpose(packed.swap_bytes())
+}
+
+/// Inverse of [`to_state`].
+#[inline(always)]
+fn from_state(s: u128) -> u128 {
+    transpose(s).swap_bytes()
+}
+
+/// Applies a lane-wise map to both u64 halves of a state word. Every map
+/// below stays inside 32-bit lanes, so the halves never exchange bits and
+/// the work is plain 64-bit arithmetic.
+#[inline(always)]
+fn per_half(x: u128, f: impl Fn(u64) -> u64) -> u128 {
+    (u128::from(f((x >> 64) as u64)) << 64) | u128::from(f(x as u64))
+}
+
+/// Replicates one byte into every lane of a u64 half.
+const fn rep64(b: u8) -> u64 {
+    u64::from_le_bytes([b; 8])
+}
+
+/// Rotates every 8-bit lane left by `R` (0 < `R` < 8).
+#[inline(always)]
+fn rot8<const R: u32>(x: u64) -> u64 {
+    let hi = rep64(((0xffu32 << R) & 0xff) as u8);
+    ((x << R) & hi) | ((x >> (8 - R)) & !hi)
 }
 
 /// Rotates every 4-bit cell (held in a byte lane) left by `R` (0 < `R` < 4).
 #[inline(always)]
-fn rot4<const R: u32>(x: u128) -> u128 {
-    let hi = rep(((0x0fu32 << R) & 0x0f) as u8);
-    let lo = rep((0x0fu32 >> (4 - R)) as u8);
+fn rot4<const R: u32>(x: u64) -> u64 {
+    let hi = rep64(((0x0fu32 << R) & 0x0f) as u8);
+    let lo = rep64((0x0fu32 >> (4 - R)) as u8);
     ((x << R) & hi) | ((x >> (4 - R)) & lo)
 }
 
-/// The involutory QARMA-128 MixColumns `M = Q = circ(0, ρ¹, ρ⁴, ρ⁵)` on the
-/// packed state: each off-diagonal stripe is a whole-word row rotation
-/// (source row `row + d` sits 32·d bits above its destination in LE lane
-/// order) plus an in-lane cell rotation; the structural-zero diagonal simply
-/// has no stripe.
+/// Moves row `r + D` of every column into row `r`: each 32-bit column word
+/// rotated right by `8·D` bits.
 #[inline(always)]
+fn rot_rows<const D: u32>(x: u64) -> u64 {
+    let keep = u64::from(u32::MAX >> (8 * D)) * 0x1_0000_0001;
+    ((x >> (8 * D)) & keep) | ((x << (32 - 8 * D)) & !keep)
+}
+
+/// The involutory QARMA-128 MixColumns `M = Q = circ(0, ρ¹, ρ⁴, ρ⁵)` on the
+/// column-major state: the stripe for distance `d` is a row rotation of
+/// every column plus an in-lane cell rotation; the structural-zero diagonal
+/// has no stripe.
 fn mix128(x: u128) -> u128 {
-    rot8::<1>(x.rotate_right(32)) ^ rot8::<4>(x.rotate_right(64)) ^ rot8::<5>(x.rotate_right(96))
+    per_half(x, |h| {
+        rot8::<1>(rot_rows::<1>(h)) ^ rot8::<4>(rot_rows::<2>(h)) ^ rot8::<5>(rot_rows::<3>(h))
+    })
 }
 
 /// The involutory QARMA-64 MixColumns `M = Q = circ(0, ρ¹, ρ², ρ¹)` at
 /// nibble width.
-#[inline(always)]
 fn mix64(x: u128) -> u128 {
-    rot4::<1>(x.rotate_right(32)) ^ rot4::<2>(x.rotate_right(64)) ^ rot4::<1>(x.rotate_right(96))
+    per_half(x, |h| {
+        rot4::<1>(rot_rows::<1>(h)) ^ rot4::<2>(rot_rows::<2>(h)) ^ rot4::<1>(rot_rows::<3>(h))
+    })
 }
 
-/// Variant-independent cipher parameters plus the precomputed key schedule.
+/// The per-round tweak material of one tweak, in the frames the fused
+/// kernel adds it in.
+///
+/// Every step from the tweak to these words — the cell permutations `h` and
+/// `τ`, the ω-LFSR and MixColumns — is linear over GF(2), so the schedule
+/// is too: `schedule(a ⊕ b) = schedule(a) ⊕ schedule(b)`. A caller that
+/// enciphers under related tweaks (the four 16-byte chunks of one line,
+/// whose tweaks differ from a line-aligned base only in bits 4 and 5)
+/// computes one schedule and XORs in precomputed ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TweakSchedule {
+    /// `t₀`, added with the input and the output whitening.
+    plain: u128,
+    /// `M·τ(tᵢ)` for `i = 1..=r`.
+    fwd: [u128; MAX_ROUNDS],
+    /// `τ(tᵢ)` for `i = 1..=r`.
+    bwd: [u128; MAX_ROUNDS],
+}
+
+impl BitXor for TweakSchedule {
+    type Output = Self;
+
+    fn bitxor(mut self, rhs: Self) -> Self {
+        self.plain ^= rhs.plain;
+        for (a, b) in self.fwd.iter_mut().zip(rhs.fwd) {
+            *a ^= b;
+        }
+        for (a, b) in self.bwd.iter_mut().zip(rhs.bwd) {
+            *a ^= b;
+        }
+        self
+    }
+}
+
+/// One direction's key material, in the frames the fused kernel adds it in.
+#[derive(Debug, Clone)]
+struct Keys {
+    /// Input whitening ⊕ the first round key.
+    input: u128,
+    /// `M·τ` of round keys `1..r` and, at index `r − 1`, of the central
+    /// whitening key.
+    fwd: [u128; MAX_ROUNDS],
+    /// Pseudo-reflector key.
+    reflect: u128,
+    /// `τ` of round keys `1..r` of the second half and, at index `r − 1`,
+    /// of the central whitening key.
+    bwd: [u128; MAX_ROUNDS],
+    /// Last round key ⊕ the output whitening.
+    output: u128,
+}
+
+impl Keys {
+    /// Frames one direction: whitening `w_in` at the input and the centre
+    /// of the second half, `w_out` at the centre of the first half and the
+    /// output; round keys `first` before the reflector and `second` after.
+    fn new(
+        mix: fn(u128) -> u128,
+        w_in: u128,
+        w_out: u128,
+        first: &[u128],
+        second: &[u128],
+        reflect: u128,
+    ) -> Self {
+        let r = first.len();
+        let mut keys = Self {
+            input: w_in ^ first[0],
+            fwd: [0; MAX_ROUNDS],
+            reflect,
+            bwd: [0; MAX_ROUNDS],
+            output: second[0] ^ w_out,
+        };
+        for i in 1..r {
+            keys.fwd[i - 1] = mix(permute_lanes(&TAU_LANES, first[i]));
+            keys.bwd[i - 1] = permute_lanes(&TAU_LANES, second[i]);
+        }
+        keys.fwd[r - 1] = mix(permute_lanes(&TAU_LANES, w_out));
+        keys.bwd[r - 1] = permute_lanes(&TAU_LANES, w_in);
+        keys
+    }
+}
+
+/// Variant-independent cipher parameters plus the precomputed tables and
+/// key material.
 #[derive(Debug, Clone)]
 pub(crate) struct Core {
     /// Cell width in bits: 4 (QARMA-64) or 8 (QARMA-128).
@@ -136,35 +324,30 @@ pub(crate) struct Core {
     pub rounds: usize,
     /// The selected S-box.
     pub sbox: Sbox,
-    /// Forward S-box over full lane values (4-bit cells use entries `0..16`).
-    sub_tbl: [u8; 256],
-    /// Inverse S-box over full lane values.
+    /// Fused `M·τ·S` column tables, one per source row.
+    fwd_tbl: [[u32; 256]; 4],
+    /// Fused `M·τ⁻¹·S⁻¹` column tables, one per source row.
+    bwd_tbl: [[u32; 256]; 4],
+    /// Inverse S-box over full lane values, for the last layer.
     sub_inv_tbl: [u8; 256],
-    /// Lanes holding ω-LFSR tweak cells.
+    /// Lanes holding ω-LFSR tweak cells, in the τ-frame.
     lfsr_mask: u128,
-    /// Complement of `lfsr_mask`: lanes the tweak update leaves alone.
-    lfsr_keep: u128,
     /// Per-lane mask of the LFSR shift-down result (`width − 1` low bits).
-    lfsr_low: u128,
+    lfsr_low: u64,
     /// Feedback-bit destination: the cell's top bit position.
     lfsr_top: u32,
-    /// Whitening key `w0`, packed.
-    w0: u128,
-    /// Whitening key `w1 = o(w0)`, packed.
-    w1: u128,
-    /// Reflector key `k1 = M·k0`, packed.
-    k1: u128,
-    /// Forward round keys `k0 ⊕ cᵢ`, packed.
-    fwd_rk: [u128; MAX_ROUNDS],
-    /// Backward round keys `k0 ⊕ α ⊕ cᵢ`, packed.
-    bwd_rk: [u128; MAX_ROUNDS],
+    /// Encryption key material.
+    enc: Keys,
+    /// Decryption key material (the mirrored set).
+    dec: Keys,
 }
 
 impl Core {
-    /// Builds the core and its full key schedule. All key/constant words are
-    /// in packed-lane form; `round_consts` supplies `c0..c_{r-1}`; `w1` must
-    /// already be `o(w0)` (the orthomorphism acts on the variant's native
-    /// word, so the variant applies it before packing).
+    /// Builds the core and its full key schedule. Key and constant words
+    /// are packed big-endian (cell 0 most significant, one cell per byte);
+    /// `round_consts` supplies `c0..c_{r-1}`; `w1` must already be `o(w0)`
+    /// (the orthomorphism acts on the variant's native word, so the variant
+    /// applies it before packing).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cell_bits: u32,
@@ -191,51 +374,57 @@ impl Core {
         } else {
             (sbox.byte_table(), sbox.inverse_byte_table())
         };
+        let mix: fn(u128) -> u128 = if cell_bits == 4 { mix64 } else { mix128 };
+        // A cell in row 0 of column `c` (bit 32·c) spreads over column word
+        // `c`, so one MixColumns yields four table entries. M is circulant:
+        // a cell in row `src` spreads the same way rotated down `src` rows.
+        let tables = |sub: &[u8; 256]| {
+            let mut t = [[0u32; 256]; 4];
+            for (v, images) in sub.chunks_exact(4).enumerate() {
+                let cells = images
+                    .iter()
+                    .enumerate()
+                    .fold(0u128, |x, (c, &image)| x | (u128::from(image) << (32 * c)));
+                let columns = mix(cells);
+                for c in 0..4 {
+                    let column = (columns >> (32 * c)) as u32;
+                    for (src, tbl) in t.iter_mut().enumerate() {
+                        tbl[4 * v + c] = column.rotate_left(8 * src as u32);
+                    }
+                }
+            }
+            t
+        };
 
-        let mut lfsr_lanes = [0u8; NUM_CELLS];
-        for &i in &LFSR_CELLS {
-            lfsr_lanes[i] = 0xff;
-        }
-        let lfsr_mask = u128::from_le_bytes(lfsr_lanes);
-
-        // Packed-BE boundary words are swapped once into internal LE lane
-        // order here; the hot path never byte-swaps again.
-        let (w0, w1, k0, alpha) = (
-            w0.swap_bytes(),
-            w1.swap_bytes(),
-            k0.swap_bytes(),
-            alpha.swap_bytes(),
-        );
+        let (w0, w1, k0, alpha) = (to_state(w0), to_state(w1), to_state(k0), to_state(alpha));
         let mut fwd_rk = [0u128; MAX_ROUNDS];
         let mut bwd_rk = [0u128; MAX_ROUNDS];
         for (i, &c) in round_consts.iter().enumerate() {
-            fwd_rk[i] = k0 ^ c.swap_bytes();
-            bwd_rk[i] = k0 ^ alpha ^ c.swap_bytes();
+            fwd_rk[i] = k0 ^ to_state(c);
+            bwd_rk[i] = k0 ^ alpha ^ to_state(c);
         }
+        let (fwd_rk, bwd_rk) = (&fwd_rk[..rounds], &bwd_rk[..rounds]);
+        let lfsr_mask = LFSR_CELLS
+            .iter()
+            .fold(0u128, |m, &k| m | (0xff << (8 * lane(TAU_INV[k]))));
 
-        let mut core = Self {
+        Self {
             cell_bits,
             rounds,
             sbox,
-            sub_tbl,
+            fwd_tbl: tables(&sub_tbl),
+            bwd_tbl: tables(&sub_inv_tbl),
             sub_inv_tbl,
             lfsr_mask,
-            lfsr_keep: !lfsr_mask,
-            lfsr_low: rep(if cell_bits == 4 { 0x07 } else { 0x7f }),
+            lfsr_low: rep64(if cell_bits == 4 { 0x07 } else { 0x7f }),
             lfsr_top: cell_bits - 1,
-            w0,
-            w1,
-            k1: 0,
-            fwd_rk,
-            bwd_rk,
-        };
-        // Reflector key k1 = M·k0, computed with the freshly built stripes.
-        core.k1 = core.mix(k0);
-        core
+            // Reflector key k1 = M·k0.
+            enc: Keys::new(mix, w0, w1, fwd_rk, bwd_rk, mix(k0)),
+            dec: Keys::new(mix, w1, w0, bwd_rk, fwd_rk, k0),
+        }
     }
 
-    /// Width dispatch for MixColumns (a single well-predicted branch; both
-    /// arms are fully constant-folded).
+    /// Width dispatch for MixColumns.
     #[inline(always)]
     fn mix(&self, x: u128) -> u128 {
         if self.cell_bits == 4 {
@@ -245,164 +434,77 @@ impl Core {
         }
     }
 
-    /// One forward tweak update: permutation `h`, then ω on the LFSR cells.
-    /// The LFSR steps every lane at once: the feedback bit is a masked XOR
-    /// of the tap shifts (taps stay in-lane because each shift is < width
-    /// and the result is masked to the lane LSB before repositioning).
-    pub(crate) fn tweak_update(&self, t: u128) -> u128 {
-        let p = permute_lanes(&H, t);
-        let fb = if self.cell_bits == 4 {
-            // x³ + x + 1: feedback = bit0 ⊕ bit1.
-            (p ^ (p >> 1)) & LANE_LSB
-        } else {
-            // x⁷ + x⁵ + x⁴ + x³ + 1 taps: feedback = bit0 ⊕ bit2 ⊕ bit3 ⊕ bit4.
-            (p ^ (p >> 2) ^ (p >> 3) ^ (p >> 4)) & LANE_LSB
-        };
-        let stepped = ((p >> 1) & self.lfsr_low) | (fb << self.lfsr_top);
-        (p & self.lfsr_keep) | (stepped & self.lfsr_mask)
+    /// One forward tweak update in the τ-frame (`τ(tᵢ) → τ(tᵢ₊₁)`):
+    /// permutation `h`, then ω on the LFSR cells. The LFSR steps every lane
+    /// at once: the feedback bit is a masked XOR of the tap shifts (taps
+    /// stay in-lane because each shift is < width and the result is masked
+    /// to the lane LSB before repositioning).
+    #[inline(always)]
+    fn tweak_update(&self, t: u128) -> u128 {
+        let p = permute_lanes(&H_IN_TAU_FRAME, t);
+        let lsb = rep64(0x01);
+        let stepped = per_half(p, |h| {
+            let fb = if self.cell_bits == 4 {
+                // x³ + x + 1: feedback = bit0 ⊕ bit1.
+                (h ^ (h >> 1)) & lsb
+            } else {
+                // x⁷ + x⁵ + x⁴ + x³ + 1 taps: feedback = bit0 ⊕ bit2 ⊕ bit3 ⊕ bit4.
+                (h ^ (h >> 2) ^ (h >> 3) ^ (h >> 4)) & lsb
+            };
+            ((h >> 1) & self.lfsr_low) | (fb << self.lfsr_top)
+        });
+        (p & !self.lfsr_mask) | (stepped & self.lfsr_mask)
     }
 
-    /// Builds the per-block forward tweak schedules for `N` blocks at once.
-    #[allow(clippy::needless_range_loop)]
-    #[inline(always)]
-    fn tweak_schedules<const N: usize>(&self, t: [u128; N]) -> [[u128; MAX_ROUNDS + 1]; N] {
-        let mut ts = [[0u128; MAX_ROUNDS + 1]; N];
-        for k in 0..N {
-            ts[k][0] = t[k].swap_bytes();
-            for i in 0..self.rounds {
-                ts[k][i + 1] = self.tweak_update(ts[k][i]);
-            }
+    /// The framed tweak schedule of a packed tweak.
+    pub(crate) fn tweak_schedule(&self, tweak: u128) -> TweakSchedule {
+        let plain = to_state(tweak);
+        let mut ts = TweakSchedule {
+            plain,
+            fwd: [0; MAX_ROUNDS],
+            bwd: [0; MAX_ROUNDS],
+        };
+        let r = self.rounds;
+        let mut t = permute_lanes(&TAU_LANES, plain);
+        for (f, b) in ts.fwd[..r].iter_mut().zip(&mut ts.bwd[..r]) {
+            t = self.tweak_update(t);
+            *b = t;
+            *f = self.mix(t);
         }
         ts
     }
 
-    /// Encrypts `N` independent packed blocks through one pass of the round
-    /// structure. The per-block statements are interleaved (the inner `k`
-    /// loops unroll), so for `N = 2` the two dependency chains overlap and
-    /// hide each other's latency — the round kernel is latency-bound, not
-    /// throughput-bound, and a single out-of-order window cannot span a whole
-    /// block's worth of rounds on its own.
-    ///
-    /// Written with explicit `s[k]` indexing rather than iterators: the
-    /// lockstep per-block statements are the interleave.
-    #[allow(clippy::needless_range_loop)]
+    /// The whole cipher over one direction's key set: `r + 1` forward
+    /// layers, the reflector layer, `r` backward layers and the final
+    /// `τ⁻¹·S⁻¹`.
     #[inline(always)]
-    fn encrypt_n<const N: usize>(&self, p: [u128; N], t: [u128; N]) -> [u128; N] {
-        let ts = self.tweak_schedules(t);
-
-        let mut s = [0u128; N];
-        for k in 0..N {
-            s[k] = p[k].swap_bytes() ^ self.w0;
+    fn crypt(&self, keys: &Keys, block: u128, ts: &TweakSchedule) -> u128 {
+        let r = self.rounds;
+        let mut s = to_state(block) ^ keys.input ^ ts.plain;
+        for (k, t) in keys.fwd[..r].iter().zip(&ts.fwd[..r]) {
+            s = fused(&self.fwd_tbl, &TAU, s) ^ k ^ t;
         }
-
-        // Forward rounds.
-        for i in 0..self.rounds {
-            for k in 0..N {
-                s[k] ^= self.fwd_rk[i] ^ ts[k][i];
-                if i != 0 {
-                    s[k] = self.mix(permute_lanes(&TAU, s[k]));
-                }
-                s[k] = map_lanes(&self.sub_tbl, s[k]);
-            }
+        s = fused(&self.fwd_tbl, &TAU, s) ^ keys.reflect;
+        for (k, t) in keys.bwd[..r].iter().zip(&ts.bwd[..r]).rev() {
+            s = fused(&self.bwd_tbl, &TAU_INV, s) ^ k ^ t;
         }
+        let s = map_lanes(&self.sub_inv_tbl, permute_lanes(&TAU_INV_LANES, s));
+        from_state(s ^ keys.output ^ ts.plain)
+    }
 
-        for k in 0..N {
-            // Central forward whitening round, keyed w1 ⊕ t_r.
-            s[k] ^= self.w1 ^ ts[k][self.rounds];
-            s[k] = map_lanes(&self.sub_tbl, self.mix(permute_lanes(&TAU, s[k])));
-
-            // Pseudo-reflector: τ, ·Q, ⊕k1, τ⁻¹.
-            s[k] = permute_lanes(&TAU_INV, self.mix(permute_lanes(&TAU, s[k])) ^ self.k1);
-
-            // Central backward whitening round, keyed w0 ⊕ t_r.
-            s[k] = permute_lanes(&TAU_INV, self.mix(map_lanes(&self.sub_inv_tbl, s[k])));
-            s[k] ^= self.w0 ^ ts[k][self.rounds];
-        }
-
-        // Backward rounds (reflected tweakey schedule, shifted by α).
-        for i in (0..self.rounds).rev() {
-            for k in 0..N {
-                s[k] = map_lanes(&self.sub_inv_tbl, s[k]);
-                if i != 0 {
-                    s[k] = permute_lanes(&TAU_INV, self.mix(s[k]));
-                }
-                s[k] ^= self.bwd_rk[i] ^ ts[k][i];
-            }
-        }
-
-        for k in 0..N {
-            s[k] = (s[k] ^ self.w1).swap_bytes();
-        }
-        s
+    /// Encrypts one packed block under a precomputed tweak schedule.
+    pub(crate) fn encrypt_scheduled(&self, p: u128, ts: &TweakSchedule) -> u128 {
+        self.crypt(&self.enc, p, ts)
     }
 
     /// Encrypts one packed block under packed tweak `t`.
     pub(crate) fn encrypt(&self, p: u128, t: u128) -> u128 {
-        self.encrypt_n([p], [t])[0]
+        self.encrypt_scheduled(p, &self.tweak_schedule(t))
     }
 
-    /// Encrypts two independent blocks with their round chains interleaved.
-    /// The batch entry point for `encrypt_many` and the MAC fold.
-    pub(crate) fn encrypt2(&self, p: [u128; 2], t: [u128; 2]) -> [u128; 2] {
-        self.encrypt_n(p, t)
-    }
-
-    /// Decrypts `N` independent blocks: the structural inverse of
-    /// [`Core::encrypt_n`], with the same interleaving rationale.
-    #[allow(clippy::needless_range_loop)]
-    #[inline(always)]
-    fn decrypt_n<const N: usize>(&self, c: [u128; N], t: [u128; N]) -> [u128; N] {
-        let ts = self.tweak_schedules(t);
-
-        let mut s = [0u128; N];
-        for k in 0..N {
-            s[k] = c[k].swap_bytes() ^ self.w1;
-        }
-
-        // Invert the backward rounds (apply forward, ascending).
-        for i in 0..self.rounds {
-            for k in 0..N {
-                s[k] ^= self.bwd_rk[i] ^ ts[k][i];
-                if i != 0 {
-                    s[k] = self.mix(permute_lanes(&TAU, s[k]));
-                }
-                s[k] = map_lanes(&self.sub_tbl, s[k]);
-            }
-        }
-
-        for k in 0..N {
-            // Invert the central backward whitening round.
-            s[k] ^= self.w0 ^ ts[k][self.rounds];
-            s[k] = map_lanes(&self.sub_tbl, self.mix(permute_lanes(&TAU, s[k])));
-
-            // Invert the pseudo-reflector.
-            s[k] = permute_lanes(&TAU_INV, self.mix(permute_lanes(&TAU, s[k]) ^ self.k1));
-
-            // Invert the central forward whitening round.
-            s[k] = permute_lanes(&TAU_INV, self.mix(map_lanes(&self.sub_inv_tbl, s[k])));
-            s[k] ^= self.w1 ^ ts[k][self.rounds];
-        }
-
-        // Invert the forward rounds (descending).
-        for i in (0..self.rounds).rev() {
-            for k in 0..N {
-                s[k] = map_lanes(&self.sub_inv_tbl, s[k]);
-                if i != 0 {
-                    s[k] = permute_lanes(&TAU_INV, self.mix(s[k]));
-                }
-                s[k] ^= self.fwd_rk[i] ^ ts[k][i];
-            }
-        }
-
-        for k in 0..N {
-            s[k] = (s[k] ^ self.w0).swap_bytes();
-        }
-        s
-    }
-
-    /// Decrypts one block: the exact structural inverse of [`Core::encrypt`].
+    /// Decrypts one packed block: the same kernel over the mirrored keys.
     pub(crate) fn decrypt(&self, c: u128, t: u128) -> u128 {
-        self.decrypt_n([c], [t])[0]
+        self.crypt(&self.dec, c, &self.tweak_schedule(t))
     }
 }
 
@@ -449,19 +551,25 @@ mod tests {
     }
 
     #[test]
+    fn state_layout_is_column_major() {
+        // Cell k of the packed word (cell 0 most significant) lands in lane
+        // 4·(k mod 4) + k div 4, and the conversion inverts.
+        for k in 0..NUM_CELLS {
+            let packed = 0xa5u128 << (8 * (15 - k));
+            assert_eq!(to_state(packed), 0xa5 << (8 * lane(k)), "cell {k}");
+            assert_eq!(from_state(to_state(packed)), packed);
+        }
+    }
+
+    #[test]
     fn mix_stripes_rotate_within_lanes() {
-        // 8-bit lanes: cell (0, 0) must receive cell (1, 0) rotated left by
-        // ρ¹ within its 8 bits (stripe d = 1 of circ(0, ρ¹, ρ⁴, ρ⁵)). Lanes
-        // are in internal LE order (cell i = byte lane i).
-        let mut lanes = [0u8; NUM_CELLS];
-        lanes[4] = 0x81; // row 1, col 0
-        let out = mix128(u128::from_le_bytes(lanes)).to_le_bytes();
-        assert_eq!(out[0], 0x81u8.rotate_left(1));
-        // 4-bit lanes: cell (0, 0) receives cell (2, 0) rotated by ρ²
+        // 8-bit cells: cell (0, 0) must receive cell (1, 0) rotated left by
+        // ρ¹ (stripe d = 1 of circ(0, ρ¹, ρ⁴, ρ⁵)).
+        let out = mix128(0x81 << (8 * lane(4)));
+        assert_eq!((out >> (8 * lane(0))) as u8, 0x81u8.rotate_left(1));
+        // 4-bit cells: cell (0, 0) receives cell (2, 0) rotated by ρ²
         // (stripe d = 2 of circ(0, ρ¹, ρ², ρ¹)).
-        let mut lanes = [0u8; NUM_CELLS];
-        lanes[8] = 0b1001; // row 2, col 0
-        let out = mix64(u128::from_le_bytes(lanes)).to_le_bytes();
-        assert_eq!(out[0], 0b0110);
+        let out = mix64(0b1001 << (8 * lane(8)));
+        assert_eq!((out >> (8 * lane(0))) as u8, 0b0110);
     }
 }

@@ -25,7 +25,10 @@
 //! plaintext/tweak/key bit). The official test vectors are not redistributed
 //! here; PT-Guard's security analysis models the MAC as a PRF, which these
 //! properties establish empirically. π-derived round constants are documented
-//! in [`consts`].
+//! in [`consts`]. The fused table kernel behind both variants is held to
+//! [`reference`](mod@reference), a straight-line cell-array implementation
+//! built from the [`cells`] primitives, by a seeded differential test over
+//! every S-box and round count.
 //!
 //! ## Example
 //!
@@ -48,8 +51,10 @@ pub(crate) mod engine;
 pub mod pac;
 pub mod q128;
 pub mod q64;
+pub mod reference;
 pub mod sbox;
 
+pub use engine::TweakSchedule;
 pub use q128::Qarma128;
 pub use q64::Qarma64;
 pub use sbox::Sbox;

@@ -6,7 +6,7 @@
 //! results folded.
 
 use crate::consts::{ALPHA128, C128, MAX_ROUNDS_128};
-use crate::engine::{ortho128, Core};
+use crate::engine::{ortho128, Core, TweakSchedule};
 use crate::sbox::Sbox;
 
 /// The QARMA-128 tweakable block cipher.
@@ -71,32 +71,23 @@ impl Qarma128 {
         self.core.decrypt(ciphertext, tweak)
     }
 
-    /// Encrypts a batch of `(plaintext, tweak)` pairs into `out`, one output
-    /// word per pair. Allocation-free: `PteMac::compute`, the controller's
-    /// verify paths, and the oracle sweeps all batch their chunk encryptions
-    /// through here so the whole fold stays in the flat kernel.
+    /// The tweak schedule of `tweak`, for [`Self::encrypt_scheduled`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `pairs.len() != out.len()`.
-    pub fn encrypt_many(&self, pairs: &[(u128, u128)], out: &mut [u128]) {
-        assert_eq!(pairs.len(), out.len(), "encrypt_many: length mismatch");
-        // Two blocks at a time: the interleaved kernel overlaps the two
-        // dependency chains, which is where most of the batch speedup lives.
-        let mut chunks = out.chunks_exact_mut(2);
-        let mut in_chunks = pairs.chunks_exact(2);
-        for (slots, ps) in chunks.by_ref().zip(in_chunks.by_ref()) {
-            let [q0, q1] = self.core.encrypt2([ps[0].0, ps[1].0], [ps[0].1, ps[1].1]);
-            slots[0] = q0;
-            slots[1] = q1;
-        }
-        for (slot, &(p, t)) in chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(in_chunks.remainder())
-        {
-            *slot = self.encrypt(p, t);
-        }
+    /// The schedule is linear over GF(2) in the tweak, so a caller
+    /// enciphering under tweaks `t ⊕ δ` for a few fixed offsets `δ`
+    /// computes `tweak_schedule(t)` once and XORs in precomputed
+    /// `tweak_schedule(δ)`.
+    #[must_use]
+    pub fn tweak_schedule(&self, tweak: u128) -> TweakSchedule {
+        self.core.tweak_schedule(tweak)
+    }
+
+    /// Encrypts `plaintext` under a precomputed tweak schedule:
+    /// `encrypt_scheduled(p, &tweak_schedule(t)) == encrypt(p, t)`.
+    /// Allocation-free.
+    #[must_use]
+    pub fn encrypt_scheduled(&self, plaintext: u128, schedule: &TweakSchedule) -> u128 {
+        self.core.encrypt_scheduled(plaintext, schedule)
     }
 
     /// Number of forward/backward rounds `r`.
@@ -176,19 +167,17 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_many_matches_scalar_for_all_sboxes_and_rounds() {
-        use crate::consts::MAX_ROUNDS_128;
-        for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
-            for rounds in 1..=MAX_ROUNDS_128 {
-                let c = Qarma128::new([W0, K0], rounds, sbox);
-                let pairs: Vec<(u128, u128)> = (0..9)
-                    .map(|i| (PT.wrapping_mul(i + 1), TW.rotate_left(i as u32)))
-                    .collect();
-                let mut batch = vec![0u128; pairs.len()];
-                c.encrypt_many(&pairs, &mut batch);
-                for (&(p, t), &got) in pairs.iter().zip(&batch) {
-                    assert_eq!(got, c.encrypt(p, t), "r={rounds} sbox={sbox:?}");
-                }
+    fn tweak_schedule_is_linear_and_matches_encrypt() {
+        for rounds in [1usize, 9, 11] {
+            let c = Qarma128::new([W0, K0], rounds, Sbox::Sigma1);
+            let base = c.tweak_schedule(TW & !63);
+            for off in [16u128, 32, 48] {
+                let ts = base ^ c.tweak_schedule(off);
+                assert_eq!(ts, c.tweak_schedule((TW & !63) | off), "r={rounds}");
+                assert_eq!(
+                    c.encrypt_scheduled(PT, &ts),
+                    c.encrypt(PT, (TW & !63) | off)
+                );
             }
         }
     }

@@ -69,36 +69,6 @@ impl Qarma64 {
         unspread64(self.core.decrypt(spread64(ciphertext), spread64(tweak)))
     }
 
-    /// Encrypts a batch of `(plaintext, tweak)` pairs into `out`, one output
-    /// word per pair. Allocation-free: batch callers (MAC folds, oracle
-    /// sweeps) go through here so the whole batch stays in the flat kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs.len() != out.len()`.
-    pub fn encrypt_many(&self, pairs: &[(u64, u64)], out: &mut [u64]) {
-        assert_eq!(pairs.len(), out.len(), "encrypt_many: length mismatch");
-        // Two blocks at a time so the interleaved kernel can overlap the two
-        // dependency chains (see `Core::encrypt_n`).
-        let mut chunks = out.chunks_exact_mut(2);
-        let mut in_chunks = pairs.chunks_exact(2);
-        for (slots, ps) in chunks.by_ref().zip(in_chunks.by_ref()) {
-            let [q0, q1] = self.core.encrypt2(
-                [spread64(ps[0].0), spread64(ps[1].0)],
-                [spread64(ps[0].1), spread64(ps[1].1)],
-            );
-            slots[0] = unspread64(q0);
-            slots[1] = unspread64(q1);
-        }
-        for (slot, &(p, t)) in chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(in_chunks.remainder())
-        {
-            *slot = self.encrypt(p, t);
-        }
-    }
-
     /// Number of forward/backward rounds `r`.
     #[must_use]
     pub fn rounds(&self) -> usize {
@@ -194,31 +164,6 @@ mod tests {
             let c = Qarma64::new([W0, K0], rounds, sbox);
             assert_eq!(c.encrypt(PT, TW), expect, "{sbox:?} r={rounds}");
         }
-    }
-
-    #[test]
-    fn encrypt_many_matches_scalar_for_all_sboxes_and_rounds() {
-        for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
-            for rounds in 1..=MAX_ROUNDS_64 {
-                let c = Qarma64::new([W0, K0], rounds, sbox);
-                let pairs: Vec<(u64, u64)> = (0..17)
-                    .map(|i| (PT.wrapping_mul(i + 1), TW.rotate_left(i as u32)))
-                    .collect();
-                let mut batch = vec![0u64; pairs.len()];
-                c.encrypt_many(&pairs, &mut batch);
-                for (&(p, t), &got) in pairs.iter().zip(&batch) {
-                    assert_eq!(got, c.encrypt(p, t), "r={rounds} sbox={sbox:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn encrypt_many_rejects_mismatched_lengths() {
-        let c = Qarma64::new([W0, K0], 5, Sbox::Sigma1);
-        let mut out = [0u64; 2];
-        c.encrypt_many(&[(PT, TW)], &mut out);
     }
 
     #[test]

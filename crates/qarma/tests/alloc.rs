@@ -1,5 +1,6 @@
-//! Regression pin for the allocation-free hot path: `encrypt`/`decrypt`/
-//! `encrypt_many` must perform zero heap allocations after construction.
+//! Regression pin for the allocation-free hot path: `encrypt`, `decrypt`,
+//! `tweak_schedule` and `encrypt_scheduled` must perform zero heap
+//! allocations after construction.
 //!
 //! Lives in its own integration-test binary so the counting global allocator
 //! does not leak into the unit tests.
@@ -38,8 +39,8 @@ fn allocations() -> u64 {
 
 #[test]
 fn cipher_hot_path_is_allocation_free() {
-    // Construction may allocate (the round-constant staging Vec); build the
-    // ciphers and all buffers before the counting window opens.
+    // Build the ciphers and the offset schedule before the counting window
+    // opens.
     let q64 = Qarma64::new([0x84be85ce9804e94b, 0xec2802d4e0a488e4], 7, Sbox::Sigma1);
     let q128 = Qarma128::new(
         [
@@ -49,29 +50,26 @@ fn cipher_hot_path_is_allocation_free() {
         9,
         Sbox::Sigma1,
     );
-    let pairs64: Vec<(u64, u64)> = (0..32).map(|i| (i as u64 * 0x9e37, i as u64)).collect();
-    let pairs128: Vec<(u128, u128)> = (0..32).map(|i| (i as u128 * 0x9e37, i as u128)).collect();
-    let mut out64 = vec![0u64; pairs64.len()];
-    let mut out128 = vec![0u128; pairs128.len()];
+    let offset = q128.tweak_schedule(16);
 
     let before = allocations();
     let mut acc64 = 0u64;
     let mut acc128 = 0u128;
+    let mut acc_scheduled = 0u128;
     for i in 0..64u64 {
         let ct = q64.encrypt(0xfb62_3599_da6e_8127 ^ i, i);
         acc64 = acc64.wrapping_add(q64.decrypt(ct, i));
         let ct = q128.encrypt(0xfb62_3599 ^ u128::from(i), u128::from(i));
         acc128 = acc128.wrapping_add(q128.decrypt(ct, u128::from(i)));
+        let schedule = q128.tweak_schedule(u128::from(i) << 6) ^ offset;
+        acc_scheduled ^= q128.encrypt_scheduled(u128::from(i), &schedule);
     }
-    q64.encrypt_many(&pairs64, &mut out64);
-    q128.encrypt_many(&pairs128, &mut out128);
     let after = allocations();
 
     // Keep the work observable so it cannot be optimized away.
     assert_ne!(acc64, 0);
     assert_ne!(acc128, 0);
-    assert_ne!(out64[31], 0);
-    assert_ne!(out128[31], 0);
+    assert_ne!(acc_scheduled, 0);
     assert_eq!(
         after - before,
         0,
