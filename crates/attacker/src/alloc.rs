@@ -201,7 +201,7 @@ pub fn massage(
     victim_pages: usize,
     rng: &mut SplitMix64,
 ) -> Placement {
-    let geometry = *v.sys.controller.device().geometry();
+    let geometry = *v.sys.channel(0).device().geometry();
     let frame_of = |row: u32| Frame(geometry.row_base(RowId { bank, row }).as_u64() >> 12);
 
     let Victim { sys, space } = v;
@@ -371,7 +371,7 @@ mod tests {
         );
         assert_eq!(p.aggressor_rows[0].row + 2, p.aggressor_rows[1].row);
         // Aggressor PTs really are one row either side of the victim PT.
-        let g = v.sys.controller.device().geometry();
+        let g = v.sys.channel(0).device().geometry();
         for (line, row) in p.aggressor_leaf_lines.iter().zip(p.aggressor_rows) {
             assert_eq!(g.row_of(*line), row);
         }
@@ -407,7 +407,7 @@ mod tests {
         let p = massage(&mut v, &PfnAware, 3, 17, 64, &mut rng);
         let (pool_first, pool_limit) = v.space.table_pool().unwrap();
         assert!((pool_first..pool_limit).contains(&p.victim_pt.0));
-        let g = v.sys.controller.device().geometry();
+        let g = v.sys.channel(0).device().geometry();
         for line in p.aggressor_leaf_lines {
             let pt_row = g.row_of(line);
             let dist = i64::from(pt_row.row) - i64::from(p.target_row);

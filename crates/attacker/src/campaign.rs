@@ -143,8 +143,8 @@ pub struct CellResult {
     /// Largest dedicated-storage figure the defence reported in any trial.
     pub storage_bytes: u64,
     /// Fastest time from hammer start to the first victim-row flip, in
-    /// nanoseconds of simulated time (None if no trial flipped it).
-    pub first_flip_ns: Option<f64>,
+    /// integer picoseconds of simulated time (None if no trial flipped it).
+    pub first_flip_ps: Option<u128>,
 }
 
 /// The whole campaign: the 128-cell grid plus the Blockhammer sidebar.
@@ -271,7 +271,7 @@ pub fn run_defense_cell(
         delay_ps: 0,
         refreshes: 0,
         storage_bytes: 0,
-        first_flip_ns: None,
+        first_flip_ps: None,
     };
 
     for trial in 0..cfg.trials {
@@ -289,7 +289,7 @@ pub fn run_defense_cell(
             Victim::build(rh, guarded)
         };
 
-        let bank = rng.gen_range_u64(0, u64::from(v.sys.controller.device().geometry().banks));
+        let bank = rng.gen_range_u64(0, u64::from(v.sys.channel(0).device().geometry().banks));
         let jitter = rng.gen_range_u64(0, 192) as u32;
         let p = massage(
             &mut v,
@@ -312,13 +312,13 @@ pub fn run_defense_cell(
             v.sys.invalidate_line(a);
         }
 
-        let stats0 = v.sys.controller.engine().map(|e| e.stats());
-        let t0 = v.sys.controller.device().now_ns();
+        let stats0 = v.sys.channel(0).engine().map(|e| e.stats());
+        let t0_ps = v.sys.channel(0).device().now_ps();
 
         let mut mitigation = (spec.build)(cfg, rng.next_u64());
         // Software-visible defences learn where the kernel's page tables
         // physically live (a no-op for hardware-only mitigations).
-        let geometry = *v.sys.controller.device().geometry();
+        let geometry = *v.sys.channel(0).device().geometry();
         for f in v.space.table_frames() {
             mitigation.note_pt_row(geometry.row_of(f.base()));
         }
@@ -363,7 +363,7 @@ pub fn run_defense_cell(
             cell.benign_faults += 1;
         }
 
-        if let (Some(s0), Some(engine)) = (stats0, v.sys.controller.engine()) {
+        if let (Some(s0), Some(engine)) = (stats0, v.sys.channel(0).engine()) {
             let s1 = engine.stats();
             cell.corrections += s1.corrected - s0.corrected;
             cell.max_guesses = cell.max_guesses.max(s1.max_correction_guesses);
@@ -372,12 +372,13 @@ pub fn run_defense_cell(
             }
         }
 
-        let device = v.sys.controller.device();
+        let device = v.sys.channel(0).device();
         for f in device.flips().iter().filter(|f| f.row == p.actual_row) {
             cell.victim_row_flips += 1;
-            let dt = f.time_ns - t0;
-            if cell.first_flip_ns.is_none_or(|best| dt < best) {
-                cell.first_flip_ns = Some(dt);
+            // A flip already present when the hammer started counts as 0.
+            let dt_ps = f.time_ps.saturating_sub(t0_ps);
+            if cell.first_flip_ps.is_none_or(|best| dt_ps < best) {
+                cell.first_flip_ps = Some(dt_ps);
             }
         }
 
@@ -485,13 +486,16 @@ pub fn render(r: &CampaignResult) -> String {
     let fastest = r
         .cells
         .iter()
-        .filter_map(|c| c.first_flip_ns.map(|ns| (ns, c)))
-        .min_by(|a, b| a.0.total_cmp(&b.0));
-    if let Some((ns, c)) = fastest {
+        .filter_map(|c| c.first_flip_ps.map(|ps| (ps, c)))
+        .min_by_key(|&(ps, _)| ps);
+    if let Some((ps, c)) = fastest {
+        // Tenths of a microsecond, rounded half up in integer arithmetic.
+        let tenths = (ps + 50_000) / 100_000;
         let _ = writeln!(
             out,
-            "fastest first flip: {:.1} us ({}/{}/{} guard {})",
-            ns / 1000.0,
+            "fastest first flip: {}.{} us ({}/{}/{} guard {})",
+            tenths / 10,
+            tenths % 10,
             c.allocator,
             c.hammerer,
             c.mitigation,

@@ -61,7 +61,7 @@ impl Victim {
         let device = DramDevice::ddr4_4gb(rh);
         let engine = guarded.then(|| PtGuardEngine::new(PtGuardConfig::default()));
         let controller = MemoryController::new(device, engine, 3.0);
-        let mut sys = MemorySystem::new(MemSysConfig::default(), controller);
+        let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
         let space = {
             let mut port = OsPort::new(&mut sys);
             if isolated {
@@ -83,11 +83,11 @@ impl Victim {
 
 impl DramHost for Victim {
     fn dram(&self) -> &DramDevice {
-        self.sys.controller.device()
+        self.sys.channel(0).device()
     }
 
     fn dram_mut(&mut self) -> &mut DramDevice {
-        self.sys.controller.device_mut()
+        self.sys.channel_mut(0).device_mut()
     }
 }
 

@@ -25,7 +25,7 @@ fn build(mode: Mode, pages: u64) -> (MemorySystem, u64) {
         Mode::PtGuard(cfg) => MemoryController::new(device, Some(PtGuardEngine::new(cfg)), 3.0),
         Mode::FullMem => MemoryController::with_full_memory_mac(device, 3.0),
     };
-    let mut sys = MemorySystem::new(MemSysConfig::default(), controller);
+    let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
     let base = 0x30_0000_0000u64;
     let mut port = OsPort::new(&mut sys);
     let mut space = AddressSpace::new(&mut port, 32).unwrap();

@@ -590,7 +590,7 @@ fn memsys_profile(
                 sim_ipc: r.ipc(),
                 sim_cycles: r.cycles,
                 mac_computations: r.mac_computations,
-                dram_reads: machine.sys.controller.stats().reads,
+                dram_reads: machine.sys.channel(0).stats().reads,
             }
         })
         .collect()

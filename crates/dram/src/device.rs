@@ -10,7 +10,7 @@ use crate::geometry::{DramGeometry, RowId};
 /// Granularity of sparse backing-store allocation.
 const STORE_PAGE: usize = 4096;
 use crate::rowhammer::{weak_cells_for_row, RowhammerConfig, WeakCell};
-use crate::timing::{ns_to_ps, DramTiming};
+use crate::timing::DramTiming;
 
 /// How an activation was triggered — the provenance axis the attacker
 /// subsystem reasons over. PThammer's whole point is that `Walk`
@@ -40,8 +40,8 @@ pub struct FlipRecord {
     pub row: RowId,
     /// Value before the flip (true cells record `true` here).
     pub from: bool,
-    /// Simulation time of the flip.
-    pub time_ns: f64,
+    /// Device time of the flip, in integer picoseconds.
+    pub time_ps: u128,
 }
 
 /// Running statistics of the device.
@@ -81,35 +81,19 @@ pub struct ServiceTiming {
     pub latency_ps: u128,
 }
 
-/// A device-level timing completion, recorded while the timing-event tap
-/// is on (see [`DramDevice::set_timing_event_tap`]) so the memory
-/// controller can post bank and refresh completions into an event
-/// scheduler instead of callers polling per-bank busy-until state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingEvent {
-    /// A bank finished a scheduled access at `ready_ps` (its busy-until
-    /// time after the service).
-    BankReady {
-        /// The bank that went idle.
-        bank: u32,
-        /// Absolute device time at which it went idle, in ps.
-        ready_ps: u128,
-    },
-    /// A distributed-refresh slice (one tREFI) completed at `at_ps`.
-    RefreshSlice {
-        /// Absolute device time of the slice boundary, in ps.
-        at_ps: u128,
-    },
-}
-
 /// A DRAM device with open-row bank state and Rowhammer disturbance.
 ///
 /// Functional reads and writes go through [`PhysMem`] and are untimed. The
 /// store is line-granular: a line or an aligned word is written with one
 /// row lookup, which re-arms the weak cells under the written bytes, and
 /// one lookup into the sparse page store, never byte by byte.
-/// [`DramDevice::access_ps`] additionally models bank timing, advances the
-/// device clock, applies disturbance, and handles refresh-window expiry.
+/// [`DramDevice::access_ps`] and [`DramDevice::service_at`] additionally
+/// model bank timing, advance the device clock, apply disturbance, and
+/// handle refresh-window expiry.
+///
+/// Device time is integer picoseconds throughout: [`DramDevice::now_ps`]
+/// reads the clock, and [`DramDevice::advance_time_ps`] is the one way to
+/// move it other than an access.
 #[derive(Debug)]
 pub struct DramDevice {
     geometry: DramGeometry,
@@ -139,12 +123,6 @@ pub struct DramDevice {
     tap_enabled: bool,
     /// Recorded activations since the last drain (only when tapped).
     tap: Vec<(RowId, ActivationKind)>,
-    /// Whether timing completions are recorded (off by default, so the
-    /// blocking path pays nothing; the controller turns it on only while
-    /// its pipelined queues are non-empty).
-    timing_tap_enabled: bool,
-    /// Recorded timing completions since the last drain (only when on).
-    timing_events: Vec<TimingEvent>,
     /// Provenance attributed to the next demand accesses (`service_at`):
     /// `Walk` while the controller is servicing a PTE line, else `Demand`.
     demand_kind: ActivationKind,
@@ -183,8 +161,6 @@ impl DramDevice {
             ref_slice: 0,
             tap_enabled: false,
             tap: Vec::new(),
-            timing_tap_enabled: false,
-            timing_events: Vec::new(),
             demand_kind: ActivationKind::Demand,
             geometry,
             timing,
@@ -216,15 +192,6 @@ impl DramDevice {
         self.now_ps
     }
 
-    /// Current device time in nanoseconds (convenience view of the integer
-    /// picosecond clock for reporting and mitigation windowing; the timing
-    /// model itself never reads this back).
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn now_ns(&self) -> f64 {
-        self.now_ps as f64 / 1e3
-    }
-
     /// Statistics so far.
     #[must_use]
     pub fn stats(&self) -> &DramStats {
@@ -251,23 +218,6 @@ impl DramDevice {
     /// Drains recorded activations (in occurrence order) into `out`.
     pub fn drain_activations(&mut self, out: &mut Vec<(RowId, ActivationKind)>) {
         out.append(&mut self.tap);
-    }
-
-    /// Enables or disables the timing-event tap. Off by default; while
-    /// off, services and refresh slices leave no event record, so the
-    /// blocking path is bit-identical in behaviour and cost. Disabling
-    /// clears any undrained events — capture them first.
-    pub fn set_timing_event_tap(&mut self, enabled: bool) {
-        self.timing_tap_enabled = enabled;
-        if !enabled {
-            self.timing_events.clear();
-        }
-    }
-
-    /// Drains recorded timing completions (in occurrence order) into
-    /// `out`.
-    pub fn drain_timing_events(&mut self, out: &mut Vec<TimingEvent>) {
-        out.append(&mut self.timing_events);
     }
 
     /// Marks whether upcoming demand accesses ([`DramDevice::service_at`])
@@ -310,7 +260,7 @@ impl DramDevice {
     /// on any activation and advancing the device clock by the service
     /// latency.
     ///
-    /// The controller's banked queues drain through here so requests to
+    /// The controller's drains go through here, so requests to
     /// different banks overlap (each bank's busy-until chains independently
     /// from the drain epoch) while same-bank requests serialise. A request
     /// issued at `earliest_ps == busy_until_ps[bank]` (the blocking case)
@@ -349,12 +299,6 @@ impl DramDevice {
             }
         };
         self.busy_until_ps[bank] = begin + latency_ps;
-        if self.timing_tap_enabled {
-            self.timing_events.push(TimingEvent::BankReady {
-                bank: bank as u32,
-                ready_ps: begin + latency_ps,
-            });
-        }
         self.advance_time_ps(latency_ps);
         ServiceTiming {
             wait_ps,
@@ -392,13 +336,6 @@ impl DramDevice {
         self.activate(row, ActivationKind::Refresh);
     }
 
-    /// Advances the device clock by `delta_ns` (convenience wrapper over
-    /// [`DramDevice::advance_time_ps`] for callers that still think in ns —
-    /// mitigation sweeps and tests).
-    pub fn advance_time(&mut self, delta_ns: f64) {
-        self.advance_time_ps(ns_to_ps(delta_ns));
-    }
-
     /// Advances the device clock, issuing distributed auto-refresh.
     ///
     /// Real devices spread the refresh of all rows over the window as 8192
@@ -414,11 +351,6 @@ impl DramDevice {
         while self.now_ps - self.window_start_ps >= trefi {
             self.window_start_ps += trefi;
             self.stats.refresh_slices += 1;
-            if self.timing_tap_enabled {
-                self.timing_events.push(TimingEvent::RefreshSlice {
-                    at_ps: self.window_start_ps,
-                });
-            }
             let slice = self.ref_slice;
             self.ref_slice = (self.ref_slice + 1) % REF_SLICES;
             if self.ref_slice == 0 {
@@ -517,7 +449,7 @@ impl DramDevice {
             bit_in_byte: (bit % 8) as u8,
             row,
             from: is_one,
-            time_ns: self.now_ns(),
+            time_ps: self.now_ps,
         });
     }
 }
@@ -672,7 +604,7 @@ mod tests {
         d.hammer(aggressor, 500);
         let victim = aggressor.offset(1, d.geometry().rows_per_bank).unwrap();
         assert!(d.pressure(victim) > 0.0);
-        d.advance_time(d.timing().t_refw_ns);
+        d.advance_time_ps(d.timing().t_refw_ps());
         assert_eq!(d.pressure(victim), 0.0);
     }
 
@@ -697,15 +629,15 @@ mod tests {
         );
         assert!(d.pressure(early) > 0.0);
         assert!(d.pressure(late) > 0.0);
-        let trefi = d.timing().t_refw_ns / 8192.0;
-        d.advance_time(30.0 * trefi);
+        let trefi = d.timing().t_refw_ps() / 8192;
+        d.advance_time_ps(30 * trefi);
         assert_eq!(d.pressure(early), 0.0, "early-sweep row must be refreshed");
         assert!(
             d.pressure(late) > 0.0,
             "late-sweep row must still be pressured"
         );
         // A full window restores everything.
-        d.advance_time(d.timing().t_refw_ns);
+        d.advance_time_ps(d.timing().t_refw_ps());
         assert_eq!(d.pressure(late), 0.0);
     }
     #[test]
@@ -754,7 +686,7 @@ mod tests {
         for i in 0..u64::from(d.geometry().row_bytes) {
             d.write_u8(PhysAddr::new(base + i), 0xff);
         }
-        d.advance_time(d.timing().t_refw_ns); // fresh window
+        d.advance_time_ps(d.timing().t_refw_ps()); // fresh window
         d.hammer(aggressor, 3000);
         assert!(
             d.stats().total_flips > first,

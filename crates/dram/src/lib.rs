@@ -29,7 +29,7 @@ pub mod geometry;
 pub mod rowhammer;
 pub mod timing;
 
-pub use device::{ActivationKind, DramDevice, ServiceTiming, TimingEvent};
+pub use device::{ActivationKind, DramDevice, ServiceTiming};
 pub use geometry::{ChannelInterleave, DramGeometry, RowId};
 pub use rowhammer::RowhammerConfig;
 pub use timing::DramTiming;

@@ -184,17 +184,21 @@ fn run_perf_unit(cfg: &CampaignConfig, instructions: u64, widx: usize) -> PerfUn
 
     let mut machine = build_machine(profile, None, seed, 4);
     let _ = run(&mut machine, instructions); // warm-up, untapped
-    machine.sys.controller.device_mut().set_activation_tap(true);
+    machine
+        .sys
+        .channel_mut(0)
+        .device_mut()
+        .set_activation_tap(true);
     let base = run(&mut machine, instructions);
     let mut stream = Vec::new();
     machine
         .sys
-        .controller
+        .channel_mut(0)
         .device_mut()
         .drain_activations(&mut stream);
 
     // The rows the kernel's page tables landed in, for SoftTRR/CATT.
-    let geometry = *machine.sys.controller.device().geometry();
+    let geometry = *machine.sys.channel(0).device().geometry();
     let pt_rows: Vec<_> = machine
         .space
         .table_frames()

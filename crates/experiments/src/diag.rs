@@ -54,8 +54,8 @@ pub fn diagnose_seeded(
     let (l1, l2, llc) = machine.sys.cache_stats();
     let tlb = machine.sys.tlb_stats();
     let mmu = machine.sys.mmu_stats();
-    let dram = machine.sys.controller.device().stats();
-    let engine = machine.sys.controller.engine().map(|e| {
+    let dram = machine.sys.channel(0).device().stats();
+    let engine = machine.sys.channel(0).engine().map(|e| {
         let s = e.stats();
         (
             s.reads,

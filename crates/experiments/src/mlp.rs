@@ -2,8 +2,8 @@
 //! parallelism.
 //!
 //! The paper's timing model is fully blocking — every miss serialises the
-//! core. The pipelined memory system (MSHR file, banked controller queues,
-//! batched MAC verification) keeps `mlp` operations in flight; this
+//! core. The pipelined memory system (MSHR file, FR-FCFS controller read
+//! queues, batched MAC verification) keeps `mlp` operations in flight; this
 //! artefact sweeps the window over MAC-heavy profiles and reports how much
 //! of the PT-Guard latency bank-level overlap hides, alongside the
 //! pipeline's observability counters (queue/MSHR high-water marks, MAC
@@ -55,8 +55,6 @@ pub struct MlpRow {
     pub events_posted: u64,
     /// Events fired by the pump.
     pub events_fired: u64,
-    /// Wheel slot cascades (coarse slots re-filed toward level 0).
-    pub wheel_cascades: u64,
     /// Mean virtual time skipped per pump advance, in picoseconds — the
     /// idle gap the event wheel jumps instead of polling through.
     pub idle_skip_mean_ps: f64,
@@ -96,8 +94,8 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<MlpRow> {
             if mlp == 1 {
                 base_cycles = r.cycles;
             }
-            let cstats = machine.sys.controller.stats();
-            let dstats = machine.sys.controller.device().stats();
+            let cstats = machine.sys.channel(0).stats();
+            let dstats = machine.sys.channel(0).device().stats();
             let pump = machine.sys.pump_stats();
             let hits: u64 = dstats.per_bank_row_hits.iter().sum();
             let misses: u64 = dstats.per_bank_row_misses.iter().sum();
@@ -113,7 +111,6 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<MlpRow> {
                 mac_batches: cstats.mac_batch_hist,
                 events_posted: pump.events_posted,
                 events_fired: pump.events_fired,
-                wheel_cascades: pump.wheel_cascades,
                 idle_skip_mean_ps: pump.idle_skip_ps.mean(),
             });
         }
@@ -134,7 +131,6 @@ pub fn render(rows: &[MlpRow]) -> String {
         "MSHR",
         "row-hit",
         "events p/f",
-        "casc",
         "idle-skip",
         "MAC batches (1 / 2 / 3-4 / 5-8 / 9-16 / >16)",
     ]);
@@ -149,13 +145,12 @@ pub fn render(rows: &[MlpRow]) -> String {
             r.mshr_hwm.to_string(),
             format!("{:.1}%", 100.0 * r.row_hit_rate),
             format!("{}/{}", r.events_posted, r.events_fired),
-            r.wheel_cascades.to_string(),
             format!("{:.1} ns", r.idle_skip_mean_ps / 1000.0),
             r.mac_batches.map(|c| c.to_string()).join(" / "),
         ]);
     }
     format!(
-        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and batch MAC verification per drain.\nevents p/f = wheel posts/fires; casc = slot cascades; idle-skip = mean\nvirtual time jumped per pump advance instead of being polled through.\n",
+        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and batch MAC verification per drain.\nevents p/f = wheel posts/fires; idle-skip = mean virtual time\njumped per pump advance instead of being polled through.\n",
         t.render()
     )
 }

@@ -417,11 +417,6 @@ pub fn run_artefact_jobs(
                     format!("{}@{}.events_fired", row.name, row.mlp),
                     row.events_fired,
                 );
-                mu(
-                    &mut metrics,
-                    format!("{}@{}.wheel_cascades", row.name, row.mlp),
-                    row.wheel_cascades,
-                );
                 m(
                     &mut metrics,
                     format!("{}@{}.idle_skip_mean_ps", row.name, row.mlp),

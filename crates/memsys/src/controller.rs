@@ -1,9 +1,9 @@
 //! The memory controller: DRAM scheduling plus the PT-Guard engine hook
 //! (Figure 5 of the paper).
 //!
-//! The memory system's reads go through the banked queues
+//! The memory system's reads go through the read queue
 //! ([`MemoryController::enqueue_read`] / [`MemoryController::drain_reads`]):
-//! a drain schedules each bank's queue FR-FCFS against the device's
+//! a drain schedules each bank's reads FR-FCFS against the device's
 //! per-bank busy-until timing and verifies all ready PTE MACs through one
 //! [`ptguard::mac::PteMac::compute_batch`] call.
 //!
@@ -13,8 +13,6 @@
 //! *bit-identical* to one `read_line` call: the bank wait is exactly zero,
 //! a batch of one computes the same MAC, and both end in the same
 //! `finish_read` tail.
-
-use std::collections::VecDeque;
 
 use dram::DramDevice;
 use pagetable::addr::PhysAddr;
@@ -52,7 +50,7 @@ pub struct ControllerStats {
     pub check_failures: u64,
     /// Extra cycles added by MAC work on the read path.
     pub mac_cycles_added: u64,
-    /// High-water mark of reads outstanding across all bank queues.
+    /// High-water mark of reads outstanding in the read queue.
     pub queue_occupancy_hwm: u64,
     /// Histogram of MAC verification batch sizes per drain step
     /// (buckets: 1, 2, 3-4, 5-8, 9-16, >16). Drains whose every read takes
@@ -79,11 +77,12 @@ impl ControllerStats {
     }
 }
 
-/// A read waiting in a bank queue.
+/// A read waiting in the read queue.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRead {
     id: u64,
     addr: PhysAddr,
+    bank: u32,
     is_pte: bool,
     /// Times a younger row-hit request was scheduled past this one
     /// (FR-FCFS age; see [`FR_FCFS_BYPASS_CAP`]).
@@ -111,9 +110,8 @@ struct DrainScratch {
     needing: Vec<usize>,
     items: Vec<(Line, PhysAddr)>,
     computed: Vec<u128>,
-    /// One bank's queue, flattened for in-place FR-FCFS picking.
-    bankq: Vec<QueuedRead>,
-    /// Parallel to `bankq`: whether the slot has been scheduled.
+    /// Parallel to one bank's run of the read queue: whether the slot
+    /// has been scheduled.
     taken: Vec<bool>,
 }
 
@@ -152,16 +150,8 @@ pub struct MemoryController {
     /// exactly once, at construction (see [`clock`]).
     core_khz: u64,
     stats: ControllerStats,
-    /// Per-bank FIFO request queues for the pipelined read path.
-    queues: Vec<VecDeque<QueuedRead>>,
-    /// Banks with a non-empty queue, in arrival order; sorted at drain
-    /// time so a drain visits only occupied banks in ascending bank
-    /// order (identical to scanning all banks and skipping empties).
-    active_banks: Vec<u32>,
-    /// Parallel membership flags for `active_banks`, indexed by bank.
-    bank_active: Vec<bool>,
-    /// Reads currently queued across all banks.
-    queued: usize,
+    /// Reads waiting for the next drain, in arrival order.
+    queue: Vec<QueuedRead>,
     /// Monotonic request id; doubles as the FCFS age tiebreaker.
     next_req_id: u64,
     /// Reusable drain buffers (see [`DrainScratch`]).
@@ -172,17 +162,13 @@ impl MemoryController {
     /// Creates a controller over `device`; `engine` enables PT-Guard.
     #[must_use]
     pub fn new(device: DramDevice, engine: Option<PtGuardEngine>, core_ghz: f64) -> Self {
-        let banks = device.geometry().banks as usize;
         Self {
             device,
             engine,
             full_mac: None,
             core_khz: clock::ghz_to_khz(core_ghz),
             stats: ControllerStats::default(),
-            queues: vec![VecDeque::new(); banks],
-            active_banks: Vec::new(),
-            bank_active: vec![false; banks],
-            queued: 0,
+            queue: Vec::new(),
             next_req_id: 0,
             scratch: DrainScratch::default(),
         }
@@ -194,20 +180,10 @@ impl MemoryController {
     /// conventional design PT-Guard's introduction argues against.
     #[must_use]
     pub fn with_full_memory_mac(device: DramDevice, core_ghz: f64) -> Self {
-        let fm = FullMemoryMac::new(device.size());
-        let banks = device.geometry().banks as usize;
+        let full_mac = Some(FullMemoryMac::new(device.size()));
         Self {
-            device,
-            engine: None,
-            full_mac: Some(fm),
-            core_khz: clock::ghz_to_khz(core_ghz),
-            stats: ControllerStats::default(),
-            queues: vec![VecDeque::new(); banks],
-            active_banks: Vec::new(),
-            bank_active: vec![false; banks],
-            queued: 0,
-            next_req_id: 0,
-            scratch: DrainScratch::default(),
+            full_mac,
+            ..Self::new(device, None, core_ghz)
         }
     }
 
@@ -300,38 +276,34 @@ impl MemoryController {
         }
     }
 
-    /// Queues a line read on its bank's request queue and returns its
-    /// request id. The read is serviced — and its result returned — by the
-    /// next [`Self::drain_reads`] call.
+    /// Queues a line read and returns its request id. The read is
+    /// serviced — and its result returned — by the next
+    /// [`Self::drain_reads`] call.
     pub fn enqueue_read(&mut self, addr: PhysAddr, is_pte: bool) -> u64 {
         let id = self.next_req_id;
         self.next_req_id += 1;
-        let bank = self.device.geometry().row_of(addr).bank as usize;
-        self.queues[bank].push_back(QueuedRead {
+        self.queue.push(QueuedRead {
             id,
             addr,
+            bank: self.device.geometry().row_of(addr).bank,
             is_pte,
             bypassed: 0,
         });
-        if !self.bank_active[bank] {
-            self.bank_active[bank] = true;
-            self.active_banks.push(bank as u32);
-        }
-        self.queued += 1;
-        self.stats.queue_occupancy_hwm = self.stats.queue_occupancy_hwm.max(self.queued as u64);
+        self.stats.queue_occupancy_hwm =
+            self.stats.queue_occupancy_hwm.max(self.queue.len() as u64);
         id
     }
 
-    /// Whether any read is waiting in a bank queue.
+    /// Whether any read is waiting in the read queue.
     #[must_use]
     pub fn has_queued_reads(&self) -> bool {
-        self.queued > 0
+        !self.queue.is_empty()
     }
 
-    /// Number of reads waiting across all bank queues.
+    /// Number of reads waiting in the read queue.
     #[must_use]
     pub fn queued_reads(&self) -> usize {
-        self.queued
+        self.queue.len()
     }
 
     /// Services every queued read and appends `(request id, result)` pairs
@@ -355,64 +327,24 @@ impl MemoryController {
     /// [`ptguard::mac::PteMac::compute_batch_into`] call, and the result is
     /// fed back through the normal per-read verify path.
     pub fn drain_reads(&mut self, out: &mut Vec<(u64, DramRead)>) {
-        // Single-request fast path: with one read queued (the common event
-        // round — a lone walk step or data miss arming the pump), FR-FCFS,
-        // the completion sort and the batch plumbing all degenerate to
-        // identity, so service the request directly. Timing, MAC values,
-        // verdicts and stats are exactly the general path's: one candidate
-        // is picked unconditionally, and a one-item MAC batch is the plain
-        // per-line computation.
-        if self.queued == 1 {
-            let bank = self
-                .active_banks
-                .pop()
-                .expect("one queued read implies one active bank") as usize;
-            debug_assert!(self.active_banks.is_empty());
-            self.bank_active[bank] = false;
-            let q = self.queues[bank].pop_front().expect("queued read");
-            self.queued = 0;
-            let t0 = self.device.now_ps();
-            self.device.tap_pte_hint(q.is_pte);
-            let t = self.device.service_at(q.addr, false, t0);
-            let raw = Line::from_bytes(&self.device.read_line(q.addr));
-            let mac = match &self.engine {
-                Some(engine) if engine.read_needs_mac(&raw, q.addr, q.is_pte) => {
-                    self.stats.mac_batch_hist[0] += 1;
-                    Some(engine.mac_unit().compute(&raw, q.addr))
-                }
-                _ => None,
-            };
-            let read = self.finish_read(q.addr, q.is_pte, t.wait_ps + t.latency_ps, raw, mac);
-            out.push((q.id, read));
-            return;
-        }
         let t0 = self.device.now_ps();
         let mut s = std::mem::take(&mut self.scratch);
         s.serviced.clear();
-        // Visit only occupied banks, in ascending bank order — the same
-        // order a full 0..banks scan would service them in, without
-        // touching the (mostly empty) other queues.
-        let mut active = std::mem::take(&mut self.active_banks);
-        active.sort_unstable();
-        for &bank in &active {
-            let bank = bank as usize;
-            self.bank_active[bank] = false;
-            if self.queues[bank].is_empty() {
-                continue;
-            }
-            // Flatten the bank queue into scratch and *mark* picks in a
-            // parallel `taken` bitmap instead of extracting mid-queue (the
-            // previous `VecDeque::remove(pick)` shifted every element
-            // behind the pick — O(n) per pick, O(n²) per drain). Slots stay
-            // in insertion order, every scan starts at the oldest live slot,
-            // and ids are monotonic, so the first row match is the oldest
-            // one and same-row requests keep exact FIFO order.
-            s.bankq.clear();
-            s.bankq.extend(self.queues[bank].drain(..));
+        // A stable sort by bank gives each bank one run, in ascending bank
+        // order, with its reads still in arrival order.
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.sort_by_key(|q| q.bank);
+        for bankq in queue.chunk_by_mut(|a, b| a.bank == b.bank) {
+            let bank = bankq[0].bank as usize;
+            // Picks are *marked* in a parallel `taken` bitmap instead of
+            // extracted mid-run. Slots stay in arrival order, every scan
+            // starts at the oldest live slot, and ids are monotonic, so the
+            // first row match is the oldest one and same-row requests keep
+            // exact FIFO order.
             s.taken.clear();
-            s.taken.resize(s.bankq.len(), false);
+            s.taken.resize(bankq.len(), false);
             let mut head = 0;
-            let mut remaining = s.bankq.len();
+            let mut remaining = bankq.len();
             while remaining > 0 {
                 while s.taken[head] {
                     head += 1;
@@ -425,24 +357,24 @@ impl MemoryController {
                 // live request (every bypass that aged a younger request
                 // also aged the head), so capping the head caps the queue.
                 let open = self.device.open_row(bank);
-                let pick = if s.bankq[head].bypassed >= FR_FCFS_BYPASS_CAP {
+                let pick = if bankq[head].bypassed >= FR_FCFS_BYPASS_CAP {
                     head
                 } else {
                     open.and_then(|row| {
-                        (head..s.bankq.len()).find(|&i| {
-                            !s.taken[i] && self.device.geometry().row_of(s.bankq[i].addr).row == row
+                        (head..bankq.len()).find(|&i| {
+                            !s.taken[i] && self.device.geometry().row_of(bankq[i].addr).row == row
                         })
                     })
                     .unwrap_or(head)
                 };
-                for i in head..pick {
-                    if !s.taken[i] {
-                        s.bankq[i].bypassed += 1;
+                for (q, &taken) in bankq[head..pick].iter_mut().zip(&s.taken[head..pick]) {
+                    if !taken {
+                        q.bypassed += 1;
                     }
                 }
                 s.taken[pick] = true;
                 remaining -= 1;
-                let q = s.bankq[pick];
+                let q = bankq[pick];
                 self.device.tap_pte_hint(q.is_pte);
                 let t = self.device.service_at(q.addr, false, t0);
                 let dram_ps = t.wait_ps + t.latency_ps;
@@ -461,9 +393,8 @@ impl MemoryController {
                 });
             }
         }
-        active.clear();
-        self.active_banks = active;
-        self.queued = 0;
+        queue.clear();
+        self.queue = queue;
         if s.serviced.len() > 1 {
             s.serviced.sort_by_key(|r| (r.dram_ps, r.id));
         }
@@ -559,7 +490,7 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram::RowhammerConfig;
+    use dram::{RowId, RowhammerConfig};
     use ptguard::PtGuardConfig;
 
     fn pte_line() -> Line {
@@ -754,6 +685,26 @@ mod tests {
                 "same-row FIFO order violated: {pos:?}"
             );
         }
+    }
+
+    #[test]
+    fn drain_services_banks_in_ascending_order_fifo_within_each() {
+        // Reads to distinct rows arrive with their banks out of order. The
+        // drain must activate bank 0's row, then bank 1's rows, then bank
+        // 3's, each bank's in arrival order.
+        let mut mc = controller(false);
+        let geometry = *mc.device().geometry();
+        for (bank, row) in [(3, 10), (1, 20), (3, 30), (0, 40), (1, 50)] {
+            mc.enqueue_read(geometry.row_base(RowId { bank, row }), false);
+        }
+        mc.device_mut().set_activation_tap(true);
+        let mut out = Vec::new();
+        mc.drain_reads(&mut out);
+        assert_eq!(out.len(), 5);
+        let mut tap = Vec::new();
+        mc.device_mut().drain_activations(&mut tap);
+        let serviced: Vec<(u32, u32)> = tap.iter().map(|(r, _)| (r.bank, r.row)).collect();
+        assert_eq!(serviced, [(0, 40), (1, 20), (1, 50), (3, 10), (3, 30)]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   and per-access latency in CPU cycles. One event-driven engine serves
 //!   every access: `pipe_issue_event` runs an op until it completes or
 //!   suspends on an MSHR-tracked miss, and `advance_to_next_event` fires
-//!   the controllers' banked-queue drains. `load`/`store` pump one op to
+//!   the controllers' read-queue drains. `load`/`store` pump one op to
 //!   completion; the `simx` drivers keep up to `mlp` ops in flight (see
 //!   [`config::MemSysConfig`]).
 

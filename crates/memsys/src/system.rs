@@ -107,27 +107,20 @@ pub enum IssueOutcome {
     Pending(u64),
 }
 
-/// An event scheduled on the system's wheel.
-#[derive(Debug, Clone, Copy)]
-enum PumpEvent {
-    /// Drain the channel's banked queues (armed when the channel's first
-    /// outstanding read is enqueued).
-    Drain,
-}
-
 /// Event-pump counters ([`MemorySystem::pump_stats`]): pure
 /// observability, never fed back into timing.
 #[derive(Debug, Clone, Default)]
 pub struct PumpStats {
-    /// Events accepted by the wheel (drain arms).
+    /// Events accepted by the scheduler (drain arms).
     pub events_posted: u64,
-    /// Events fired by the wheel.
+    /// Events fired by the scheduler.
     pub events_fired: u64,
-    /// Wheel slot cascades (coarse slots re-filed downward).
+    /// Always 0: the scheduler is a flat event list with no slots to
+    /// cascade. The counter stays for readers that still report it.
     pub wheel_cascades: u64,
     /// Bank-ready completions observed by the pipelined drains (one per
-    /// serviced read; counted off the wheel so pure observability never
-    /// costs a wheel round-trip).
+    /// serviced read; counted off the scheduler so pure observability
+    /// never costs a scheduler round-trip).
     pub bank_ready_events: u64,
     /// Distributed-refresh slices (one tREFI each) completed across the
     /// channel devices, off-wheel writes and functional reads included.
@@ -221,13 +214,8 @@ pub struct MemorySystem {
     llc: Cache,
     tlb: Tlb,
     mmu: MmuCache,
-    /// Channel 0's memory controller (public for device access in
-    /// experiments, which run single-channel; use
-    /// [`MemorySystem::channel`] to address other channels).
-    pub controller: MemoryController,
-    /// Controllers of channels `1..N` (empty in the single-channel
-    /// configuration, so existing call sites see exactly one controller).
-    aux: Vec<MemoryController>,
+    /// One memory controller per channel, in channel order.
+    controllers: Vec<MemoryController>,
     /// The address → channel function shared by every access path.
     interleave: ChannelInterleave,
     root: Frame,
@@ -245,36 +233,20 @@ pub struct MemorySystem {
     /// Reusable channel-tagged retire buffer for the cross-channel merge.
     merge_buf: Vec<(u32, u64, crate::controller::DramRead)>,
     next_op_id: u64,
-    /// The event engine: per-channel drain arms, popped in
+    /// The event engine: at most one drain arm per channel, popped in
     /// `(ps, channel, id)` order. Per-channel device clocks are
-    /// independent latency accumulators, so the wheel's `now` is a
+    /// independent latency accumulators, so the scheduler's `now` is a
     /// max-progress frontier; lagging channels clamp forward
     /// (deterministically) when they arm.
-    wheel: EventWheel<PumpEvent>,
-    /// Whether a [`PumpEvent::Drain`] is scheduled for each channel.
+    wheel: EventWheel<()>,
+    /// Whether a drain is scheduled for each channel.
     armed: Vec<bool>,
-    /// Pump observability counters (the wheel's own posted/fired/cascade
-    /// counts live in the wheel; see [`MemorySystem::pump_stats`]).
+    /// Pump observability counters (the scheduler's own posted/fired
+    /// counts live in the scheduler; see [`MemorySystem::pump_stats`]).
     pump: PumpStats,
 }
 
 impl MemorySystem {
-    /// Builds the hierarchy over a single `controller`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.channels != 1` — a multi-channel configuration needs
-    /// one controller per channel; use [`MemorySystem::new_multi`].
-    #[must_use]
-    pub fn new(cfg: MemSysConfig, controller: MemoryController) -> Self {
-        assert_eq!(
-            cfg.channels, 1,
-            "MemorySystem::new is single-channel; use new_multi for {} channels",
-            cfg.channels
-        );
-        Self::new_multi(cfg, vec![controller])
-    }
-
     /// Builds the hierarchy over one controller per channel. Channel `i` of
     /// the [`ChannelInterleave`] maps to `controllers[i]`.
     ///
@@ -283,14 +255,13 @@ impl MemorySystem {
     /// Panics if `controllers.len() != cfg.channels` or the channel count
     /// is not a power of two.
     #[must_use]
-    pub fn new_multi(cfg: MemSysConfig, mut controllers: Vec<MemoryController>) -> Self {
+    pub fn new(cfg: MemSysConfig, controllers: Vec<MemoryController>) -> Self {
         assert_eq!(
             controllers.len(),
             cfg.channels,
             "need one controller per channel"
         );
         let interleave = ChannelInterleave::new(u32::try_from(cfg.channels).expect("channels"));
-        let controller = controllers.remove(0);
         Self {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
@@ -301,8 +272,7 @@ impl MemorySystem {
                 cfg.mmu_cache_ways,
                 cfg.mmu_cache_latency_cycles,
             ),
-            controller,
-            aux: controllers,
+            controllers,
             interleave,
             root: Frame(0),
             max_phys_bits: 40,
@@ -323,35 +293,27 @@ impl MemorySystem {
     /// Number of memory channels.
     #[must_use]
     pub fn channels(&self) -> usize {
-        1 + self.aux.len()
+        self.controllers.len()
     }
 
     /// The controller of channel `i`.
     #[must_use]
     pub fn channel(&self, i: usize) -> &MemoryController {
-        if i == 0 {
-            &self.controller
-        } else {
-            &self.aux[i - 1]
-        }
+        &self.controllers[i]
     }
 
     /// Mutable access to the controller of channel `i`.
     pub fn channel_mut(&mut self, i: usize) -> &mut MemoryController {
-        if i == 0 {
-            &mut self.controller
-        } else {
-            &mut self.aux[i - 1]
-        }
+        &mut self.controllers[i]
     }
 
     /// Aggregate controller statistics: the fold of every channel's stats
     /// through [`ControllerStats::absorb`] (counters sum, high-water marks
-    /// take the max). Identical to `controller.stats()` at one channel.
+    /// take the max). Identical to `channel(0).stats()` at one channel.
     #[must_use]
     pub fn controller_stats_total(&self) -> ControllerStats {
-        let mut total = self.controller.stats();
-        for c in &self.aux {
+        let mut total = ControllerStats::default();
+        for c in &self.controllers {
             total.absorb(&c.stats());
         }
         total
@@ -370,18 +332,17 @@ impl MemorySystem {
 
     /// Whether any channel has queued reads.
     fn any_queued_reads(&self) -> bool {
-        self.controller.has_queued_reads()
-            || self.aux.iter().any(MemoryController::has_queued_reads)
+        self.controllers
+            .iter()
+            .any(MemoryController::has_queued_reads)
     }
 
     /// Total reads queued across all channels (flush diagnostics).
     fn queued_reads_total(&self) -> usize {
-        self.controller.queued_reads()
-            + self
-                .aux
-                .iter()
-                .map(MemoryController::queued_reads)
-                .sum::<usize>()
+        self.controllers
+            .iter()
+            .map(MemoryController::queued_reads)
+            .sum()
     }
 
     /// The system's configuration.
@@ -405,32 +366,13 @@ impl MemorySystem {
         self.stats
     }
 
-    /// Consumes the hierarchy, returning its memory controller — the DRAM
-    /// contents (page tables included) travel with it. Call
-    /// [`MemorySystem::flush_caches`] first so no dirty lines are lost.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-channel system: the DRAM contents are spread
-    /// across the channels, so no single controller carries them.
-    #[must_use]
-    pub fn into_controller(self) -> MemoryController {
-        assert!(
-            self.aux.is_empty(),
-            "into_controller is single-channel; a multi-channel system's store is interleaved"
-        );
-        self.controller
-    }
-
     /// Consumes the hierarchy, returning every channel's controller in
-    /// channel order — the multi-channel counterpart of
-    /// [`MemorySystem::into_controller`]. Call
-    /// [`MemorySystem::flush_caches`] first so no dirty lines are lost.
+    /// channel order — the DRAM contents (page tables included) travel with
+    /// them. Call [`MemorySystem::flush_caches`] first so no dirty lines are
+    /// lost.
     #[must_use]
     pub fn into_controllers(self) -> Vec<MemoryController> {
-        let mut v = vec![self.controller];
-        v.extend(self.aux);
-        v
+        self.controllers
     }
 
     /// The TLB (for assertions in tests).
@@ -774,40 +716,23 @@ impl MemorySystem {
     ///
     /// Completions retire in integer-picosecond order, ties broken by
     /// channel index then request id — the same `(ps, channel, id)` total
-    /// order the wheel itself pops in — so the resume order is
+    /// order the scheduler itself pops in — so the resume order is
     /// deterministic and, with one channel, identical to the
-    /// single-controller model's `(dram_ps, id)` order.
+    /// single-controller model's `(dram_ps, id)` order. That final sort is
+    /// why the order in which the scheduler pops a round's arms decides
+    /// nothing; only its frontier (the latest arm time) is read, for
+    /// [`PumpStats::idle_skip_ps`].
     pub fn advance_to_next_event(&mut self) -> bool {
         if self.wheel.is_empty() {
             return false;
         }
         let from_ps = self.wheel.now_ps();
         let mut drained = std::mem::take(&mut self.drain_buf);
-        if self.aux.is_empty() {
-            // Single-channel fast path: at most one drain arm can ever be
-            // scheduled, and a drain's output is already in `(dram_ps,
-            // id)` completion order, so the cross-channel tag/merge/sort
-            // is skipped — the resume order is identical by construction.
-            let Some((_, PumpEvent::Drain)) = self.wheel.pop() else {
-                unreachable!("non-empty wheel");
-            };
-            debug_assert!(self.wheel.is_empty(), "one channel, one arm");
-            self.armed[0] = false;
-            drained.clear();
-            self.controller.drain_reads(&mut drained);
-            self.pump.bank_ready_events += drained.len() as u64;
-            self.record_advance(from_ps);
-            for (req_id, read) in &drained {
-                self.resolve_completion(0, *req_id, read);
-            }
-            self.drain_buf = drained;
-            return true;
-        }
         let mut merged = std::mem::take(&mut self.merge_buf);
         merged.clear();
         // One round = everything currently scheduled. Arms posted by the
-        // resumes below land in the wheel for the next round.
-        while let Some((key, PumpEvent::Drain)) = self.wheel.pop() {
+        // resumes below land in the scheduler for the next round.
+        while let Some((key, ())) = self.wheel.pop() {
             let ch = key.channel as usize;
             self.armed[ch] = false;
             drained.clear();
@@ -872,13 +797,15 @@ impl MemorySystem {
     #[must_use]
     pub fn pump_stats(&self) -> PumpStats {
         let wheel = self.wheel.stats();
-        let refresh_events = (0..self.channels())
-            .map(|ch| self.channel(ch).device().stats().refresh_slices)
+        let refresh_events = self
+            .controllers
+            .iter()
+            .map(|c| c.device().stats().refresh_slices)
             .sum();
         PumpStats {
             events_posted: wheel.posted,
             events_fired: wheel.fired,
-            wheel_cascades: wheel.cascades,
+            wheel_cascades: 0,
             refresh_events,
             ..self.pump.clone()
         }
@@ -1002,9 +929,9 @@ impl MemorySystem {
                 merged: Vec::new(),
             });
             self.stats.mshr_hwm = self.stats.mshr_hwm.max(self.mshr.len() as u64);
-            // First outstanding read on this channel: arm its drain on
-            // the wheel at the channel device's current time (clamped to
-            // the wheel's frontier if this channel lags).
+            // First outstanding read on this channel: arm its drain at the
+            // channel device's current time (clamped to the scheduler's
+            // frontier if this channel lags).
             if !self.armed[ch] {
                 self.armed[ch] = true;
                 let ps = self.channel(ch).device().now_ps();
@@ -1014,8 +941,11 @@ impl MemorySystem {
                         channel: u32::try_from(ch).expect("channel index"),
                         id: req_id,
                     },
-                    PumpEvent::Drain,
+                    (),
                 );
+                // One arm per channel bounds the scheduler, which is what
+                // lets it be a flat list.
+                debug_assert!(self.wheel.len() <= self.channels());
             }
         }
         self.pending.push(op);
@@ -1118,7 +1048,7 @@ impl<'a> OsPort<'a> {
 
 impl PhysMem for OsPort<'_> {
     fn size(&self) -> u64 {
-        self.sys.controller.device().size()
+        self.sys.channel(0).device().size()
     }
 
     fn read_u8(&self, _addr: PhysAddr) -> u8 {
@@ -1184,7 +1114,7 @@ mod tests {
         let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
         let engine = guarded.then(|| PtGuardEngine::new(PtGuardConfig::default()));
         let mc = MemoryController::new(device, engine, 3.0);
-        MemorySystem::new(MemSysConfig::default(), mc)
+        MemorySystem::new(MemSysConfig::default(), vec![mc])
     }
 
     /// Builds a mapped address space inside the system via the OS port.
@@ -1230,7 +1160,7 @@ mod tests {
         }
         let out = sys.load(VirtAddr::new(base));
         assert!(out.is_ok());
-        let engine_stats = sys.controller.engine().unwrap().stats();
+        let engine_stats = sys.channel(0).engine().unwrap().stats();
         assert!(
             engine_stats.pte_reads > 0,
             "walk must reach DRAM with is_pte set"
@@ -1261,7 +1191,7 @@ mod tests {
                 .entry_addr
                 .line_addr()
         };
-        let dev = sys.controller.device_mut();
+        let dev = sys.channel_mut(0).device_mut();
         let mut raw = Line::from_bytes(&dev.read_line(leaf_line));
         raw.set_word(0, raw.word(0) ^ (0b11111 << 41));
         let bytes = raw.to_bytes();
@@ -1284,7 +1214,7 @@ mod tests {
             sys.invalidate_line(a);
         }
         let walker = space.walker();
-        let dev = sys.controller.device_mut();
+        let dev = sys.channel_mut(0).device_mut();
         let walk = walker.walk(dev, VirtAddr::new(base)).unwrap();
         let leaf_addr = walk.accesses[3].entry_addr;
         // Flip one PFN bit within bounds: translation silently changes.
@@ -1430,7 +1360,7 @@ mod tests {
             .map(|i| issue_pending(&mut sys, VirtAddr::new(base + i * 4096), true))
             .collect();
         assert!(sys.pipe_pending() > 0, "cold stores must suspend on misses");
-        assert!(sys.controller.has_queued_reads());
+        assert!(sys.channel(0).has_queued_reads());
         sys.flush_caches();
         assert_eq!(sys.pipe_pending(), 0, "flush must drain the MSHR file");
         let mut done = Vec::new();
@@ -1441,7 +1371,7 @@ mod tests {
             assert!(out.is_ok(), "drained op {id} faulted: {out:?}");
         }
         assert!(sys.stats().mshr_hwm >= 1);
-        assert!(sys.controller.stats().queue_occupancy_hwm >= 1);
+        assert!(sys.channel(0).stats().queue_occupancy_hwm >= 1);
     }
 
     #[test]
@@ -1459,7 +1389,7 @@ mod tests {
             space.translate(&port, VirtAddr::new(base)).unwrap()
         };
         sys.invalidate_line(pa);
-        let reads_before = sys.controller.stats().reads;
+        let reads_before = sys.channel(0).stats().reads;
         let a = issue_pending(&mut sys, VirtAddr::new(base), false);
         let b = issue_pending(&mut sys, VirtAddr::new(base + 8), false);
         assert_eq!(sys.pipe_pending(), 2, "both ops wait on the same miss");
@@ -1470,7 +1400,7 @@ mod tests {
             assert!(out.is_ok());
         }
         assert_eq!(
-            sys.controller.stats().reads - reads_before,
+            sys.channel(0).stats().reads - reads_before,
             1,
             "the secondary miss must merge into the primary's MSHR entry"
         );
@@ -1504,7 +1434,7 @@ mod tests {
                 MemoryController::new(device, engine, 3.0)
             })
             .collect();
-        MemorySystem::new_multi(cfg, controllers)
+        MemorySystem::new(cfg, controllers)
     }
 
     #[test]

@@ -176,7 +176,7 @@ fn build_rig() -> Rig {
     let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
     let engine = PtGuardEngine::new(PtGuardConfig::default());
     let mc = MemoryController::new(device, Some(engine), 3.0);
-    let mut sys = MemorySystem::new(MemSysConfig::default(), mc);
+    let mut sys = MemorySystem::new(MemSysConfig::default(), vec![mc]);
 
     let base = 0x40_0000_0000u64;
     let mut port = OsPort::new(&mut sys);
@@ -204,7 +204,7 @@ fn build_rig() -> Rig {
             va,
             line_addr,
             word: entry_addr.line_offset() / 8,
-            pristine: sys.controller.device().read_line(line_addr),
+            pristine: sys.channel(0).device().read_line(line_addr),
             frame: walk.leaf.frame(),
         }
     };
@@ -230,7 +230,7 @@ impl Rig {
         for a in self.space.pte_line_addrs() {
             self.sys.invalidate_line(a);
         }
-        let dev = self.sys.controller.device_mut();
+        let dev = self.sys.channel_mut(0).device_mut();
         dev.write_line(self.full.line_addr, &self.full.pristine);
         dev.write_line(self.partial.line_addr, &self.partial.pristine);
     }
@@ -339,7 +339,7 @@ pub fn run_with_pool(cfg: &CampaignConfig, pool: Option<&ThreadPool>) -> Campaig
     // traffic through one memory system, so it does not chunk.
     let mut rig = build_rig();
     let protected_mask = {
-        let engine = rig.sys.controller.engine().expect("guarded rig");
+        let engine = rig.sys.channel(0).engine().expect("guarded rig");
         engine.mac_unit().protected_mask()
     };
     let mut rng = SplitMix64::new(trial_seed(salt, 1, 0));
@@ -503,7 +503,7 @@ fn run_targeted_trial(
     // records the step distribution and the guess spend.
     let mut bytes = probe.pristine;
     flip_bits_exact(&mut bytes, &flips);
-    let engine = rig.sys.controller.engine().expect("guarded rig");
+    let engine = rig.sys.channel(0).engine().expect("guarded rig");
     let k = engine.config().soft_match_k;
     let zr = engine.config().zero_reset_bits;
     let corrector = Corrector::new(engine.mac_unit(), k, zr);
@@ -553,7 +553,7 @@ fn run_stochastic_trials(salt: u64, trials: std::ops::Range<usize>) -> (Campaign
         let flipped = dram::faults::flip_bits_uniform(&mut bytes, p_flip, &mut rng);
         rig.reset();
         rig.sys
-            .controller
+            .channel_mut(0)
             .device_mut()
             .write_line(rig.full.line_addr, &bytes);
         let out = rig.sys.load(rig.full.va);
@@ -593,7 +593,7 @@ fn inject_and_load(
     let mut bytes = probe.pristine;
     flip_bits_exact(&mut bytes, flips);
     rig.sys
-        .controller
+        .channel_mut(0)
         .device_mut()
         .write_line(line_addr, &bytes);
     let out = rig.sys.load(va);

@@ -7,7 +7,7 @@
 //! the *real* controllers' one-read-at-a-time `read_line`/`write_line`, so
 //! DRAM timing and PT-Guard verification are shared with `memsys`, and a
 //! disagreement with `memsys::MemorySystem` at `mlp = 1` points at the
-//! hierarchy or the event engine. There are no MSHRs, no bank queues and
+//! hierarchy or the event engine. There are no MSHRs, no read queues and
 //! no event wheel.
 
 use dram::ChannelInterleave;

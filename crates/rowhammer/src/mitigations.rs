@@ -337,7 +337,6 @@ impl Mitigation for Graphene {
 #[derive(Debug)]
 pub struct Blockhammer {
     blacklist_threshold: u64,
-    throttle_delay_ns: f64,
     /// The per-activation delay in integer picoseconds, rounded once at
     /// construction — the single rounding point of the accounting.
     throttle_delay_ps: u128,
@@ -353,7 +352,6 @@ impl Blockhammer {
     pub fn new(blacklist_threshold: u64, throttle_delay_ns: f64) -> Self {
         Self {
             blacklist_threshold,
-            throttle_delay_ns,
             throttle_delay_ps: clock::ns_to_ps(throttle_delay_ns),
             counters: HashMap::new(),
             refreshes: 0,
@@ -367,7 +365,7 @@ impl Mitigation for Blockhammer {
         let c = self.counters.entry(row).or_insert(0);
         *c += 1;
         if *c > self.blacklist_threshold {
-            device.advance_time(self.throttle_delay_ns);
+            device.advance_time_ps(self.throttle_delay_ps);
             self.delay_ps += self.throttle_delay_ps;
         }
     }
@@ -561,11 +559,10 @@ pub struct Dapper {
     capacity: usize,
     refresh_threshold: u64,
     throttle_threshold: u64,
-    throttle_delay_ns: f64,
     throttle_delay_ps: u128,
     window_budget_ps: u128,
     window_spent_ps: u128,
-    window_start_ns: f64,
+    window_start_ps: u128,
     counters: HashMap<RowId, u64>,
     refreshes: u64,
     delay_ps: u128,
@@ -588,11 +585,10 @@ impl Dapper {
             capacity,
             refresh_threshold,
             throttle_threshold: (refresh_threshold / 2).max(1),
-            throttle_delay_ns,
             throttle_delay_ps: clock::ns_to_ps(throttle_delay_ns),
             window_budget_ps: clock::ns_to_ps(window_budget_ns),
             window_spent_ps: 0,
-            window_start_ns: 0.0,
+            window_start_ps: 0,
             counters: HashMap::new(),
             refreshes: 0,
             delay_ps: 0,
@@ -617,9 +613,9 @@ impl Dapper {
 
 impl Mitigation for Dapper {
     fn on_activate(&mut self, row: RowId, device: &mut DramDevice) {
-        let now = device.now_ns();
-        if now - self.window_start_ns >= device.timing().t_refw_ns {
-            self.window_start_ns = now;
+        let now = device.now_ps();
+        if now - self.window_start_ps >= device.timing().t_refw_ps() {
+            self.window_start_ps = now;
             self.window_spent_ps = 0;
         }
         let count = {
@@ -644,7 +640,7 @@ impl Mitigation for Dapper {
             }
         } else if count >= self.throttle_threshold {
             if self.window_spent_ps + self.throttle_delay_ps <= self.window_budget_ps {
-                device.advance_time(self.throttle_delay_ns);
+                device.advance_time_ps(self.throttle_delay_ps);
                 self.window_spent_ps += self.throttle_delay_ps;
                 self.delay_ps += self.throttle_delay_ps;
             } else {

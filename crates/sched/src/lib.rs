@@ -1,40 +1,25 @@
 //! # Deterministic integer-picosecond event scheduler
 //!
-//! The timing stack's event engine: a hierarchical timing wheel over
-//! `u128` picosecond timestamps, with a calendar-queue overflow level for
-//! far-future events (refresh windows sit milliseconds out while bank
-//! completions land nanoseconds out — five orders of magnitude apart on
-//! the same timeline).
+//! The timing stack's event engine: an unsorted list of events over `u128`
+//! picosecond timestamps, popped by minimum key.
 //!
-//! Determinism is the design constraint, not throughput: events pop in
-//! the total order `(ps, channel, id)` — the same tie-break the memory
-//! system already uses to merge per-channel drain results — so a replay
-//! that posts the same events pops the same sequence, byte for byte.
-//! Posting an event in the past is not an error: its timestamp clamps
-//! forward to the wheel's `now` frontier (per-channel device clocks are
-//! independent latency accumulators, so a lagging channel may legally arm
-//! itself "before" the frontier; the clamp is the one place that skew is
-//! reconciled, and it is deterministic).
+//! Sizing: the memory system's event pump holds at most one drain event
+//! per channel (a channel with a drain scheduled never posts another).
+//! With a handful of events, a linear scan per pop is cheaper than any
+//! bucketed structure, and nothing needs re-filing when time jumps far
+//! ahead.
 //!
-//! Layout: [`LEVELS`] wheels of [`SLOTS`] slots each. A level-0 slot
-//! spans 2^[`SLOT_SHIFT`] ps ≈ 16 ns (a row hit); each level up widens
-//! slots 64×, so the four levels together cover ≈ 275 ms — four tREFW
-//! windows. Anything further out waits in a sorted calendar
-//! ([`std::collections::BTreeMap`]) and is pulled into the wheel when the
-//! frontier approaches.
+//! Determinism is the design constraint: events pop in the total order
+//! `(ps, channel, id)` — the same tie-break the memory system uses to
+//! merge per-channel drain results — so a replay that posts the same
+//! events pops the same sequence, byte for byte. Posting an event in the
+//! past is not an error: its timestamp clamps forward to the scheduler's
+//! `now` frontier (per-channel device clocks are independent latency
+//! accumulators, so a lagging channel may legally arm itself "before" the
+//! frontier; the clamp is the one place that skew is reconciled, and it is
+//! deterministic).
 
 #![warn(missing_docs)]
-
-use std::collections::BTreeMap;
-
-/// Wheel levels (each 64× coarser than the one below).
-pub const LEVELS: usize = 4;
-/// Slots per level.
-pub const SLOTS: usize = 64;
-/// log2 of the level-0 slot width in picoseconds.
-pub const SLOT_SHIFT: u32 = 14;
-
-const SLOT_BITS: u32 = 6; // log2(SLOTS)
 
 /// Total order for events: time, then channel, then id.
 ///
@@ -51,36 +36,26 @@ pub struct EventKey {
     pub id: u64,
 }
 
-/// Counters describing wheel traffic.
+/// Counters describing scheduler traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WheelStats {
     /// Events accepted by [`EventWheel::post`].
     pub posted: u64,
     /// Events returned by [`EventWheel::pop`].
     pub fired: u64,
-    /// Slot redistributions (level-k slot re-filed downward, or an
-    /// overflow window pulled into the wheel).
-    pub cascades: u64,
 }
 
-/// A hierarchical timing wheel with a calendar-queue overflow level.
+/// The event scheduler: an unsorted list popped by minimum key.
 ///
-/// `post` is O(1) into the wheel (O(log n) into the overflow calendar);
-/// `pop` is O(levels) plus amortised cascade work. Virtual time only
-/// moves forward: `pop` advances the `now` frontier to the fired event's
-/// timestamp, and `post` clamps past timestamps up to the frontier.
+/// `post` is O(1); `pop` is O(n) in the events scheduled, which the
+/// memory system bounds by its channel count. Virtual time only moves
+/// forward: `pop` advances the `now` frontier to the fired event's
+/// timestamp, and `post` clamps past timestamps up to the frontier. Equal
+/// keys pop in posting order.
 #[derive(Debug, Clone)]
 pub struct EventWheel<T> {
-    /// `levels[k][slot]` holds events whose slot index at level `k`
-    /// matches; buckets are unsorted, the min is selected at pop time.
-    levels: Vec<Vec<Vec<(EventKey, T)>>>,
-    /// Per-level occupancy bitmap (bit `s` set ⇔ slot `s` non-empty).
-    occupied: [u64; LEVELS],
-    /// Far-future calendar, sorted by key; a key maps to its payloads in
-    /// insertion order so duplicate keys stay first-in-first-out.
-    overflow: BTreeMap<EventKey, Vec<T>>,
+    events: Vec<(EventKey, T)>,
     now: u128,
-    len: usize,
     stats: WheelStats,
 }
 
@@ -91,17 +66,12 @@ impl<T> Default for EventWheel<T> {
 }
 
 impl<T> EventWheel<T> {
-    /// An empty wheel with the frontier at time zero.
+    /// An empty scheduler with the frontier at time zero.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            overflow: BTreeMap::new(),
+            events: Vec::new(),
             now: 0,
-            len: 0,
             stats: WheelStats::default(),
         }
     }
@@ -109,13 +79,13 @@ impl<T> EventWheel<T> {
     /// Number of scheduled events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.events.len()
     }
 
     /// True when no events are scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.events.is_empty()
     }
 
     /// The virtual-time frontier: the timestamp of the last fired event.
@@ -133,161 +103,21 @@ impl<T> EventWheel<T> {
     /// Schedules an event. A timestamp behind the frontier clamps
     /// forward to `now` (deterministically), never fires in the past.
     pub fn post(&mut self, mut key: EventKey, payload: T) {
-        if key.ps < self.now {
-            key.ps = self.now;
-        }
+        key.ps = key.ps.max(self.now);
         self.stats.posted += 1;
-        self.len += 1;
-        if let Some((key, payload)) = self.file(key, payload) {
-            self.overflow.entry(key).or_default().push(payload);
-        }
+        self.events.push((key, payload));
     }
 
     /// Fires the earliest event in `(ps, channel, id)` order, advancing
     /// the frontier to its timestamp.
     pub fn pop(&mut self) -> Option<(EventKey, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // The level-0 candidate is the true minimum only if no
-            // coarser slot *starts* at or before it — a coarser slot
-            // only bounds its events from below, so on a tie (or worse)
-            // it must be cascaded open before we can commit to popping.
-            let candidate = self.level0_min();
-            let barrier = self.earliest_barrier();
-            if let Some((slot, idx, key)) = candidate {
-                if barrier.is_none_or(|(_, b)| key.ps < b) {
-                    let bucket = &mut self.levels[0][slot];
-                    // Keys are unique and the min is re-selected by full
-                    // key comparison each pop, so bucket order is free:
-                    // swap_remove avoids the O(n) shift.
-                    let (key, payload) = bucket.swap_remove(idx);
-                    if bucket.is_empty() {
-                        self.occupied[0] &= !(1u64 << slot);
-                    }
-                    self.len -= 1;
-                    self.stats.fired += 1;
-                    debug_assert!(key.ps >= self.now, "event fired behind the frontier");
-                    self.now = key.ps;
-                    return Some((key, payload));
-                }
-            }
-            let (level, _) = barrier.expect("non-empty wheel with no candidate or barrier");
-            self.cascade(level);
-        }
-    }
-
-    /// Files an event into the wheel, or hands it back for the overflow
-    /// calendar when it lies beyond the top level's horizon.
-    fn file(&mut self, key: EventKey, payload: T) -> Option<(EventKey, T)> {
-        debug_assert!(key.ps >= self.now);
-        for level in 0..LEVELS {
-            let shift = Self::shift(level);
-            if (key.ps >> shift) - (self.now >> shift) < SLOTS as u128 {
-                let slot = ((key.ps >> shift) & (SLOTS as u128 - 1)) as usize;
-                self.levels[level][slot].push((key, payload));
-                self.occupied[level] |= 1u64 << slot;
-                return None;
-            }
-        }
+        // `min_by_key` returns the first of equal minima, and `remove`
+        // keeps the rest in posting order.
+        let best = (0..self.events.len()).min_by_key(|&i| self.events[i].0)?;
+        let (key, payload) = self.events.remove(best);
+        self.stats.fired += 1;
+        self.now = key.ps;
         Some((key, payload))
-    }
-
-    /// The minimum-key event at level 0 as `(slot, index, key)`.
-    ///
-    /// Level-`k` events always satisfy `(ps >> shift) - (now >> shift) <
-    /// SLOTS` (filed that way, and `now` only grows), so scanning the
-    /// slot ring from `now`'s slot visits buckets in time order; the
-    /// first occupied bucket holds the earliest slot, and the stable min
-    /// within it is the level's minimum.
-    fn level0_min(&self) -> Option<(usize, usize, EventKey)> {
-        let (slot, _) = self.first_occupied(0)?;
-        let bucket = &self.levels[0][slot];
-        let mut best = 0;
-        for i in 1..bucket.len() {
-            if bucket[i].0 < bucket[best].0 {
-                best = i;
-            }
-        }
-        Some((slot, best, bucket[best].0))
-    }
-
-    /// The earliest lower time bound among coarser levels and the
-    /// overflow calendar, as `(level, bound_ps)`; `level == LEVELS`
-    /// denotes the overflow.
-    fn earliest_barrier(&self) -> Option<(usize, u128)> {
-        let mut best: Option<(usize, u128)> = None;
-        for level in 1..LEVELS {
-            if let Some((_, start)) = self.first_occupied(level) {
-                if best.is_none_or(|(_, b)| start < b) {
-                    best = Some((level, start));
-                }
-            }
-        }
-        if let Some(key) = self.overflow.keys().next() {
-            if best.is_none_or(|(_, b)| key.ps < b) {
-                best = Some((LEVELS, key.ps));
-            }
-        }
-        best
-    }
-
-    /// First occupied slot at `level` scanning the ring from `now`'s
-    /// slot, as `(slot, slot_start_ps)`.
-    fn first_occupied(&self, level: usize) -> Option<(usize, u128)> {
-        if self.occupied[level] == 0 {
-            return None;
-        }
-        let shift = Self::shift(level);
-        let base = ((self.now >> shift) & (SLOTS as u128 - 1)) as u32;
-        let off = self.occupied[level].rotate_right(base).trailing_zeros();
-        let slot = ((base + off) as usize) & (SLOTS - 1);
-        let start = ((self.now >> shift) + u128::from(off)) << shift;
-        Some((slot, start))
-    }
-
-    /// Opens the earliest slot of `level` (or pulls the overflow window)
-    /// and re-files its events at finer levels, advancing the frontier
-    /// to the slot floor. Every re-filed event lands strictly below
-    /// `level`: after the floor advance it shares `now`'s prefix above
-    /// the level's shift, so its slot distance at the level below is
-    /// under `SLOTS`.
-    fn cascade(&mut self, level: usize) {
-        self.stats.cascades += 1;
-        if level == LEVELS {
-            let top = Self::shift(LEVELS - 1);
-            let first = self.overflow.keys().next().expect("overflow barrier").ps;
-            let floor = (first >> top) << top;
-            if floor > self.now {
-                self.now = floor;
-            }
-            while let Some(&key) = self.overflow.keys().next() {
-                if (key.ps >> top) - (self.now >> top) >= SLOTS as u128 {
-                    break;
-                }
-                let payloads = self.overflow.remove(&key).expect("present");
-                for payload in payloads {
-                    let spill = self.file(key, payload);
-                    debug_assert!(spill.is_none(), "pulled event must fit the wheel");
-                }
-            }
-            return;
-        }
-        let (slot, start) = self.first_occupied(level).expect("barrier level occupied");
-        let events = std::mem::take(&mut self.levels[level][slot]);
-        self.occupied[level] &= !(1u64 << slot);
-        if start > self.now {
-            self.now = start;
-        }
-        for (key, payload) in events {
-            let spill = self.file(key, payload);
-            debug_assert!(spill.is_none(), "cascaded event must re-file in the wheel");
-        }
-    }
-
-    const fn shift(level: usize) -> u32 {
-        SLOT_SHIFT + SLOT_BITS * level as u32
     }
 }
 
@@ -364,14 +194,14 @@ impl Log2Hist {
         }
     }
 
-    /// Upper bound of the bucket containing the `p`-quantile
-    /// (`0.0 ≤ p ≤ 1.0`); 0 when empty.
+    /// Upper bound of the bucket containing the `p`-th percentile
+    /// (`0 ≤ p ≤ 100`); 0 when empty.
     #[must_use]
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let target = ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let target = (((p / 100.0).clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {
             seen += n;
@@ -391,15 +221,16 @@ impl Log2Hist {
 mod tests {
     use super::*;
     use rng::SplitMix64;
+    use std::collections::BTreeMap;
 
     fn key(ps: u128, channel: u32, id: u64) -> EventKey {
         EventKey { ps, channel, id }
     }
 
     #[test]
-    fn pops_follow_ps_order_across_levels() {
-        // One event per wheel level plus one in the overflow calendar,
-        // posted in reverse time order.
+    fn pops_follow_ps_order_across_magnitudes() {
+        // Timestamps from picoseconds to a second out, posted in reverse
+        // time order.
         let deltas: [u128; 6] = [5, 20_000, 1 << 21, 1 << 27, 1 << 33, 1 << 40];
         let mut wheel = EventWheel::new();
         for (i, &ps) in deltas.iter().enumerate().rev() {
@@ -436,29 +267,25 @@ mod tests {
     }
 
     #[test]
-    fn cascades_at_level_boundaries() {
-        // 2^20 is one past the level-0 horizon: it files at level 1 and
-        // must cascade down before it can fire after the 2^20 − 1 event.
+    fn equal_keys_pop_in_posting_order() {
         let mut wheel = EventWheel::new();
-        wheel.post(key(1 << 20, 0, 0), "coarse");
-        wheel.post(key((1 << 20) - 1, 0, 1), "fine");
-        assert_eq!(wheel.pop().unwrap().1, "fine");
-        assert_eq!(wheel.pop().unwrap().1, "coarse");
-        assert!(wheel.stats().cascades >= 1, "level-1 slot must cascade");
+        for i in 0..4 {
+            wheel.post(key(7, 1, 1), i);
+        }
+        let fired: Vec<_> = std::iter::from_fn(|| wheel.pop().map(|(_, p)| p)).collect();
+        assert_eq!(fired, [0, 1, 2, 3]);
     }
 
     #[test]
-    fn coarse_slot_with_earlier_event_beats_level0_candidate() {
-        // Regression shape for jump-based pops: an event filed at a
-        // coarse level while the frontier was far away can become
-        // *earlier* than a freshly posted level-0 event. The slot-start
-        // barrier must force the cascade before the level-0 pop.
+    fn event_posted_before_a_pop_beats_a_later_post() {
+        // An event posted while the frontier was far behind it must still
+        // fire before a later-posted event with a larger timestamp.
         let mut wheel = EventWheel::new();
         wheel.post(key((1 << 20) - 1, 0, 0), "warm");
-        wheel.post(key(1 << 20, 0, 1), "coarse"); // level 1 at post time
+        wheel.post(key(1 << 20, 0, 1), "early");
         assert_eq!(wheel.pop().unwrap().1, "warm"); // now = 2^20 − 1
-        wheel.post(key((1 << 20) + 5, 0, 2), "late"); // level 0 now
-        assert_eq!(wheel.pop().unwrap().1, "coarse");
+        wheel.post(key((1 << 20) + 5, 0, 2), "late");
+        assert_eq!(wheel.pop().unwrap().1, "early");
         assert_eq!(wheel.pop().unwrap().1, "late");
     }
 
@@ -494,73 +321,57 @@ mod tests {
         assert_eq!(k.ps, 5000, "past timestamps clamp to the frontier");
     }
 
-    /// The reference scheduler: an unsorted Vec popped by stable
-    /// minimum, with the same forward clamp on post.
-    struct NaiveSched {
-        events: Vec<(EventKey, u64)>,
-        now: u128,
-    }
-
-    impl NaiveSched {
-        fn post(&mut self, mut key: EventKey, payload: u64) {
-            if key.ps < self.now {
-                key.ps = self.now;
-            }
-            self.events.push((key, payload));
-        }
-
-        fn pop(&mut self) -> Option<(EventKey, u64)> {
-            if self.events.is_empty() {
-                return None;
-            }
-            let mut best = 0;
-            for i in 1..self.events.len() {
-                if self.events[i].0 < self.events[best].0 {
-                    best = i;
-                }
-            }
-            let (key, payload) = self.events.remove(best);
-            self.now = key.ps;
-            Some((key, payload))
-        }
-    }
-
     #[test]
-    fn differential_against_naive_scheduler() {
+    fn differential_against_ordered_map() {
+        // The reference is a map ordered by `EventKey` with the same
+        // forward clamp on post; ids are unique, so keys never collide.
         for seed in [0x5eed, 0xd1ff, 0xbead] {
             let mut rng = SplitMix64::new(seed);
             let mut wheel = EventWheel::new();
-            let mut naive = NaiveSched {
-                events: Vec::new(),
-                now: 0,
-            };
+            let mut reference: BTreeMap<EventKey, u64> = BTreeMap::new();
+            let mut now = 0u128;
             for i in 0..4000u64 {
                 if rng.gen_bool(0.7) || wheel.is_empty() {
-                    // Magnitudes spread over every level and the
-                    // overflow; deltas relative to the frontier so the
-                    // stream keeps straddling level boundaries as time
-                    // advances.
+                    // Deltas from 1 ps to hours, relative to the frontier;
+                    // one post in five lands behind it and must clamp.
                     let mag = rng.gen_range_u64(0, 45);
                     let delta = (1u128 << mag) + u128::from(rng.gen_range_u64(0, 1 << 14));
-                    let k = key(
-                        wheel.now_ps() + delta,
-                        rng.gen_range_u64(0, 4) as u32,
-                        i, // unique ids keep the pop order total
-                    );
+                    let ps = if rng.gen_bool(0.2) {
+                        now.saturating_sub(delta)
+                    } else {
+                        now + delta
+                    };
+                    let k = key(ps, rng.gen_range_u64(0, 4) as u32, i);
                     wheel.post(k, i);
-                    naive.post(k, i);
+                    reference.insert(key(ps.max(now), k.channel, i), i);
                 } else {
-                    assert_eq!(wheel.pop(), naive.pop(), "seed {seed:#x} op {i}");
+                    let want = reference.pop_first();
+                    assert_eq!(wheel.pop(), want, "seed {seed:#x} op {i}");
+                    now = want.expect("non-empty").0.ps;
                 }
-                assert_eq!(wheel.len(), naive.events.len());
+                assert_eq!(wheel.len(), reference.len());
+                assert_eq!(wheel.now_ps(), now);
             }
             loop {
-                let (a, b) = (wheel.pop(), naive.pop());
+                let (a, b) = (wheel.pop(), reference.pop_first());
                 assert_eq!(a, b, "seed {seed:#x} drain");
                 if a.is_none() {
                     break;
                 }
             }
         }
+    }
+
+    #[test]
+    fn percentile_takes_a_percent() {
+        // 99 samples in the [512, 1024) bucket and one outlier: the median
+        // is the common bucket's bound, not the outlier's.
+        let mut h = Log2Hist::new();
+        for _ in 0..99 {
+            h.record(1_000);
+        }
+        h.record(1_000_000_000);
+        assert!(h.percentile(50.0) <= 2_047, "p50 = {}", h.percentile(50.0));
+        assert_eq!(h.percentile(100.0), (1 << 30) - 1);
     }
 }

@@ -92,7 +92,7 @@ pub fn run_core_from_source<S: OpSource>(
     let device = DramDevice::new(geometry, timing, RowhammerConfig::immune());
     let engine = guard.map(PtGuardEngine::new);
     let controller = MemoryController::new(device, engine, mem_cfg.core_ghz);
-    let mut sys = MemorySystem::new(mem_cfg, controller);
+    let mut sys = MemorySystem::new(mem_cfg, vec![controller]);
 
     let base = TraceGenerator::HEAP_BASE;
     let pages = profile.hot_pages + profile.stream_pages;

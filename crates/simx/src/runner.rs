@@ -178,7 +178,7 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
             }
         })
         .collect();
-    let mut sys = MemorySystem::new_multi(mem_cfg, controllers);
+    let mut sys = MemorySystem::new(mem_cfg, controllers);
 
     let base = TraceGenerator::HEAP_BASE;
     let pages = profile.hot_pages + profile.stream_pages;

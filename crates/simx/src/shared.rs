@@ -154,7 +154,7 @@ impl<S: OpSource> SharedSystem<S> {
         // lines are MAC'd in DRAM, then steal the controllers back.
         // Simpler: build through a temporary MemorySystem sharing nothing,
         // then write lines straight through the controller write path.
-        let mut sys = MemorySystem::new_multi(mem_cfg, controllers);
+        let mut sys = MemorySystem::new(mem_cfg, controllers);
         let mut cores = Vec::new();
         for (w, source) in bundle.workloads.iter().zip(sources) {
             // Give each core a disjoint VA slice by rebasing the source's

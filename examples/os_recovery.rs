@@ -24,7 +24,7 @@ fn main() {
     });
     let engine = PtGuardEngine::new(PtGuardConfig::default());
     let controller = MemoryController::new(device, Some(engine), 3.0);
-    let mut sys = MemorySystem::new(MemSysConfig::default(), controller);
+    let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
 
     // The victim process: 2048 mapped pages.
     let base = 0x55_0000_0000u64;
@@ -52,7 +52,7 @@ fn main() {
 
     // --- The attacker hammers every page-table row, persistently. ---
     let hammer = |sys: &mut MemorySystem, space: &AddressSpace| {
-        let dev = sys.controller.device_mut();
+        let dev = sys.channel_mut(0).device_mut();
         let rows_per_bank = dev.geometry().rows_per_bank;
         let mut rows: Vec<_> = space
             .table_frames()
@@ -72,7 +72,7 @@ fn main() {
     hammer(&mut sys, &space);
     println!(
         "attack round 1: {} bit flips injected into DRAM",
-        sys.controller.device().stats().total_flips
+        sys.channel(0).device().stats().total_flips
     );
 
     // The process touches its memory; PT-Guard corrects or faults.
@@ -84,7 +84,7 @@ fn main() {
             _ => faults += 1,
         }
     }
-    let corrected = sys.controller.engine().unwrap().stats().corrected;
+    let corrected = sys.channel(0).engine().unwrap().stats().corrected;
     println!("victim touches pages: {ok} ok ({corrected} walks transparently corrected), {faults} integrity exceptions\n");
 
     // --- OS response: migrate the leaf page-table pages to fresh frames and

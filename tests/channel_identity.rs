@@ -34,7 +34,7 @@ fn far_future_same_bank_chain_is_cycle_exact() {
     };
     let geom = *DramDevice::ddr4_4gb(RowhammerConfig::immune()).geometry();
     let mut dev = DramDevice::new(geom, timing, RowhammerConfig::immune());
-    dev.advance_time(1.0e16);
+    dev.advance_time_ps(10u128.pow(19));
     let epoch = dev.now_ps();
 
     let addr = pagetable::addr::PhysAddr::new(0x40_0000);

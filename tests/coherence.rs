@@ -61,7 +61,7 @@ fn build(guarded: bool, optimized: bool) -> MemorySystem {
         })
     });
     let controller = MemoryController::new(device, engine, 3.0);
-    MemorySystem::new(MemSysConfig::default(), controller)
+    MemorySystem::new(MemSysConfig::default(), vec![controller])
 }
 
 #[test]

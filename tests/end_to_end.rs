@@ -19,7 +19,7 @@ fn guarded_system(pages: u64, cfg: PtGuardConfig) -> (MemorySystem, AddressSpace
     let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
     let engine = PtGuardEngine::new(cfg);
     let controller = MemoryController::new(device, Some(engine), 3.0);
-    let mut sys = MemorySystem::new(MemSysConfig::default(), controller);
+    let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
     let base = 0x20_0000_0000u64;
     let mut port = OsPort::new(&mut sys);
     let mut space = AddressSpace::new(&mut port, 32).unwrap();
@@ -49,7 +49,7 @@ fn clean_system_verifies_every_walk() {
         let out = sys.load(VirtAddr::new(base + i * 4096));
         assert!(out.is_ok(), "page {i}: {out:?}");
     }
-    let stats = sys.controller.engine().unwrap().stats();
+    let stats = sys.channel(0).engine().unwrap().stats();
     assert!(stats.verified > 0);
     assert_eq!(stats.check_failures, 0);
     assert_eq!(sys.stats().integrity_faults, 0);
@@ -66,7 +66,7 @@ fn direct_dram_tamper_is_caught_end_to_end() {
     // page (Rowhammer-style, bypassing the coherent path).
     let mut tampered_lines = 0;
     {
-        let dev = sys.controller.device_mut();
+        let dev = sys.channel_mut(0).device_mut();
         for frame in space.table_frames().iter().skip(3) {
             let addr = PhysAddr::new(frame.base().as_u64());
             let raw = dev.read_u64(addr);
@@ -89,7 +89,7 @@ fn direct_dram_tamper_is_caught_end_to_end() {
             AccessOutcome::PageFault { .. } => faulted += 1,
         }
     }
-    let stats = sys.controller.engine().unwrap().stats();
+    let stats = sys.channel(0).engine().unwrap().stats();
     corrected_ok += stats.corrected;
     assert!(
         corrected_ok > 0 || faulted > 0,
@@ -207,7 +207,7 @@ fn os_migration_recovers_from_persistent_hammering() {
     });
     let engine = PtGuardEngine::new(PtGuardConfig::default());
     let controller = MemoryController::new(device, Some(engine), 3.0);
-    let mut sys = MemorySystem::new(MemSysConfig::default(), controller);
+    let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
 
     let base = 0x40_0000_0000u64;
     let pages = 2048u64;
@@ -228,7 +228,7 @@ fn os_migration_recovers_from_persistent_hammering() {
 
     // Round 1: hammer every page-table row.
     let hammer = |sys: &mut MemorySystem, space: &AddressSpace| {
-        let dev = sys.controller.device_mut();
+        let dev = sys.channel_mut(0).device_mut();
         let rows_per_bank = dev.geometry().rows_per_bank;
         let mut rows: Vec<_> = space
             .table_frames()
@@ -246,7 +246,7 @@ fn os_migration_recovers_from_persistent_hammering() {
         }
     };
     hammer(&mut sys, &space);
-    let flips_round1 = sys.controller.device().stats().total_flips;
+    let flips_round1 = sys.channel(0).device().stats().total_flips;
     assert!(flips_round1 > 0, "the attack must land flips");
 
     // The victim touches pages: PT-Guard corrects or faults, never serves a
@@ -261,7 +261,7 @@ fn os_migration_recovers_from_persistent_hammering() {
             _ => round1_events += 1,
         }
     }
-    let corrected_round1 = sys.controller.engine().unwrap().stats().corrected;
+    let corrected_round1 = sys.channel(0).engine().unwrap().stats().corrected;
     assert!(
         corrected_round1 + round1_events > 0,
         "attack must be visible (corrected {corrected_round1}, faults {round1_events})"

@@ -59,7 +59,7 @@ fn cold_pair(
         machine
     };
     let Machine { sys, space, source } = image();
-    let mut sys = MemorySystem::new_multi(cfg, sys.into_controllers());
+    let mut sys = MemorySystem::new(cfg, sys.into_controllers());
     sys.set_root(space.root(), PHYS_BITS);
     let twin = image();
     let root = twin.space.root();
