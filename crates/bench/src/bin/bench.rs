@@ -46,7 +46,7 @@ use ptguard_bench::harness::{black_box, effective_budget, measure, Measurement};
 use ptguard_bench::sample_pte_line;
 use qarma::pac::PacKey;
 use qarma::{Qarma128, Qarma64, Sbox};
-use simx::runner::{build_machine_from_source_cfg, Protection};
+use simx::runner::{build_machine_from_source_cfg, Machine, Protection, RunResult};
 use workloads::profiles::by_name;
 use workloads::tracegen::TraceGenerator;
 
@@ -520,7 +520,30 @@ fn check_arena(committed: &Value) -> Result<(), String> {
 /// sparser miss stream.
 const MEMSYS_PROFILES: [&str; 3] = ["sssp", "xalancbmk", "bfs"];
 
-/// One measured window size on one profile.
+/// DRAM reads per channel, since the machine was built.
+fn channel_reads(machine: &Machine) -> Vec<u64> {
+    (0..machine.sys.channels())
+        .map(|c| machine.sys.channel(c).stats().reads)
+        .collect()
+}
+
+/// Times one `run` of `instrs` on `machine`: host ns per simulated memory
+/// op, the run's result, and the DRAM reads each channel served during it.
+fn timed_rep(machine: &mut Machine, instrs: u64) -> (f64, RunResult, Vec<u64>) {
+    let before = channel_reads(machine);
+    let t = Instant::now();
+    let r = simx::runner::run(machine, instrs);
+    let ns = t.elapsed().as_nanos() as f64;
+    let reads = channel_reads(machine)
+        .iter()
+        .zip(&before)
+        .map(|(after, before)| after - before)
+        .collect();
+    (ns / r.mem_ops.max(1) as f64, r, reads)
+}
+
+/// One measured window size on one profile. Every simulated field covers
+/// the last rep.
 struct MemsysPoint {
     mode: &'static str,
     ns_per_sim_op: f64,
@@ -532,7 +555,7 @@ struct MemsysPoint {
 
 /// Measures every `(mode, mlp)` window on one profile: best-of-`reps`
 /// host ns per simulated memory op, plus the (deterministic) simulated
-/// metrics.
+/// metrics of the last rep.
 ///
 /// Reps are *interleaved* across modes — each sweep times every mode once,
 /// back to back — so slow host drift (frequency scaling, background load)
@@ -570,34 +593,31 @@ fn memsys_profile(
         // inherits a particular position's thermal/steal-time bias.
         for k in 0..modes.len() {
             let i = (rep + k) % modes.len();
-            let t = Instant::now();
-            let r = simx::runner::run(&mut machines[i], instrs);
-            let ns = t.elapsed().as_nanos() as f64;
-            best[i] = best[i].min(ns / r.mem_ops.max(1) as f64);
-            last[i] = Some(r);
+            let (ns, r, reads) = timed_rep(&mut machines[i], instrs);
+            best[i] = best[i].min(ns);
+            last[i] = Some((r, reads));
         }
     }
     modes
         .iter()
-        .zip(&machines)
         .zip(best)
         .zip(last)
-        .map(|(((&(mode, _), machine), ns_per_sim_op), r)| {
-            let r = r.expect("at least one rep");
+        .map(|((&(mode, _), ns_per_sim_op), last)| {
+            let (r, reads) = last.expect("at least one rep");
             MemsysPoint {
                 mode,
                 ns_per_sim_op,
                 sim_ipc: r.ipc(),
                 sim_cycles: r.cycles,
                 mac_computations: r.mac_computations,
-                dram_reads: machine.sys.channel(0).stats().reads,
+                dram_reads: reads.iter().sum(),
             }
         })
         .collect()
 }
 
 /// The memsys target: the event pipeline across the window sweep,
-/// rendered as the `ptguard-bench-memsys/v2` report.
+/// rendered as the `ptguard-bench-memsys/v3` report.
 fn bench_memsys(fast: bool) -> Value {
     let (instrs, reps) = if fast { (20_000, 2) } else { (60_000, 25) };
     let modes = [("mlp1", 1), ("mlp2", 2), ("mlp4", 4)];
@@ -641,7 +661,7 @@ fn bench_memsys(fast: bool) -> Value {
 }
 
 /// Schema tag of the `bench memsys` report.
-const MEMSYS_SCHEMA: &str = "ptguard-bench-memsys/v2";
+const MEMSYS_SCHEMA: &str = "ptguard-bench-memsys/v3";
 
 /// The memsys arm of the `--check` gate: a fresh quick `mlp1` measurement
 /// must not have regressed more than 2× over the committed one.
@@ -671,7 +691,8 @@ fn check_memsys(committed: &Value) -> Result<(), String> {
 /// Channel counts the channels target sweeps the pipelined driver at.
 const CHANNELS_SWEEP: [usize; 3] = [1, 2, 4];
 
-/// One measured channel count on one profile.
+/// One measured channel count on one profile. Every simulated field covers
+/// the last rep.
 struct ChannelsPoint {
     channels: usize,
     ns_per_sim_op: f64,
@@ -683,8 +704,8 @@ struct ChannelsPoint {
 
 /// Measures the pipelined driver at every channel count on one profile:
 /// best-of-`reps` host ns per simulated memory op, plus the deterministic
-/// simulated metrics. Reps interleave across channel counts for the same
-/// host-drift reason as [`memsys_profile`].
+/// simulated metrics of the last rep. Reps interleave across channel
+/// counts for the same host-drift reason as [`memsys_profile`].
 fn channels_profile(name: &str, instrs: u64, reps: usize) -> Vec<ChannelsPoint> {
     let p = by_name(name).expect("profile");
     let mut machines: Vec<_> = CHANNELS_SWEEP
@@ -711,23 +732,17 @@ fn channels_profile(name: &str, instrs: u64, reps: usize) -> Vec<ChannelsPoint> 
     for rep in 0..reps {
         for k in 0..CHANNELS_SWEEP.len() {
             let i = (rep + k) % CHANNELS_SWEEP.len();
-            let t = Instant::now();
-            let r = simx::runner::run(&mut machines[i], instrs);
-            let ns = t.elapsed().as_nanos() as f64;
-            best[i] = best[i].min(ns / r.mem_ops.max(1) as f64);
-            last[i] = Some(r);
+            let (ns, r, reads) = timed_rep(&mut machines[i], instrs);
+            best[i] = best[i].min(ns);
+            last[i] = Some((r, reads));
         }
     }
     CHANNELS_SWEEP
         .iter()
-        .zip(&machines)
         .zip(best)
         .zip(last)
-        .map(|(((&channels, machine), ns_per_sim_op), r)| {
-            let r = r.expect("at least one rep");
-            let reads: Vec<u64> = (0..machine.sys.channels())
-                .map(|c| machine.sys.channel(c).stats().reads)
-                .collect();
+        .map(|((&channels, ns_per_sim_op), last)| {
+            let (r, reads) = last.expect("at least one rep");
             let max = reads.iter().copied().max().unwrap_or(0);
             let min = reads.iter().copied().min().unwrap_or(0);
             ChannelsPoint {
@@ -742,7 +757,7 @@ fn channels_profile(name: &str, instrs: u64, reps: usize) -> Vec<ChannelsPoint> 
 }
 
 /// The channels target: the multi-channel drain + retire-merge host cost
-/// across the channel sweep, rendered as the `ptguard-bench-channels/v1`
+/// across the channel sweep, rendered as the `ptguard-bench-channels/v2`
 /// report.
 fn bench_channels(fast: bool) -> Value {
     let (instrs, reps) = if fast { (20_000, 2) } else { (60_000, 25) };
@@ -785,10 +800,7 @@ fn bench_channels(fast: bool) -> Value {
         ));
     }
     Value::obj(vec![
-        (
-            "schema",
-            Value::Str("ptguard-bench-channels/v1".to_string()),
-        ),
+        ("schema", Value::Str(CHANNELS_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
         ("instructions", Value::U64(instrs)),
         ("reps", Value::U64(reps as u64)),
@@ -796,6 +808,9 @@ fn bench_channels(fast: bool) -> Value {
         ("host_ns_per_op_ch4_over_ch1", Value::Obj(merge_cost)),
     ])
 }
+
+/// Schema tag of the `bench channels` report.
+const CHANNELS_SCHEMA: &str = "ptguard-bench-channels/v2";
 
 /// The channels arm of the `--check` gate: the committed report must show
 /// the 4-channel drain + merge costing less than 3× the single-channel
@@ -858,7 +873,7 @@ fn check(path: &PathBuf) -> Result<(), String> {
     if committed.get("schema").and_then(Value::as_str) == Some(MEMSYS_SCHEMA) {
         return check_memsys(&committed);
     }
-    if committed.get("schema").and_then(Value::as_str) == Some("ptguard-bench-channels/v1") {
+    if committed.get("schema").and_then(Value::as_str) == Some(CHANNELS_SCHEMA) {
         return check_channels(&committed);
     }
     if committed.get("schema").and_then(Value::as_str) == Some("ptguard-bench-serve/v1") {

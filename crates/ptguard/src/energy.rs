@@ -57,6 +57,9 @@ impl EnergyModel {
     /// Computes the report from engine counters (write-path MACs are the
     /// protected writes plus collision checks ≈ one per write in base mode;
     /// we take the conservative bound of one potential MAC per write).
+    /// The counters describe the modelled controller, which computes every
+    /// one of these MACs; the host's write-path memo
+    /// ([`EngineStats::write_mac_memo_hits`]) does not reduce them.
     #[must_use]
     pub fn report(&self, stats: &EngineStats) -> EnergyReport {
         let accesses = stats.reads + stats.writes;

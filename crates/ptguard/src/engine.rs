@@ -6,6 +6,13 @@
 //! the DRAM read path: it consults the CTB, verifies and strips MACs,
 //! raises `PTECheckFailed` for tampered page-table walks, and optionally
 //! invokes the best-effort corrector.
+//!
+//! The write path keeps an exact memo of the MACs it computes (4096
+//! direct-mapped slots). Once the LLC is full, the cache hierarchy writes
+//! the same dirty lines back to DRAM over and over, and the memo spares the
+//! host from re-running the cipher for them. It changes host work only:
+//! the modelled controller still computes a MAC for every such write, and
+//! every counter and latency says so.
 
 use crate::config::PtGuardConfig;
 use crate::correct::{CorrectionOutcome, CorrectionStep, Corrector};
@@ -55,8 +62,9 @@ pub struct WriteOutcome {
     pub collision_tracked: bool,
     /// Whether the CTB overflowed: the system must re-key.
     pub rekey_required: bool,
-    /// Whether a MAC computation was performed (energy/latency accounting;
-    /// writes are off the critical path).
+    /// Whether the modelled controller computed a MAC (energy/latency
+    /// accounting; writes are off the critical path). A memo hit still
+    /// counts: this describes the hardware, not the host's work.
     pub mac_computed: bool,
 }
 
@@ -80,7 +88,9 @@ pub struct ReadOutcome {
 pub struct EngineStats {
     /// DRAM writes processed.
     pub writes: u64,
-    /// Writes that matched the pattern and got a MAC.
+    /// Writes that matched the pattern and got a MAC. The modelled
+    /// controller computes one for each (MAC-zero lines aside), whether or
+    /// not the host served it from the write-path memo.
     pub protected_writes: u64,
     /// DRAM reads processed.
     pub reads: u64,
@@ -106,6 +116,82 @@ pub struct EngineStats {
     pub collisions: u64,
     /// Re-keying escalations signalled.
     pub rekeys: u64,
+    /// Write-path MACs (embeds and collision checks) the host took from
+    /// the memo instead of running the cipher. Host work only: the
+    /// modelled controller computed each of them.
+    pub write_mac_memo_hits: u64,
+}
+
+/// Slots of the write-path MAC memo: the line count of Table III's 256 KB
+/// L2, which is the reuse distance of the dirty victims the hierarchy
+/// writes back to DRAM again and again once the LLC is full.
+const WRITE_MAC_MEMO_SLOTS: usize = 4096;
+
+/// One memo slot: a line address, the line's protected bits there, and
+/// their MAC.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    /// Line-aligned, so [`MemoSlot::EMPTY`]'s `u64::MAX` never matches.
+    line_addr: u64,
+    masked: Line,
+    mac: u128,
+}
+
+impl MemoSlot {
+    const EMPTY: MemoSlot = MemoSlot {
+        line_addr: u64::MAX,
+        masked: Line::ZERO,
+        mac: 0,
+    };
+}
+
+/// An exact, direct-mapped memo of write-path MACs, indexed by line
+/// address.
+///
+/// A hit needs the same line address and the same protected bits, compared
+/// in full, and [`PteMac::compute`] reads nothing else, so a hit returns
+/// exactly what the cipher would. The memo holds MACs of one key; the
+/// engine clears it when it swaps keys.
+struct WriteMacMemo {
+    slots: Box<[MemoSlot]>,
+}
+
+impl WriteMacMemo {
+    fn new() -> Self {
+        Self {
+            slots: vec![MemoSlot::EMPTY; WRITE_MAC_MEMO_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(MemoSlot::EMPTY);
+    }
+
+    /// `mac.compute(line, addr)`, and whether the memo served it.
+    fn compute(&mut self, mac: &PteMac, line: &Line, addr: PhysAddr) -> (u128, bool) {
+        let line_addr = addr.line_addr().as_u64();
+        let masked = line.masked(mac.protected_mask());
+        let index = (line_addr / CACHELINE_SIZE as u64) as usize % WRITE_MAC_MEMO_SLOTS;
+        let slot = &mut self.slots[index];
+        if slot.line_addr == line_addr && slot.masked == masked {
+            return (slot.mac, true);
+        }
+        let value = mac.compute(line, addr);
+        *slot = MemoSlot {
+            line_addr,
+            masked,
+            mac: value,
+        };
+        (value, false)
+    }
+}
+
+impl core::fmt::Debug for WriteMacMemo {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("WriteMacMemo")
+            .field("slots", &self.slots.len())
+            .finish()
+    }
 }
 
 /// The PT-Guard memory-controller engine.
@@ -115,6 +201,7 @@ pub struct PtGuardEngine {
     mac: PteMac,
     ctb: CollisionTrackingBuffer,
     stats: EngineStats,
+    write_macs: WriteMacMemo,
 }
 
 impl PtGuardEngine {
@@ -131,6 +218,7 @@ impl PtGuardEngine {
             mac: PteMac::from_config(&cfg),
             ctb: CollisionTrackingBuffer::new(),
             stats: EngineStats::default(),
+            write_macs: WriteMacMemo::new(),
             cfg,
         }
     }
@@ -159,6 +247,13 @@ impl PtGuardEngine {
         self.stats
     }
 
+    /// The MAC of a written `line` at `addr`, through the write-path memo.
+    fn write_mac(&mut self, line: &Line, addr: PhysAddr) -> u128 {
+        let (mac, hit) = self.write_macs.compute(&self.mac, line, addr);
+        self.stats.write_mac_memo_hits += u64::from(hit);
+        mac
+    }
+
     /// Processes a DRAM write of `line` to `addr` (Section IV-B).
     pub fn process_write(&mut self, line: Line, addr: PhysAddr) -> WriteOutcome {
         self.stats.writes += 1;
@@ -175,7 +270,7 @@ impl PtGuardEngine {
             let (mac, computed) = if self.cfg.optimized && line.is_zero() {
                 (self.mac.mac_zero(), false)
             } else {
-                (self.mac.compute(&line, addr), true)
+                (self.write_mac(&line, addr), true)
             };
             let mut out = pattern::embed_mac_for(&line, mac, fmt);
             if self.cfg.optimized {
@@ -202,7 +297,7 @@ impl PtGuardEngine {
         let mut mac_computed = false;
         if id_aliases {
             mac_computed = true;
-            let computed = self.mac.compute(&line, addr);
+            let computed = self.write_mac(&line, addr);
             collision = pattern::extract_mac_for(&line, fmt) == computed;
         }
 
@@ -407,7 +502,8 @@ impl PtGuardEngine {
 
     /// Full-memory re-keying (Section VII-B): reads every line under the old
     /// key, strips verified MACs, swaps in `new_key`, re-embeds, and writes
-    /// back. Clears the CTB. Returns the number of lines re-protected.
+    /// back. Clears the CTB and the write-path MAC memo. Returns the number
+    /// of lines re-protected.
     pub fn rekey_memory<M: PhysMem + ?Sized>(&mut self, mem: &mut M, new_key: [u128; 2]) -> u64 {
         let size = mem.size();
         let mut staged: Vec<(PhysAddr, Line)> = Vec::new();
@@ -424,6 +520,7 @@ impl PtGuardEngine {
         self.cfg.key = new_key;
         self.mac = PteMac::from_config(&self.cfg);
         self.ctb.clear();
+        self.write_macs.clear();
         let count = staged.len() as u64;
         for (pa, stripped) in staged {
             let w = self.process_write(stripped, pa);
@@ -747,6 +844,108 @@ mod tests {
         assert!(r.mac_computed);
         assert_eq!(r.verdict, ReadVerdict::Verified);
         assert_eq!(r.line, pte_line());
+    }
+
+    #[test]
+    fn write_mac_memo_is_exact() {
+        // Seeded random writes over two memo slots, each shared by three
+        // line addresses, checked write by write against the reference
+        // cipher. Each step writes a base PTE line, then one variant of it
+        // at the same address: the same line, other unprotected bits (must
+        // hit), a flipped protected bit (must miss), dirty unused PFN bits
+        // (non-matching, must hit), or a collision forged over the
+        // reference MAC (non-matching, must hit).
+        use pagetable::memory::VecMemory;
+
+        let mut state = 0x5eed_0015_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut e = PtGuardEngine::new(PtGuardConfig::default());
+        let fmt = e.config().format;
+        let protected = e.mac_unit().protected_mask();
+        let mac_field = fmt.mac_field_mask();
+        let unprotected = !protected & !mac_field;
+        let stride = (WRITE_MAC_MEMO_SLOTS * CACHELINE_SIZE) as u64;
+        let addrs: Vec<PhysAddr> = (0..3)
+            .flat_map(|i| [0x4_0000 + i * stride, 0x4_0040 + i * stride])
+            .map(PhysAddr::new)
+            .collect();
+        let pool: Vec<Line> = (0..4)
+            .map(|_| Line::from_words([0; 8].map(|_: u64| next() & protected)))
+            .collect();
+
+        let check = |e: &mut PtGuardEngine, line: Line, addr: PhysAddr| -> bool {
+            let hits = e.stats().write_mac_memo_hits;
+            let w = e.process_write(line, addr);
+            let reference = e.mac_unit().compute_unbatched(&line, addr);
+            if pattern::matches_pattern_for(&line, fmt) {
+                assert!(w.protected && w.mac_computed);
+                assert_eq!(w.line, pattern::embed_mac_for(&line, reference, fmt));
+            } else {
+                assert!(!w.protected && w.mac_computed);
+                assert_eq!(w.line, line);
+                let collides = pattern::extract_mac_for(&line, fmt) == reference;
+                assert_eq!(w.collision_tracked, collides, "{line:?} at {addr:?}");
+            }
+            e.stats().write_mac_memo_hits > hits
+        };
+
+        let steps = 5000;
+        for step in 0..steps {
+            if step == steps / 2 {
+                // Re-key midway, then write a line the memo held under the
+                // old key: it must get the new key's MAC. The memory is
+                // empty, so the re-key rewrites no line and every old-key
+                // entry would survive it but for the clear.
+                let (addr, line) = (addrs[0], pool[0]);
+                check(&mut e, line, addr);
+                e.rekey_memory(&mut VecMemory::new(0), [0x0123_4567, 0x89ab_cdef]);
+                assert!(!check(&mut e, line, addr), "re-keying must clear the memo");
+            }
+            let addr = addrs[(next() % addrs.len() as u64) as usize];
+            let base = pool[(next() % pool.len() as u64) as usize];
+            check(&mut e, base, addr);
+            let word = (next() % 8) as usize;
+            let mut variant = base;
+            match next() % 5 {
+                0 => assert!(check(&mut e, variant, addr)),
+                1 => {
+                    let bits = (next() & unprotected) | pagetable::x86_64::bits::ACCESSED;
+                    variant.set_word(word, variant.word(word) ^ bits);
+                    assert!(check(&mut e, variant, addr), "unprotected bits must hit");
+                }
+                2 => {
+                    let mut bit = next() % 64;
+                    while protected & (1 << bit) == 0 {
+                        bit = next() % 64;
+                    }
+                    variant.set_word(word, variant.word(word) ^ (1 << bit));
+                    assert!(
+                        !check(&mut e, variant, addr),
+                        "protected bit {bit} must miss"
+                    );
+                }
+                3 => {
+                    variant.set_word(word, variant.word(word) | (next() & mac_field) | 1 << 40);
+                    assert!(check(&mut e, variant, addr), "unused PFN bits must hit");
+                }
+                _ => {
+                    let mac = e.mac_unit().compute_unbatched(&base, addr);
+                    variant = pattern::embed_mac(&base, mac);
+                    assert!(check(&mut e, variant, addr), "a forged collision must hit");
+                }
+            }
+        }
+        let stats = e.stats();
+        assert_eq!(stats.writes, 2 * steps + 2);
+        assert!(stats.write_mac_memo_hits > 0);
+        assert!(stats.collisions > 0);
+        assert!(format!("{e:?}").contains("write_macs: WriteMacMemo { slots: 4096 }"));
     }
 
     #[test]
