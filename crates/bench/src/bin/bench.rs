@@ -1,77 +1,56 @@
-//! `bench` — the QARMA/MAC hot-path and memory-pipeline benchmark driver.
+//! `bench` — host-time microbenchmarks of the code no `perfbench`
+//! workload isolates.
 //!
 //! ```text
-//! bench qarma|mac|memsys|channels|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]
+//! bench qarma|mac|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]
 //! ```
 //!
-//! Unlike the `cargo bench` targets (which only print), this binary
-//! captures every measurement and emits a machine-readable report:
+//! The simulator's end-to-end host cost is `perfbench`'s job (paired
+//! parent/change runs with quartiles). This binary times the kernels
+//! underneath and writes one machine-readable report per target; every
+//! timing row carries its median and spread:
 //!
-//! * `qarma`/`mac` → `BENCH_qarma.json` — ns/op for the QARMA-64/128
-//!   kernels, the PTE-line MAC (scalar and batch), verification, and the
-//!   MAC oracle's pair-sweep wall time serial vs. parallel, each paired
-//!   with the committed pre-rewrite baseline.
-//! * `memsys` → `BENCH_memsys.json` — host ns per simulated memory op and
-//!   simulated IPC of the event pipeline at `mlp ∈ {1, 2, 4}` on three
-//!   MAC-heavy profiles.
+//! * `qarma`/`mac`/`all` → `BENCH_qarma.json` — ns/op (median, fastest
+//!   and slowest sample) for the QARMA-64/128 kernels, the PTE-line MAC
+//!   (scalar and batch), verification and PAC, plus the MAC oracle's
+//!   pair-sweep wall time serial vs. parallel.
 //! * `serve` → `BENCH_serve.json` — full latency *distribution* (p50/p99/
 //!   p999 from the same [`serve::hist::Log2Hist`] the load generator
 //!   reports with) of the coalescing core's drain at batch sizes 1/2/4/8,
 //!   per batch and per line — the measured basis for the queueing model's
 //!   cost constants.
-//! * `channels` → `BENCH_channels.json` — host ns per simulated memory op
-//!   of the pipelined driver at `channels ∈ {1, 2, 4}` (mlp 4) on the same
-//!   two MAC-heavy profiles; the committed report bounds the host-side
-//!   cost of the per-channel drain + picosecond-ordered retire merge.
-//! * `arena` → `BENCH_arena.json` — host ns per `on_activate` for every
-//!   defence in the mitigation arena (TRR, PARA, Graphene, Blockhammer,
-//!   SoftTRR, CATT, DAPPER, PT-Guard) over a uniform activation stream.
+//! * `arena` → `BENCH_arena.json` — host ns per `on_activate` (median,
+//!   fastest and slowest sample) for every defence in the mitigation arena
+//!   (TRR, PARA, Graphene, Blockhammer, SoftTRR, CATT, DAPPER, PT-Guard)
+//!   over a uniform activation stream.
 //!
 //! `--check FILE` re-measures a representative number and fails (exit 1)
-//! if it regressed more than 2× over the value recorded in `FILE` — the CI
-//! `bench-smoke`/`pipeline-smoke` contract. The gate dispatches on the
-//! report's `schema` field.
+//! if it regressed more than 2× over the value recorded in `FILE`. The
+//! gate dispatches on the report's `schema` field and rejects any schema
+//! it does not know, retired ones included. The margin stays 2× because
+//! committed numbers come from one host and the gate runs on others; a
+//! paired same-host comparison is `perfbench`'s job.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use memsys::MemSysConfig;
 use orchestrator::json::Value;
 use orchestrator::pool::ThreadPool;
 use pagetable::addr::PhysAddr;
 use ptguard::mac::PteMac;
 use ptguard::PtGuardConfig;
-use ptguard_bench::harness::{black_box, effective_budget, measure, Measurement};
+use ptguard_bench::harness::{black_box, measure, sample_budget, Measurement};
 use ptguard_bench::sample_pte_line;
 use qarma::pac::PacKey;
 use qarma::{Qarma128, Qarma64, Sbox};
-use simx::runner::{build_machine_from_source_cfg, Machine, Protection, RunResult};
-use workloads::profiles::by_name;
-use workloads::tracegen::TraceGenerator;
-
-/// ns/op of the pre-rewrite kernel (per-call `Vec` allocations, float
-/// latency), measured on this suite at the commit before the flat-u64
-/// rewrite. The denominators of every `speedup` entry.
-const BASELINE_SOURCE: &str = "pre-rewrite Vec-based kernel @ commit 3e27963";
-const BASELINE_NS: [(&str, f64); 8] = [
-    ("qarma64_r5_encrypt", 987.0),
-    ("qarma128_r9_encrypt", 1734.7),
-    ("qarma128_r9_decrypt", 1776.9),
-    ("mac_compute", 7466.5),
-    ("mac_verify_exact", 8389.0),
-    ("mac_verify_soft_k4", 7942.3),
-    ("pac_sign", 1159.0),
-    ("pac_auth", 1105.6),
-];
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench qarma|mac|memsys|channels|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]\n\
+        "usage: bench qarma|mac|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]\n\
          \x20 --out FILE    write the JSON report (default BENCH_qarma.json;\n\
-         \x20               BENCH_memsys.json / BENCH_channels.json / BENCH_serve.json\n\
-         \x20               / BENCH_arena.json for those targets)\n\
-         \x20 --fast        ~10x shorter samples (smoke mode; also via PTGUARD_BENCH_FAST)\n\
+         \x20               BENCH_serve.json / BENCH_arena.json for those targets)\n\
+         \x20 --fast        ~10x shorter samples (smoke mode)\n\
          \x20 --jobs N      workers for the parallel pair-sweep timing (default: all cores;\n\
          \x20               with fewer than 2 the pair_sweep row is omitted)\n\
          \x20 --check FILE  regression gate: fail if the report's anchor number regressed\n\
@@ -116,8 +95,8 @@ fn report(rows: &mut Vec<Row>, name: &'static str, m: Measurement) {
     rows.push(Row { name, m });
 }
 
-fn bench_qarma(rows: &mut Vec<Row>) {
-    let budget = effective_budget();
+fn bench_qarma(rows: &mut Vec<Row>, fast: bool) {
+    let budget = sample_budget(fast);
     let q64 = Qarma64::new([0x84be85ce9804e94b, 0xec2802d4e0a488e4], 5, Sbox::Sigma1);
     report(
         rows,
@@ -144,8 +123,8 @@ fn bench_qarma(rows: &mut Vec<Row>) {
     );
 }
 
-fn bench_mac(rows: &mut Vec<Row>) {
-    let budget = effective_budget();
+fn bench_mac(rows: &mut Vec<Row>, fast: bool) {
+    let budget = sample_budget(fast);
     let mac = PteMac::from_config(&PtGuardConfig::default());
     let line = sample_pte_line();
     let addr = PhysAddr::new(0x4000);
@@ -158,12 +137,12 @@ fn bench_mac(rows: &mut Vec<Row>) {
     let items: Vec<_> = (0..8u64)
         .map(|i| (sample_pte_line(), PhysAddr::new(0x4000 + (i << 6))))
         .collect();
-    let n = items.len() as f64;
-    let mut m = measure(budget, || mac.compute_batch(black_box(&items)));
-    m.median_ns /= n;
-    m.lo_ns /= n;
-    m.hi_ns /= n;
-    report(rows, "mac_compute_batch_per_line", m);
+    let m = measure(budget, || mac.compute_batch(black_box(&items)));
+    report(
+        rows,
+        "mac_compute_batch_per_line",
+        m.per(items.len() as f64),
+    );
 
     let stored = mac.compute(&line, addr);
     report(
@@ -237,6 +216,11 @@ fn bench_sweep(jobs: usize, fast: bool) -> Option<Value> {
     ]))
 }
 
+/// Schema tags of the three reports `bench` writes.
+const QARMA_SCHEMA: &str = "ptguard-bench-qarma/v3";
+const SERVE_SCHEMA: &str = "ptguard-bench-serve/v1";
+const ARENA_SCHEMA: &str = "ptguard-bench-arena/v2";
+
 fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
     let results = Value::Obj(
         rows.iter()
@@ -252,35 +236,10 @@ fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
             })
             .collect(),
     );
-    let baseline = Value::Obj(
-        std::iter::once((
-            "source".to_string(),
-            Value::Str(BASELINE_SOURCE.to_string()),
-        ))
-        .chain(
-            BASELINE_NS
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), Value::F64(*v))),
-        )
-        .collect(),
-    );
-    let speedup = Value::Obj(
-        rows.iter()
-            .filter_map(|r| {
-                let (_, base) = BASELINE_NS.iter().find(|(k, _)| *k == r.name)?;
-                Some((
-                    r.name.to_string(),
-                    Value::F64(base / r.m.median_ns.max(1e-9)),
-                ))
-            })
-            .collect(),
-    );
     let mut pairs = vec![
-        ("schema", Value::Str("ptguard-bench-qarma/v2".to_string())),
+        ("schema", Value::Str(QARMA_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
         ("results", results),
-        ("baseline_pre_rewrite", baseline),
-        ("speedup_vs_baseline", speedup),
     ];
     if let Some(s) = sweep {
         pairs.push(("pair_sweep", s));
@@ -371,7 +330,7 @@ fn bench_serve(fast: bool) -> Value {
         ));
     }
     Value::obj(vec![
-        ("schema", Value::Str("ptguard-bench-serve/v1".to_string())),
+        ("schema", Value::Str(SERVE_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
         ("iters", Value::U64(iters as u64)),
         ("results", Value::Obj(sizes)),
@@ -434,7 +393,7 @@ fn bench_arena(fast: bool) -> Value {
         let mut mitigation = (spec.build)(&cfg, 0x00BE_2C4A_2E2A);
         mitigation.note_pt_row(dram::RowId { bank: 0, row: 64 });
         let mut rng = rng::SplitMix64::new(0xBE2C_0000_0000_0001);
-        let m = measure(effective_budget(), || {
+        let m = measure(sample_budget(fast), || {
             for _ in 0..ARENA_BLOCK {
                 let row = dram::RowId {
                     bank: rng.gen_range_u64(0, u64::from(geom.banks)) as u32,
@@ -443,16 +402,21 @@ fn bench_arena(fast: bool) -> Value {
                 mitigation.on_activate(row, &mut device);
             }
         });
-        let ns_per_act = m.median_ns / ARENA_BLOCK as f64;
+        let per_act = m.per(ARENA_BLOCK as f64);
         println!(
-            "arena_{name:<12} {ns_per_act:>8.1} ns/activation  ({refreshes} refreshes issued)",
+            "arena_{name:<12} {:>8.1} ns/activation  [{:.1} .. {:.1}]  ({refreshes} refreshes issued)",
+            per_act.median_ns,
+            per_act.lo_ns,
+            per_act.hi_ns,
             name = spec.name,
             refreshes = mitigation.refreshes_issued(),
         );
         results.push((
             spec.name.to_string(),
             Value::obj(vec![
-                ("ns_per_activation", Value::F64(ns_per_act)),
+                ("ns_per_activation", Value::F64(per_act.median_ns)),
+                ("lo_ns", Value::F64(per_act.lo_ns)),
+                ("hi_ns", Value::F64(per_act.hi_ns)),
                 ("refreshes", Value::U64(mitigation.refreshes_issued())),
                 (
                     "storage_bytes",
@@ -462,7 +426,7 @@ fn bench_arena(fast: bool) -> Value {
         ));
     }
     Value::obj(vec![
-        ("schema", Value::Str("ptguard-bench-arena/v1".to_string())),
+        ("schema", Value::Str(ARENA_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
         ("block", Value::U64(ARENA_BLOCK)),
         ("results", Value::Obj(results)),
@@ -472,8 +436,8 @@ fn bench_arena(fast: bool) -> Value {
 /// The arena arm of the `--check` gate: every tracker must stay under a
 /// microsecond per activation in the committed report (three orders of
 /// magnitude of headroom — the trackers are hash-map updates), and a fresh
-/// quick measurement of the heaviest committed tracker must be within 2×.
-fn check_arena(committed: &Value) -> Result<(), String> {
+/// measurement of the heaviest committed tracker must be within 2×.
+fn check_arena(committed: &Value, fast: bool) -> Result<(), String> {
     let results = committed
         .get("results")
         .and_then(|r| match r {
@@ -497,7 +461,7 @@ fn check_arena(committed: &Value) -> Result<(), String> {
         }
     }
     let (name, committed_ns) = worst.ok_or("committed report has no defences")?;
-    let fresh = bench_arena(true)
+    let fresh = bench_arena(fast)
         .get("results")
         .and_then(|r| r.get(name))
         .and_then(|s| s.get("ns_per_activation"))
@@ -514,374 +478,10 @@ fn check_arena(committed: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Profiles for the pipeline benchmark: the pointer-chaser with the
-/// densest page-walk traffic (`sssp`), the paper's worst slowdown case
-/// (`xalancbmk`), and a frontier-driven graph traversal (`bfs`) with a
-/// sparser miss stream.
-const MEMSYS_PROFILES: [&str; 3] = ["sssp", "xalancbmk", "bfs"];
-
-/// DRAM reads per channel, since the machine was built.
-fn channel_reads(machine: &Machine) -> Vec<u64> {
-    (0..machine.sys.channels())
-        .map(|c| machine.sys.channel(c).stats().reads)
-        .collect()
-}
-
-/// Times one `run` of `instrs` on `machine`: host ns per simulated memory
-/// op, the run's result, and the DRAM reads each channel served during it.
-fn timed_rep(machine: &mut Machine, instrs: u64) -> (f64, RunResult, Vec<u64>) {
-    let before = channel_reads(machine);
-    let t = Instant::now();
-    let r = simx::runner::run(machine, instrs);
-    let ns = t.elapsed().as_nanos() as f64;
-    let reads = channel_reads(machine)
-        .iter()
-        .zip(&before)
-        .map(|(after, before)| after - before)
-        .collect();
-    (ns / r.mem_ops.max(1) as f64, r, reads)
-}
-
-/// One measured window size on one profile. Every simulated field covers
-/// the last rep.
-struct MemsysPoint {
-    mode: &'static str,
-    ns_per_sim_op: f64,
-    sim_ipc: f64,
-    sim_cycles: u64,
-    mac_computations: u64,
-    dram_reads: u64,
-}
-
-/// Measures every `(mode, mlp)` window on one profile: best-of-`reps`
-/// host ns per simulated memory op, plus the (deterministic) simulated
-/// metrics of the last rep.
-///
-/// Reps are *interleaved* across modes — each sweep times every mode once,
-/// back to back — so slow host drift (frequency scaling, background load)
-/// biases all modes equally instead of whichever happened to run last;
-/// best-of-sweeps then compares like with like.
-fn memsys_profile(
-    name: &str,
-    modes: &[(&'static str, usize)],
-    instrs: u64,
-    reps: usize,
-) -> Vec<MemsysPoint> {
-    let p = by_name(name).expect("profile");
-    let mut machines: Vec<_> = modes
-        .iter()
-        .map(|&(_, mlp)| {
-            let mem_cfg = MemSysConfig {
-                mlp,
-                ..MemSysConfig::default()
-            };
-            let mut machine = build_machine_from_source_cfg(
-                TraceGenerator::new(p, 0xbe2c),
-                p,
-                Protection::PtGuard(PtGuardConfig::default()),
-                4,
-                mem_cfg,
-            );
-            let _ = simx::runner::run(&mut machine, instrs); // warm-up: caches, TLB, page tables
-            machine
-        })
-        .collect();
-    let mut best = vec![f64::INFINITY; modes.len()];
-    let mut last: Vec<Option<_>> = vec![None; modes.len()];
-    for rep in 0..reps {
-        // Rotate the starting mode each sweep so no mode systematically
-        // inherits a particular position's thermal/steal-time bias.
-        for k in 0..modes.len() {
-            let i = (rep + k) % modes.len();
-            let (ns, r, reads) = timed_rep(&mut machines[i], instrs);
-            best[i] = best[i].min(ns);
-            last[i] = Some((r, reads));
-        }
-    }
-    modes
-        .iter()
-        .zip(best)
-        .zip(last)
-        .map(|((&(mode, _), ns_per_sim_op), last)| {
-            let (r, reads) = last.expect("at least one rep");
-            MemsysPoint {
-                mode,
-                ns_per_sim_op,
-                sim_ipc: r.ipc(),
-                sim_cycles: r.cycles,
-                mac_computations: r.mac_computations,
-                dram_reads: reads.iter().sum(),
-            }
-        })
-        .collect()
-}
-
-/// The memsys target: the event pipeline across the window sweep,
-/// rendered as the `ptguard-bench-memsys/v3` report.
-fn bench_memsys(fast: bool) -> Value {
-    let (instrs, reps) = if fast { (20_000, 2) } else { (60_000, 25) };
-    let modes = [("mlp1", 1), ("mlp2", 2), ("mlp4", 4)];
-    let mut profiles = Vec::new();
-    for name in MEMSYS_PROFILES {
-        let points = memsys_profile(name, &modes, instrs, reps);
-        for p in &points {
-            println!(
-                "{name:<12} {:<9} {:>8.1} host-ns/sim-op  IPC {:.3}  ({} MACs, {} DRAM reads)",
-                p.mode, p.ns_per_sim_op, p.sim_ipc, p.mac_computations, p.dram_reads
-            );
-        }
-        profiles.push((
-            name.to_string(),
-            Value::Obj(
-                points
-                    .into_iter()
-                    .map(|p| {
-                        (
-                            p.mode.to_string(),
-                            Value::obj(vec![
-                                ("ns_per_sim_op", Value::F64(p.ns_per_sim_op)),
-                                ("sim_ipc", Value::F64(p.sim_ipc)),
-                                ("sim_cycles", Value::U64(p.sim_cycles)),
-                                ("mac_computations", Value::U64(p.mac_computations)),
-                                ("dram_reads", Value::U64(p.dram_reads)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Value::obj(vec![
-        ("schema", Value::Str(MEMSYS_SCHEMA.to_string())),
-        ("fast", Value::Bool(fast)),
-        ("instructions", Value::U64(instrs)),
-        ("reps", Value::U64(reps as u64)),
-        ("profiles", Value::Obj(profiles)),
-    ])
-}
-
-/// Schema tag of the `bench memsys` report.
-const MEMSYS_SCHEMA: &str = "ptguard-bench-memsys/v3";
-
-/// The memsys arm of the `--check` gate: a fresh quick `mlp1` measurement
-/// must not have regressed more than 2× over the committed one.
-fn check_memsys(committed: &Value) -> Result<(), String> {
-    let profile = MEMSYS_PROFILES[0];
-    let committed_ns = committed
-        .get("profiles")
-        .and_then(|p| p.get(profile))
-        .and_then(|p| p.get("mlp1"))
-        .and_then(|m| m.get("ns_per_sim_op"))
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("committed report lacks profiles.{profile}.mlp1"))?;
-    let fresh = memsys_profile(profile, &[("mlp1", 1)], 20_000, 2).remove(0);
-    println!(
-        "check: {profile} mlp1 fresh {:.1} host-ns/sim-op vs committed {committed_ns:.1} (gate 2x)",
-        fresh.ns_per_sim_op
-    );
-    if fresh.ns_per_sim_op > 2.0 * committed_ns {
-        return Err(format!(
-            "pipeline regressed: {:.1} host-ns/sim-op > 2x committed {committed_ns:.1}",
-            fresh.ns_per_sim_op
-        ));
-    }
-    Ok(())
-}
-
-/// Channel counts the channels target sweeps the pipelined driver at.
-const CHANNELS_SWEEP: [usize; 3] = [1, 2, 4];
-
-/// One measured channel count on one profile. Every simulated field covers
-/// the last rep.
-struct ChannelsPoint {
-    channels: usize,
-    ns_per_sim_op: f64,
-    sim_cycles: u64,
-    dram_reads: u64,
-    /// min/max per-channel DRAM reads (1.0 = perfectly even interleave).
-    balance: f64,
-}
-
-/// Measures the pipelined driver at every channel count on one profile:
-/// best-of-`reps` host ns per simulated memory op, plus the deterministic
-/// simulated metrics of the last rep. Reps interleave across channel
-/// counts for the same host-drift reason as [`memsys_profile`].
-fn channels_profile(name: &str, instrs: u64, reps: usize) -> Vec<ChannelsPoint> {
-    let p = by_name(name).expect("profile");
-    let mut machines: Vec<_> = CHANNELS_SWEEP
-        .iter()
-        .map(|&channels| {
-            let mem_cfg = MemSysConfig {
-                mlp: 4,
-                channels,
-                ..MemSysConfig::default()
-            };
-            let mut machine = build_machine_from_source_cfg(
-                TraceGenerator::new(p, 0xbe2c),
-                p,
-                Protection::PtGuard(PtGuardConfig::default()),
-                4,
-                mem_cfg,
-            );
-            let _ = simx::runner::run(&mut machine, instrs); // warm-up
-            machine
-        })
-        .collect();
-    let mut best = vec![f64::INFINITY; CHANNELS_SWEEP.len()];
-    let mut last = vec![None; CHANNELS_SWEEP.len()];
-    for rep in 0..reps {
-        for k in 0..CHANNELS_SWEEP.len() {
-            let i = (rep + k) % CHANNELS_SWEEP.len();
-            let (ns, r, reads) = timed_rep(&mut machines[i], instrs);
-            best[i] = best[i].min(ns);
-            last[i] = Some((r, reads));
-        }
-    }
-    CHANNELS_SWEEP
-        .iter()
-        .zip(best)
-        .zip(last)
-        .map(|((&channels, ns_per_sim_op), last)| {
-            let (r, reads) = last.expect("at least one rep");
-            let max = reads.iter().copied().max().unwrap_or(0);
-            let min = reads.iter().copied().min().unwrap_or(0);
-            ChannelsPoint {
-                channels,
-                ns_per_sim_op,
-                sim_cycles: r.cycles,
-                dram_reads: reads.iter().sum(),
-                balance: min as f64 / max.max(1) as f64,
-            }
-        })
-        .collect()
-}
-
-/// The channels target: the multi-channel drain + retire-merge host cost
-/// across the channel sweep, rendered as the `ptguard-bench-channels/v2`
-/// report.
-fn bench_channels(fast: bool) -> Value {
-    let (instrs, reps) = if fast { (20_000, 2) } else { (60_000, 25) };
-    let mut profiles = Vec::new();
-    let mut merge_cost = Vec::new();
-    for name in MEMSYS_PROFILES {
-        let points = channels_profile(name, instrs, reps);
-        for p in &points {
-            println!(
-                "{name:<12} ch{:<2} {:>8.1} host-ns/sim-op  ({} sim cycles, {} DRAM reads, balance {:.2})",
-                p.channels, p.ns_per_sim_op, p.sim_cycles, p.dram_reads, p.balance
-            );
-        }
-        let ns_of = |channels: usize| {
-            points
-                .iter()
-                .find(|p| p.channels == channels)
-                .expect("channel count measured")
-                .ns_per_sim_op
-        };
-        merge_cost.push((name.to_string(), Value::F64(ns_of(4) / ns_of(1).max(1e-9))));
-        profiles.push((
-            name.to_string(),
-            Value::Obj(
-                points
-                    .into_iter()
-                    .map(|p| {
-                        (
-                            format!("ch{}", p.channels),
-                            Value::obj(vec![
-                                ("ns_per_sim_op", Value::F64(p.ns_per_sim_op)),
-                                ("sim_cycles", Value::U64(p.sim_cycles)),
-                                ("dram_reads", Value::U64(p.dram_reads)),
-                                ("balance", Value::F64(p.balance)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Value::obj(vec![
-        ("schema", Value::Str(CHANNELS_SCHEMA.to_string())),
-        ("fast", Value::Bool(fast)),
-        ("instructions", Value::U64(instrs)),
-        ("reps", Value::U64(reps as u64)),
-        ("profiles", Value::Obj(profiles)),
-        ("host_ns_per_op_ch4_over_ch1", Value::Obj(merge_cost)),
-    ])
-}
-
-/// Schema tag of the `bench channels` report.
-const CHANNELS_SCHEMA: &str = "ptguard-bench-channels/v2";
-
-/// The channels arm of the `--check` gate: the committed report must show
-/// the 4-channel drain + merge costing less than 3× the single-channel
-/// host time per op on every profile (the merge is O(channels) per pipe
-/// step and must not dominate), the interleave staying reasonably even,
-/// and a fresh quick measurement of the 4-channel point must be within 2×.
-fn check_channels(committed: &Value) -> Result<(), String> {
-    let field = |profile: &str, ch: &str, field: &str| {
-        committed
-            .get("profiles")
-            .and_then(|p| p.get(profile))
-            .and_then(|p| p.get(ch))
-            .and_then(|m| m.get(field))
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("committed report lacks profiles.{profile}.{ch}.{field}"))
-    };
-    for p in MEMSYS_PROFILES {
-        let (ch1, ch4) = (
-            field(p, "ch1", "ns_per_sim_op")?,
-            field(p, "ch4", "ns_per_sim_op")?,
-        );
-        println!("check: {p} committed ch1 {ch1:.1} vs ch4 {ch4:.1} host-ns/sim-op");
-        if ch4 >= 3.0 * ch1 {
-            return Err(format!(
-                "committed BENCH_channels shows the 4-channel merge dominating: \
-                 {ch4:.1} ns >= 3x {ch1:.1} ns on {p}"
-            ));
-        }
-        let balance = field(p, "ch4", "balance")?;
-        if balance < 0.5 {
-            return Err(format!(
-                "committed BENCH_channels shows a skewed interleave on {p}: balance {balance:.2}"
-            ));
-        }
-    }
-    let committed_ns = field(MEMSYS_PROFILES[0], "ch4", "ns_per_sim_op")?;
-    let fresh = channels_profile(MEMSYS_PROFILES[0], 20_000, 2)
-        .into_iter()
-        .find(|p| p.channels == 4)
-        .expect("ch4 measured");
-    println!(
-        "check: {} ch4 fresh {:.1} host-ns/sim-op vs committed {committed_ns:.1} (gate 2x)",
-        MEMSYS_PROFILES[0], fresh.ns_per_sim_op
-    );
-    if fresh.ns_per_sim_op > 2.0 * committed_ns {
-        return Err(format!(
-            "multi-channel pipeline regressed: {:.1} host-ns/sim-op > 2x committed {committed_ns:.1}",
-            fresh.ns_per_sim_op
-        ));
-    }
-    Ok(())
-}
-
-/// The `--check` gate: dispatch on the committed report's schema and
-/// re-measure its anchor number against the 2× budget.
-fn check(path: &PathBuf) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let committed = Value::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    if committed.get("schema").and_then(Value::as_str) == Some(MEMSYS_SCHEMA) {
-        return check_memsys(&committed);
-    }
-    if committed.get("schema").and_then(Value::as_str) == Some(CHANNELS_SCHEMA) {
-        return check_channels(&committed);
-    }
-    if committed.get("schema").and_then(Value::as_str) == Some("ptguard-bench-serve/v1") {
-        return check_serve(&committed);
-    }
-    if committed.get("schema").and_then(Value::as_str) == Some("ptguard-bench-arena/v1") {
-        return check_arena(&committed);
-    }
+/// The MAC arm of the `--check` gate: a committed `pair_sweep` row must
+/// have had a second worker, and a fresh single-thread `mac_compute` must
+/// be within 2× of the committed ns/op.
+fn check_mac(committed: &Value, fast: bool) -> Result<(), String> {
     let committed_ns = committed
         .get("results")
         .and_then(|r| r.get("mac_compute"))
@@ -905,7 +505,7 @@ fn check(path: &PathBuf) -> Result<(), String> {
     let mac = PteMac::from_config(&PtGuardConfig::default());
     let line = sample_pte_line();
     let addr = PhysAddr::new(0x4000);
-    let fresh = measure(effective_budget(), || mac.compute(black_box(&line), addr));
+    let fresh = measure(sample_budget(fast), || mac.compute(black_box(&line), addr));
     println!(
         "check: mac_compute fresh {:.1} ns/op vs committed {committed_ns:.1} ns/op (gate 2x)",
         fresh.median_ns
@@ -919,13 +519,25 @@ fn check(path: &PathBuf) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--check` gate: dispatch on the committed report's schema and
+/// re-measure its anchor number against the 2× budget. A schema this
+/// binary does not write, retired or unknown, is an error that names it.
+fn check(committed: &Value, fast: bool) -> Result<(), String> {
+    match committed.get("schema").and_then(Value::as_str) {
+        Some(QARMA_SCHEMA) => check_mac(committed, fast),
+        Some(SERVE_SCHEMA) => check_serve(committed),
+        Some(ARENA_SCHEMA) => check_arena(committed, fast),
+        Some(other) => Err(format!(
+            "unknown report schema {other} (this bench checks {QARMA_SCHEMA}, \
+             {SERVE_SCHEMA} and {ARENA_SCHEMA})"
+        )),
+        None => Err("report has no schema field".to_string()),
+    }
+}
+
 fn run(mut args: Vec<String>) -> Result<(), String> {
     let out_flag = take_flag(&mut args, "--out")?.map(PathBuf::from);
     let fast = take_switch(&mut args, "--fast");
-    if fast {
-        std::env::set_var("PTGUARD_BENCH_FAST", "1");
-    }
-    let fast = fast || std::env::var_os("PTGUARD_BENCH_FAST").is_some();
     let jobs = match take_flag(&mut args, "--jobs")? {
         Some(s) => s.parse().map_err(|_| format!("bad --jobs: {s}"))?,
         None => 0,
@@ -936,7 +548,11 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         if !args.is_empty() {
             return Err(format!("unexpected argument: {}", args[0]));
         }
-        return check(&path);
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let committed =
+            Value::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
+        return check(&committed, fast);
     }
 
     let what = match args.len() {
@@ -944,11 +560,7 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         1 => args.remove(0),
         _ => return Err(format!("unexpected argument: {}", args[1])),
     };
-    // The memsys pipeline report lives in its own file: the QARMA numbers
-    // and the pipeline numbers regenerate on different cadences.
     let default_out = match what.as_str() {
-        "memsys" => "BENCH_memsys.json",
-        "channels" => "BENCH_channels.json",
         "serve" => "BENCH_serve.json",
         "arena" => "BENCH_arena.json",
         _ => "BENCH_qarma.json",
@@ -957,22 +569,20 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     let mut rows = Vec::new();
     let report = match what.as_str() {
         "qarma" => {
-            bench_qarma(&mut rows);
+            bench_qarma(&mut rows, fast);
             render_report(&rows, None, fast)
         }
         "mac" => {
-            bench_mac(&mut rows);
+            bench_mac(&mut rows, fast);
             let sweep = bench_sweep(jobs, fast);
             render_report(&rows, sweep, fast)
         }
         "all" => {
-            bench_qarma(&mut rows);
-            bench_mac(&mut rows);
+            bench_qarma(&mut rows, fast);
+            bench_mac(&mut rows, fast);
             let sweep = bench_sweep(jobs, fast);
             render_report(&rows, sweep, fast)
         }
-        "memsys" => bench_memsys(fast),
-        "channels" => bench_channels(fast),
         "serve" => bench_serve(fast),
         "arena" => bench_arena(fast),
         other => return Err(format!("unknown target: {other}")),
@@ -995,5 +605,42 @@ fn main() -> ExitCode {
             eprintln!("bench: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn schema_only(schema: &str) -> Value {
+        Value::obj(vec![("schema", Value::Str(schema.to_string()))])
+    }
+
+    #[test]
+    fn retired_and_unknown_schemas_fail_naming_the_schema() {
+        for schema in [
+            "ptguard-bench-memsys/v3",
+            "ptguard-bench-channels/v2",
+            "ptguard-bench-qarma/v2",
+            "ptguard-bench-arena/v1",
+            "no-such-report/v9",
+        ] {
+            let err = check(&schema_only(schema), true).expect_err(schema);
+            assert!(err.contains(schema), "{schema}: {err}");
+        }
+        let err = check(&Value::obj(vec![("fast", Value::Bool(true))]), true).unwrap_err();
+        assert!(err.contains("no schema"), "{err}");
+    }
+
+    #[test]
+    fn current_schemas_reach_their_own_arm() {
+        // Each arm reads its anchor row first, so an otherwise empty report
+        // names the missing row instead of falling through to another arm.
+        let err = check(&schema_only(QARMA_SCHEMA), true).unwrap_err();
+        assert!(err.contains("results.mac_compute"), "{err}");
+        let err = check(&schema_only(SERVE_SCHEMA), true).unwrap_err();
+        assert!(err.contains("results.batch1"), "{err}");
+        let err = check(&schema_only(ARENA_SCHEMA), true).unwrap_err();
+        assert!(err.contains("lacks results"), "{err}");
     }
 }

@@ -1,37 +1,32 @@
-//! A minimal std-only benchmark harness (Criterion stand-in).
+//! A minimal std-only timing harness for the `bench` binary.
 //!
-//! Usage, from a `harness = false` bench target:
-//!
-//! ```no_run
-//! use ptguard_bench::harness::{black_box, Bench};
-//!
-//! fn main() {
-//!     let mut g = Bench::group("qarma");
-//!     let mut x = 1u64;
-//!     g.bench("wrapping_mul", || {
-//!         x = black_box(x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-//!         x
-//!     });
-//! }
-//! ```
-//!
-//! Each benchmark is calibrated so one sample takes roughly
-//! [`SAMPLE_BUDGET`] of wall clock, then timed for [`SAMPLES`] samples; the
-//! median ns/iter is reported. Set `PTGUARD_BENCH_FAST=1` to shrink the
-//! budget ~10× for smoke runs.
+//! [`measure`] calibrates a closure so one sample takes roughly the given
+//! budget ([`sample_budget`]), then times [`SAMPLES`] samples and reports
+//! the median ns/iter together with the fastest and slowest sample.
 
 pub use std::hint::black_box;
 
 use std::time::{Duration, Instant};
 
-/// Wall-clock budget per sample (unless `PTGUARD_BENCH_FAST` is set).
+/// Wall-clock budget per sample.
 pub const SAMPLE_BUDGET: Duration = Duration::from_millis(25);
 
 /// Samples per benchmark; the median is reported.
 pub const SAMPLES: usize = 7;
 
+/// The per-sample budget: [`SAMPLE_BUDGET`], or a tenth of it for smoke
+/// runs (`bench --fast`).
+#[must_use]
+pub fn sample_budget(fast: bool) -> Duration {
+    if fast {
+        SAMPLE_BUDGET / 10
+    } else {
+        SAMPLE_BUDGET
+    }
+}
+
 /// One calibrated measurement: the median, fastest, and slowest sample in
-/// ns/iter, plus the calibrated iteration count per sample.
+/// ns/iter.
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {
     /// Median ns per iteration over [`SAMPLES`] samples.
@@ -40,13 +35,24 @@ pub struct Measurement {
     pub lo_ns: f64,
     /// Slowest sample, ns per iteration.
     pub hi_ns: f64,
-    /// Iterations per timed sample after calibration.
-    pub iters_per_sample: u64,
 }
 
-/// Calibrates `f` to the budget and times it: the reusable core of
-/// [`Bench::bench`], exposed so the `bench` binary can capture numbers
-/// instead of only printing them.
+impl Measurement {
+    /// The same measurement with every timing divided by `n`: the per-item
+    /// cost when one iteration processes `n` items.
+    #[must_use]
+    pub fn per(self, n: f64) -> Self {
+        Self {
+            median_ns: self.median_ns / n,
+            lo_ns: self.lo_ns / n,
+            hi_ns: self.hi_ns / n,
+        }
+    }
+}
+
+/// Calibrates `f` to the budget and times it. The closure's return value
+/// is passed through [`black_box`], so callers need not black-box their
+/// own results.
 pub fn measure<R>(budget: Duration, mut f: impl FnMut() -> R) -> Measurement {
     // Calibration: double the iteration count until a batch exceeds 1% of
     // the budget, then scale up to fill it.
@@ -77,99 +83,5 @@ pub fn measure<R>(budget: Duration, mut f: impl FnMut() -> R) -> Measurement {
         median_ns: samples[SAMPLES / 2] * 1e9,
         lo_ns: samples[0] * 1e9,
         hi_ns: samples[SAMPLES - 1] * 1e9,
-        iters_per_sample: per_sample,
-    }
-}
-
-/// The per-sample budget currently in effect (`PTGUARD_BENCH_FAST` shrinks
-/// it ~10×).
-#[must_use]
-pub fn effective_budget() -> Duration {
-    if std::env::var_os("PTGUARD_BENCH_FAST").is_some() {
-        SAMPLE_BUDGET / 10
-    } else {
-        SAMPLE_BUDGET
-    }
-}
-
-/// A named group of benchmarks, mirroring Criterion's `benchmark_group`.
-pub struct Bench {
-    group: String,
-    budget: Duration,
-}
-
-impl Bench {
-    /// Starts a benchmark group with the given name.
-    #[must_use]
-    pub fn group(name: &str) -> Self {
-        let fast = std::env::var_os("PTGUARD_BENCH_FAST").is_some();
-        let budget = if fast {
-            SAMPLE_BUDGET / 10
-        } else {
-            SAMPLE_BUDGET
-        };
-        println!("## {name}");
-        Self {
-            group: name.to_string(),
-            budget,
-        }
-    }
-
-    /// Runs one benchmark: calibrates the iteration count to the sample
-    /// budget, then reports the median ns/iter over [`SAMPLES`] samples.
-    ///
-    /// The closure's return value is passed through [`black_box`], so
-    /// benchmarks need not black-box their own results.
-    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) {
-        let m = measure(self.budget, f);
-        println!(
-            "{group}/{name:<40} {median:>12.1} ns/iter  [{lo:.1} .. {hi:.1}]  ({per_sample} iters/sample)",
-            group = self.group,
-            median = m.median_ns,
-            lo = m.lo_ns,
-            hi = m.hi_ns,
-            per_sample = m.iters_per_sample,
-        );
-    }
-
-    /// Like [`Bench::bench`] for workload-shaped benchmarks: the closure
-    /// reports how many simulated operations one call performs (a
-    /// deterministic count, e.g. [`RunResult::mem_ops`]), and the harness
-    /// additionally prints median throughput in ops/sec.
-    ///
-    /// [`RunResult::mem_ops`]: ../../simx/runner/struct.RunResult.html
-    pub fn bench_ops(&mut self, name: &str, mut f: impl FnMut() -> u64) {
-        let mut iters: u64 = 1;
-        let (per_iter, mut ops_per_call) = loop {
-            let t = Instant::now();
-            let mut ops = 0u64;
-            for _ in 0..iters {
-                ops = black_box(f());
-            }
-            let elapsed = t.elapsed();
-            if elapsed >= self.budget / 100 || iters >= 1 << 30 {
-                break (elapsed.as_secs_f64() / iters as f64, ops);
-            }
-            iters *= 2;
-        };
-        let per_sample =
-            ((self.budget.as_secs_f64() / per_iter.max(1e-12)) as u64).clamp(1, 1 << 32);
-
-        let mut samples = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let t = Instant::now();
-            for _ in 0..per_sample {
-                ops_per_call = black_box(f());
-            }
-            samples.push(t.elapsed().as_secs_f64() / per_sample as f64);
-        }
-        samples.sort_by(f64::total_cmp);
-        let median = samples[SAMPLES / 2];
-        let ops_per_sec = ops_per_call as f64 / median.max(1e-12);
-        println!(
-            "{group}/{name:<40} {median:>12.1} ns/iter  {ops_per_sec:>14.0} ops/sec  ({ops_per_call} ops/call, {per_sample} iters/sample)",
-            group = self.group,
-            median = median * 1e9,
-        );
     }
 }

@@ -1,19 +1,15 @@
-//! Shared fixtures and the std-only timing harness for the benchmark suite.
+//! Shared fixtures and the std-only timing harness of the `bench` binary,
+//! which times the host cost of the code no `perfbench` workload isolates:
+//! the QARMA/MAC kernels, the serve coalescer's drain and the arena's
+//! mitigation trackers. The simulator's end-to-end host cost is
+//! `perfbench`'s job.
 //!
-//! Each bench file regenerates (a reduced-volume version of) one paper
-//! artefact; `cargo bench --workspace` therefore exercises every table and
-//! figure pipeline. The full-volume regeneration lives in the `exp` binary
-//! (`cargo run -p ptguard-experiments --release --bin exp -- all`).
-//!
-//! The harness is in-tree ([`harness`]) because the build environment has
-//! no crates.io access for Criterion: each benchmark is auto-calibrated to
-//! a fixed wall-clock budget and reported as the median ns/iter of several
-//! samples.
+//! The harness is in-tree ([`harness`]) because the workspace takes no
+//! external dependencies: each measurement is auto-calibrated to a fixed
+//! wall-clock budget and reported as the median ns/iter of several
+//! samples, with the fastest and slowest beside it.
 
-use pagetable::addr::PhysAddr;
 use ptguard::line::Line;
-use ptguard::mac::PteMac;
-use ptguard::pattern::embed_mac;
 
 pub mod harness;
 
@@ -26,26 +22,4 @@ pub fn sample_pte_line() -> Line {
         line.set_word(i as usize, ((0x4_2000 + i) << 12) | flags);
     }
     line
-}
-
-/// A representative non-matching data line.
-#[must_use]
-pub fn sample_data_line() -> Line {
-    Line::from_words([
-        u64::MAX,
-        0x1234_5678_9abc_def0,
-        0xffff_0000_1111_2222,
-        7,
-        8,
-        9,
-        10,
-        11,
-    ])
-}
-
-/// The sample line with its MAC embedded at `addr`.
-#[must_use]
-pub fn protected_sample(mac: &PteMac, addr: PhysAddr) -> Line {
-    let line = sample_pte_line();
-    embed_mac(&line, mac.compute(&line, addr))
 }

@@ -200,7 +200,6 @@ fn contention_sweep(instructions_per_core: u64) -> Vec<ContentionRow> {
             let cfg = SharedConfig {
                 channels,
                 instructions_per_core,
-                ..SharedConfig::default()
             };
             let mut base_sys = SharedSystem::new(lbm, None, cfg);
             let base = *base_sys.run().iter().max().expect("cores");

@@ -2,7 +2,7 @@
 //! bundles).
 
 use ptguard::PtGuardConfig;
-use simx::multicore::{evaluate_bundle, BundleResult, MultiCoreConfig};
+use simx::multicore::{evaluate_bundle, BundleResult, CORES};
 use simx::shared::{evaluate_bundle_shared, SharedConfig};
 use workloads::multiprog::{mix_bundles, same_bundles};
 
@@ -36,22 +36,19 @@ pub fn run(scale: Scale) -> MultiCoreResult {
 /// reproduces [`run`] exactly).
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> MultiCoreResult {
-    let cfg = MultiCoreConfig {
-        instructions_per_core: match scale {
-            Scale::Trial => 30_000,
-            Scale::Quick => 100_000,
-            Scale::Full => 250_000,
-        },
-        ..MultiCoreConfig::default()
+    let instructions_per_core = match scale {
+        Scale::Trial => 30_000,
+        Scale::Quick => 100_000,
+        Scale::Full => 250_000,
     };
-    let mut bundles: Vec<_> = same_bundles(cfg.cores);
-    bundles.extend(mix_bundles(cfg.cores, crate::salted(0x3117, sweep_seed)));
+    let mut bundles: Vec<_> = same_bundles(CORES);
+    bundles.extend(mix_bundles(CORES, crate::salted(0x3117, sweep_seed)));
     if scale == Scale::Trial {
         bundles.truncate(4);
     }
     let results: Vec<BundleResult> = bundles
         .iter()
-        .map(|b| evaluate_bundle(b, PtGuardConfig::default(), &cfg))
+        .map(|b| evaluate_bundle(b, PtGuardConfig::default(), instructions_per_core))
         .collect();
     let slowdowns: Vec<f64> = results.iter().map(|r| r.slowdown.max(0.0)).collect();
     let avg = amean(&slowdowns);
@@ -63,7 +60,7 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> MultiCoreResult {
 
     // Cross-check a memory-heavy sample under the derived-contention model.
     let shared_cfg = SharedConfig {
-        instructions_per_core: cfg.instructions_per_core.min(60_000),
+        instructions_per_core: instructions_per_core.min(60_000),
         ..SharedConfig::default()
     };
     let sample: Vec<&str> = match scale {

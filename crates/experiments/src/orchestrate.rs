@@ -4,14 +4,18 @@
 //! multi-seed sweeps.
 //!
 //! Every artefact run is modelled as a **pure job** keyed by
-//! `(artefact, scale, seed, config fingerprint, crate version)`, so the
-//! engine's content-addressed cache can serve byte-identical re-runs
-//! without recomputation and an interrupted run resumes with only the
-//! missing jobs. A sweep adds one aggregation job per artefact, depending
-//! on the per-seed jobs, that renders a mean ± stdev table over every
-//! numeric metric the artefact exposes.
+//! `(artefact, scale, seed, binary fingerprint)`, so the engine's
+//! content-addressed cache can serve byte-identical re-runs without
+//! recomputation and an interrupted run resumes with only the missing
+//! jobs. The fingerprint hashes the running binary, so a rebuild that
+//! changes any code, default or version never serves a stale artefact.
+//! A sweep adds one aggregation job per artefact, depending on the
+//! per-seed jobs, that renders a mean ± stdev table over every numeric
+//! metric the artefact exposes.
 
-use orchestrator::hash::stable_key;
+use std::sync::OnceLock;
+
+use orchestrator::hash::hash_bytes;
 use orchestrator::json::Value;
 use orchestrator::{JobOutput, JobSpec};
 
@@ -68,23 +72,6 @@ pub fn rth_acts(scale: Scale) -> u64 {
         Scale::Quick => 60_000,
         Scale::Full => 200_000,
     }
-}
-
-/// A stable fingerprint of every configuration default that feeds the
-/// artefacts. Changing any default invalidates all cached results.
-#[must_use]
-pub fn config_fingerprint() -> String {
-    stable_key(&[
-        format!("{:?}", ptguard::PtGuardConfig::default()),
-        format!("{:?}", ptguard::PtGuardConfig::optimized()),
-        format!("{:?}", memsys::MemSysConfig::default()),
-        format!(
-            "scales:{}/{}/{}",
-            Scale::Trial.instructions(),
-            Scale::Quick.instructions(),
-            Scale::Full.instructions()
-        ),
-    ])
 }
 
 fn m(metrics: &mut Vec<(String, f64)>, name: impl Into<String>, v: f64) {
@@ -664,13 +651,29 @@ pub struct Plan {
     pub sections: Vec<Section>,
 }
 
+/// The FNV hash of the running binary's bytes, computed once per process.
+/// The binary holds every code path, configuration default and the crate
+/// version, so it changes whenever an artefact could. A binary that cannot
+/// be read gets a fingerprint of its own process, which misses the cache
+/// rather than risk a stale hit.
+fn binary_fingerprint() -> &'static str {
+    static FINGERPRINT: OnceLock<String> = OnceLock::new();
+    FINGERPRINT.get_or_init(|| match std::env::current_exe().and_then(std::fs::read) {
+        Ok(bytes) => format!("{:016x}", hash_bytes(&bytes)),
+        Err(e) => format!("unreadable binary ({e}), process {}", std::process::id()),
+    })
+}
+
 fn key_material(name: &str, scale: Scale, seed: u64) -> Vec<String> {
+    key_material_for(name, scale, seed, binary_fingerprint())
+}
+
+fn key_material_for(name: &str, scale: Scale, seed: u64, fingerprint: &str) -> Vec<String> {
     vec![
         format!("artefact:{name}"),
         format!("scale:{}", scale.name()),
         format!("seed:{seed}"),
-        format!("fingerprint:{}", config_fingerprint()),
-        format!("version:{}", env!("CARGO_PKG_VERSION")),
+        format!("binary:{fingerprint}"),
     ]
 }
 
@@ -836,6 +839,8 @@ pub fn render_json(section: &Section, scale: Scale, out: &JobOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orchestrator::hash::stable_key;
+    use orchestrator::{run_dag, DiskCache, RunOptions};
 
     #[test]
     fn registry_covers_every_module_once() {
@@ -930,8 +935,41 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_within_a_build() {
-        assert_eq!(config_fingerprint(), config_fingerprint());
-        assert_eq!(config_fingerprint().len(), 16);
+        assert_eq!(binary_fingerprint(), binary_fingerprint());
+        assert_eq!(binary_fingerprint().len(), 16);
+    }
+
+    #[test]
+    fn two_fingerprints_give_two_keys() {
+        let key = |fp| stable_key(&key_material_for("fig6", Scale::Quick, 0, fp));
+        assert_ne!(key("aaaa"), key("bbbb"));
+        assert_eq!(key("aaaa"), key("aaaa"));
+    }
+
+    #[test]
+    fn a_new_binary_reexecutes_a_cached_artefact() {
+        let dir =
+            std::env::temp_dir().join(format!("ptguard-exp-fingerprint-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |fingerprint: &str| {
+            let spec = JobSpec::new(
+                "table1",
+                key_material_for("table1", Scale::Trial, 0, fingerprint),
+                |_| run_artefact("table1", Scale::Trial, 0),
+            );
+            let opts = RunOptions {
+                jobs: 1,
+                cache: Some(DiskCache::open(&dir).expect("cache dir")),
+                ..RunOptions::default()
+            };
+            let report = run_dag(vec![spec], opts);
+            assert_eq!(report.error, None);
+            (report.executed, report.cache_hits)
+        };
+        assert_eq!(run("aaaa"), (1, 0), "cold run executes");
+        assert_eq!(run("aaaa"), (0, 1), "same binary hits the cache");
+        assert_eq!(run("bbbb"), (1, 0), "a new binary re-executes");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -111,20 +111,6 @@ impl Default for MemSysConfig {
 }
 
 impl MemSysConfig {
-    /// A multi-core per-core configuration: 1 MB of shared LLC per core
-    /// (Section VII-C uses 16 GB DDR4 and 1 MB/core LLC).
-    #[must_use]
-    pub fn multicore_percore(cores: usize) -> Self {
-        Self {
-            llc: CacheConfig {
-                size_bytes: cores * (1 << 20),
-                ways: 16,
-                latency_cycles: 38,
-            },
-            ..Self::default()
-        }
-    }
-
     /// Converts nanoseconds to core cycles through the fixed-point clock
     /// (single rounding point; see [`clock`]).
     #[must_use]

@@ -55,7 +55,7 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// Derives a 16-hex-digit content-address from an ordered list of string
-/// parts (e.g. artefact id, scale, seed, config fingerprint, version).
+/// parts (e.g. artefact id, scale, seed, binary fingerprint).
 #[must_use]
 pub fn stable_key<S: AsRef<str>>(parts: &[S]) -> String {
     let mut h = Fnv64::new();

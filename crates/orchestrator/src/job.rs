@@ -100,7 +100,7 @@ pub struct JobSpec {
     /// manifest; not part of the cache key).
     pub id: String,
     /// The cache-key material: every input that determines the output
-    /// (artefact id, scale, seed, config fingerprint, crate version). The
+    /// (artefact id, scale, seed, fingerprint of the binary). The
     /// engine extends this with the final keys of all dependencies, so a
     /// changed dependency transitively invalidates its dependents.
     pub key_material: Vec<String>,

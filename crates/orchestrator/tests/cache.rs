@@ -51,7 +51,7 @@ fn missing_entry_is_a_miss() {
 
 #[test]
 fn changed_key_material_changes_the_key() {
-    // The engine derives keys from key material; a config-fingerprint
+    // The engine derives keys from key material; a fingerprint
     // change must produce a different key, i.e. a miss.
     let a = stable_key(&["artefact:fig6", "fingerprint:aaaa"]);
     let b = stable_key(&["artefact:fig6", "fingerprint:bbbb"]);

@@ -140,8 +140,26 @@ impl AddressSpace {
     /// Returns [`MapError::OutOfMemory`] if `mem` cannot hold even the root
     /// table.
     pub fn new<M: PhysMem + ?Sized>(mem: &mut M, max_phys_bits: u32) -> Result<Self, MapError> {
+        Self::starting_at_frame(mem, max_phys_bits, 1)
+    }
+
+    /// [`AddressSpace::new`] with every frame, root included, allocated
+    /// from `first` upwards instead of from frame 1. Spaces started at
+    /// frames further apart than either one allocates share no frame, so
+    /// several processes can live in one physical memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError::OutOfMemory`] if no frame at or above `first`
+    /// fits in `mem`.
+    pub fn starting_at_frame<M: PhysMem + ?Sized>(
+        mem: &mut M,
+        max_phys_bits: u32,
+        first: u64,
+    ) -> Result<Self, MapError> {
+        debug_assert!(first >= 1, "frame 0 is reserved");
         let limit = (mem.size() / PAGE_SIZE as u64).min(1u64 << (max_phys_bits - 12));
-        let mut allocator = FrameAllocator::new(1, limit);
+        let mut allocator = FrameAllocator::new(first, limit);
         let root = allocator.alloc().ok_or(MapError::OutOfMemory)?;
         table::zero_page(mem, root);
         Ok(Self {

@@ -9,7 +9,7 @@
 //! differ only in units — the single-core runner ticks one cycle and keeps
 //! the whole latency (`tick = 1`, `scale = 1`); the multi-core runner runs
 //! in milli-cycles and keeps the unhidden fraction of each stall
-//! (`tick = 1000`, `scale = keep_millis`). Extracting the loop here keeps
+//! (`tick = 1000`, `scale = EXPOSED_MILLIS`). Extracting the loop here keeps
 //! the two from drifting apart; the identity tests
 //! (`tests/pipeline_identity.rs`, `tests/controller_cycles.rs`) pin the
 //! extraction bit-for-bit.
@@ -42,7 +42,7 @@ pub(crate) struct WindowedDriver {
     window: usize,
     /// Front-end clock advance per instruction (1 cycle or 1000 mc).
     tick: u64,
-    /// Latency multiplier at retire (1, or the unhidden `keep_millis`).
+    /// Latency multiplier at retire (1, or the unhidden `EXPOSED_MILLIS`).
     scale: u64,
     /// Front-end clock (instruction issue), in `tick` units.
     clock: u64,

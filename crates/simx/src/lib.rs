@@ -12,9 +12,10 @@
 //! * [`multicore`] — the Section VII-C model: per-core private L1/L2 over a
 //!   contended shared LLC/DRAM, with an out-of-order overlap factor, used
 //!   for the SPEC-SAME/MIX bundles.
-//! * [`source`] — the [`source::OpSource`] abstraction: cores execute from
-//!   either a live [`workloads::tracegen::TraceGenerator`] or a recorded
-//!   binary trace ([`trace::TraceReader`]), interchangeably.
+//! * [`source`] — the [`source::OpSource`] abstraction: the single-core
+//!   [`Machine`] executes from either a live
+//!   [`workloads::tracegen::TraceGenerator`] or a recorded binary trace
+//!   ([`trace::TraceReader`]), interchangeably.
 //!
 //! The paper's performance artefacts map onto this crate directly:
 //! Figure 6 = [`runner::simulate_workload`] across the 25 profiles,

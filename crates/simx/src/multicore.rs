@@ -25,39 +25,19 @@ use workloads::multiprog::Bundle;
 use workloads::tracegen::{Op, TraceGenerator};
 
 use crate::driver::WindowedDriver;
-use crate::source::OpSource;
 
-/// Multi-core model parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiCoreConfig {
-    /// Number of cores (paper: 4).
-    pub cores: usize,
-    /// Fraction of each memory stall the O3 core hides (0 = in-order).
-    pub o3_overlap: f64,
-    /// DRAM latency multiplier from channel contention.
-    pub contention: f64,
-    /// Instructions per core.
-    pub instructions_per_core: u64,
-    /// DRAM capacity in GB (paper: 16).
-    pub dram_gb: u64,
-    /// Per-core memory-level parallelism window (see
-    /// [`MemSysConfig::mlp`]); `1` reproduces the blocking O3 model
-    /// bit-for-bit.
-    pub mlp: usize,
-}
+/// Cores per bundle (the paper's four).
+pub const CORES: usize = 4;
 
-impl Default for MultiCoreConfig {
-    fn default() -> Self {
-        Self {
-            cores: 4,
-            o3_overlap: 0.6,
-            contention: 2.5,
-            instructions_per_core: 100_000,
-            dram_gb: 16,
-            mlp: 1,
-        }
-    }
-}
+/// DRAM capacity in GB (the paper's 16 GB DDR4).
+pub(crate) const DRAM_GB: u64 = 16;
+
+/// The unhidden part of a memory stall, in milli-cycles per stall cycle:
+/// the O3 core hides 60 % of every stall and exposes 400/1000 of it.
+pub(crate) const EXPOSED_MILLIS: u64 = 400;
+
+/// DRAM latency multiplier from channel contention.
+const CONTENTION: f64 = 2.5;
 
 /// Per-bundle result.
 #[derive(Debug, Clone)]
@@ -69,26 +49,23 @@ pub struct BundleResult {
     pub slowdown: f64,
 }
 
-/// Runs one core's workload from `source` and returns its cycle count.
-///
-/// Generic over the op source so a core can execute a recorded trace
-/// instead of a live generator; `profile` sizes the mapped address span.
-pub fn run_core_from_source<S: OpSource>(
-    mut source: S,
+/// Runs `instructions` of one core's workload (generated from `seed`)
+/// and returns its cycle count.
+fn run_core(
     profile: workloads::WorkloadProfile,
+    seed: u64,
     guard: Option<PtGuardConfig>,
-    cfg: &MultiCoreConfig,
+    instructions: u64,
 ) -> u64 {
     // Per-core view: private L1/L2, a 1 MB slice of the shared LLC, and a
     // contended DRAM channel.
     let mut mem_cfg = MemSysConfig::default();
     mem_cfg.llc.size_bytes = 1 << 20;
-    mem_cfg.mlp = cfg.mlp;
     let mut timing = DramTiming::default();
-    timing.t_rcd_ns *= cfg.contention;
-    timing.t_rp_ns *= cfg.contention;
-    timing.t_cas_ns *= cfg.contention;
-    let geometry = DramGeometry::with_capacity(cfg.dram_gb << 30);
+    timing.t_rcd_ns *= CONTENTION;
+    timing.t_rp_ns *= CONTENTION;
+    timing.t_cas_ns *= CONTENTION;
+    let geometry = DramGeometry::with_capacity(DRAM_GB << 30);
     let device = DramDevice::new(geometry, timing, RowhammerConfig::immune());
     let engine = guard.map(PtGuardEngine::new);
     let controller = MemoryController::new(device, engine, mem_cfg.core_ghz);
@@ -112,24 +89,24 @@ pub fn run_core_from_source<S: OpSource>(
     sys.flush_caches();
 
     // O3 core: one cycle per instruction plus the *unhidden* fraction of
-    // the memory latency, with up to `mlp` memory ops in flight. The first
-    // pass warms caches and TLB (unmeasured, like the paper's 25
+    // the memory latency, one memory op at a time (the default `mlp = 1`).
+    // The first pass warms caches and TLB (unmeasured, like the paper's 25
     // Bn-instruction fast-forward); the second pass is the measured region.
     // Each pass drains its window and the measured pass resets both clocks,
     // so warm-up completion times cannot leak into the measurement.
     //
     // The core clock runs in integer milli-cycles: each instruction adds
     // 1000, each retire adds the unhidden fraction of the miss latency
-    // with the overlap factor quantised once (`keep_millis` per cycle).
-    // An f64 clock drifts at long horizons — past 2^53 the ulp exceeds a
-    // cycle and `+= 1.0` stops advancing; integers cannot lose ticks.
-    let keep_millis = ((1.0 - cfg.o3_overlap) * 1000.0).round() as u64;
-    let mut driver = WindowedDriver::new(cfg.mlp, 1000, keep_millis);
+    // ([`EXPOSED_MILLIS`] per cycle). An f64 clock drifts at long
+    // horizons — past 2^53 the ulp exceeds a cycle and `+= 1.0` stops
+    // advancing; integers cannot lose ticks.
+    let mut source = TraceGenerator::new(profile, seed);
+    let mut driver = WindowedDriver::new(mem_cfg.mlp, 1000, EXPOSED_MILLIS);
     for phase in 0..2 {
         if phase == 1 {
             driver.reset_clocks();
         }
-        for _ in 0..cfg.instructions_per_core {
+        for _ in 0..instructions {
             driver.tick_instruction();
             let (va, write) = match source.next_op() {
                 Op::Compute => continue,
@@ -143,19 +120,20 @@ pub fn run_core_from_source<S: OpSource>(
     (driver.clock() + 500) / 1000
 }
 
-/// Evaluates one bundle: per-core slowdown of PT-Guard vs baseline,
-/// averaged across cores (each core runs with a distinct seed).
+/// Evaluates one bundle over `instructions_per_core`: per-core slowdown of
+/// PT-Guard vs baseline, averaged across cores (each core runs with a
+/// distinct seed).
 #[must_use]
 pub fn evaluate_bundle(
     bundle: &Bundle,
     guard: PtGuardConfig,
-    cfg: &MultiCoreConfig,
+    instructions_per_core: u64,
 ) -> BundleResult {
     let mut total = 0.0;
     for (core, w) in bundle.workloads.iter().enumerate() {
         let seed = 1000 + core as u64;
-        let base = run_core_from_source(TraceGenerator::new(*w, seed), *w, None, cfg);
-        let guarded = run_core_from_source(TraceGenerator::new(*w, seed), *w, Some(guard), cfg);
+        let base = run_core(*w, seed, None, instructions_per_core);
+        let guarded = run_core(*w, seed, Some(guard), instructions_per_core);
         total += guarded as f64 / base as f64 - 1.0;
     }
     BundleResult {
@@ -171,14 +149,10 @@ mod tests {
 
     #[test]
     fn multicore_slowdown_is_small() {
-        let cfg = MultiCoreConfig {
-            instructions_per_core: 40_000,
-            ..MultiCoreConfig::default()
-        };
         // Pick a memory-hungry SAME bundle (worst case in the paper).
         let bundles = same_bundles(2); // 2 cores for test speed
         let lbm = bundles.iter().find(|b| b.name == "SAME-lbm").unwrap();
-        let r = evaluate_bundle(lbm, PtGuardConfig::default(), &cfg);
+        let r = evaluate_bundle(lbm, PtGuardConfig::default(), 40_000);
         assert!(
             r.slowdown >= -0.002,
             "guard can't be meaningfully faster: {}",

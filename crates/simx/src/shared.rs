@@ -3,10 +3,12 @@
 //! Unlike [`crate::multicore`] — which approximates contention with a DRAM
 //! latency multiplier, as the paper's SE-mode methodology does — this model
 //! *derives* contention: four cores with private L1/L2/TLB/MMU-cache stacks
-//! share one LLC and one or more DRAM channels, and requests that overlap
-//! in time queue behind each other at their line's channel (lines spread by
-//! the [`ChannelInterleave`]). Each core is an O3-overlap in-order pipeline
-//! as in the per-core model. Core pipelines run in integer milli-cycles;
+//! share one LLC and one or more DRAM channels. Each core is a separate
+//! process, with its page table and data frames in its own slice of
+//! physical memory. Requests that overlap in time queue behind each other
+//! at their line's channel (lines spread by the [`ChannelInterleave`]).
+//! Each core is an O3-overlap in-order pipeline as in the per-core model,
+//! with the same constants. Core pipelines run in integer milli-cycles;
 //! the channel serialization point runs in integer picoseconds — the same
 //! timeline the DRAM devices and the event wheel use — with a single
 //! rounding point per request ([`clock::millicycles_to_ps`]), so
@@ -32,20 +34,18 @@ use ptguard::{PtGuardConfig, PtGuardEngine};
 use workloads::multiprog::Bundle;
 use workloads::tracegen::{Op, TraceGenerator};
 
-use crate::source::OpSource;
+use crate::multicore::{DRAM_GB, EXPOSED_MILLIS};
+
+/// Channel hold per DRAM request beyond its access, in integer
+/// picoseconds (a 6 ns burst; channel serialization).
+const BURST_OCCUPANCY_PS: u128 = 6_000;
 
 /// Shared-model parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SharedConfig {
-    /// Fraction of every memory stall the O3 core hides.
-    pub o3_overlap: f64,
     /// Instructions per core in the measured region (an equal warm-up
     /// region runs first).
     pub instructions_per_core: u64,
-    /// DRAM capacity in GB.
-    pub dram_gb: u64,
-    /// DRAM burst occupancy per request in ns (channel serialization).
-    pub burst_occupancy_ns: f64,
     /// Memory channels (power of two); requests serialize per channel.
     pub channels: usize,
 }
@@ -53,22 +53,19 @@ pub struct SharedConfig {
 impl Default for SharedConfig {
     fn default() -> Self {
         Self {
-            o3_overlap: 0.6,
             instructions_per_core: 60_000,
-            dram_gb: 16,
-            burst_occupancy_ns: 6.0,
             channels: 1,
         }
     }
 }
 
 /// One core's private front-end.
-struct CoreStack<S: OpSource> {
+struct CoreStack {
     l1: Cache,
     l2: Cache,
     tlb: Tlb,
     mmu: MmuCache,
-    source: S,
+    source: TraceGenerator,
     root: Frame,
     /// Local time in milli-cycles (the core's pipeline clock).
     now_mc: u64,
@@ -76,12 +73,8 @@ struct CoreStack<S: OpSource> {
 }
 
 /// The shared back-end plus per-core stacks.
-///
-/// Generic over the per-core instruction source (live generator by
-/// default; trace replay plugs in the same way as for
-/// [`crate::Machine`]).
-pub struct SharedSystem<S: OpSource = TraceGenerator> {
-    cores: Vec<CoreStack<S>>,
+pub struct SharedSystem {
+    cores: Vec<CoreStack>,
     llc: Cache,
     /// One controller per channel, indexed by [`ChannelInterleave`] output.
     controllers: Vec<MemoryController>,
@@ -90,10 +83,6 @@ pub struct SharedSystem<S: OpSource = TraceGenerator> {
     /// Per-channel serialization point, in integer picoseconds (the same
     /// timeline as the DRAM devices behind the controllers).
     channel_free_at: Vec<u128>,
-    /// Unhidden fraction of a stall, in milli-cycles per cycle.
-    keep_millis: u64,
-    /// Channel hold per request, in integer picoseconds.
-    occupancy_ps: u128,
     /// Core clock in kHz (converts milli-cycles ↔ picoseconds).
     core_khz: u64,
     /// DRAM requests that waited on their channel.
@@ -102,7 +91,7 @@ pub struct SharedSystem<S: OpSource = TraceGenerator> {
     pub dram_requests: u64,
 }
 
-impl SharedSystem<TraceGenerator> {
+impl SharedSystem {
     /// Builds a shared system running `bundle` (one workload per core).
     ///
     /// # Panics
@@ -110,39 +99,12 @@ impl SharedSystem<TraceGenerator> {
     /// Panics if address-space construction fails (undersized DRAM).
     #[must_use]
     pub fn new(bundle: &Bundle, guard: Option<PtGuardConfig>, cfg: SharedConfig) -> Self {
-        let sources = bundle
-            .workloads
-            .iter()
-            .enumerate()
-            .map(|(i, w)| TraceGenerator::new(*w, 0x5ca1e + i as u64))
-            .collect();
-        Self::from_sources(bundle, sources, guard, cfg)
-    }
-}
-
-impl<S: OpSource> SharedSystem<S> {
-    /// Builds a shared system with one explicit source per core (paired
-    /// positionally with `bundle.workloads`, which size the address
-    /// spaces).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources` and the bundle disagree on core count, or if
-    /// address-space construction fails (undersized DRAM).
-    #[must_use]
-    pub fn from_sources(
-        bundle: &Bundle,
-        sources: Vec<S>,
-        guard: Option<PtGuardConfig>,
-        cfg: SharedConfig,
-    ) -> Self {
-        assert_eq!(sources.len(), bundle.workloads.len(), "one source per core");
         let mut mem_cfg = MemSysConfig::default();
         mem_cfg.llc.size_bytes = bundle.workloads.len() * (1 << 20); // 1 MB/core
         mem_cfg.channels = cfg.channels.max(1);
         let controllers: Vec<MemoryController> = (0..mem_cfg.channels)
             .map(|_| {
-                let geometry = DramGeometry::with_capacity(cfg.dram_gb << 30);
+                let geometry = DramGeometry::with_capacity(DRAM_GB << 30);
                 let device =
                     DramDevice::new(geometry, DramTiming::default(), RowhammerConfig::immune());
                 let engine = guard.map(PtGuardEngine::new);
@@ -155,14 +117,16 @@ impl<S: OpSource> SharedSystem<S> {
         // Simpler: build through a temporary MemorySystem sharing nothing,
         // then write lines straight through the controller write path.
         let mut sys = MemorySystem::new(mem_cfg, controllers);
+        // Each core is its own process: its page table and data frames
+        // come from its own slice of physical memory.
+        let frames_per_core = (DRAM_GB << 30) / PAGE_SIZE as u64 / bundle.workloads.len() as u64;
         let mut cores = Vec::new();
-        for (w, source) in bundle.workloads.iter().zip(sources) {
-            // Give each core a disjoint VA slice by rebasing the source's
-            // stream through a per-core address space.
+        for (i, w) in bundle.workloads.iter().enumerate() {
             let base = TraceGenerator::HEAP_BASE;
             let pages = w.hot_pages + w.stream_pages;
             let mut port = OsPort::new(&mut sys);
-            let mut space = AddressSpace::new(&mut port, 34).expect("space");
+            let first = 1 + i as u64 * frames_per_core;
+            let mut space = AddressSpace::starting_at_frame(&mut port, 34, first).expect("space");
             for p in 0..pages {
                 space
                     .map_new(
@@ -181,7 +145,7 @@ impl<S: OpSource> SharedSystem<S> {
                     mem_cfg.mmu_cache_ways,
                     mem_cfg.mmu_cache_latency_cycles,
                 ),
-                source,
+                source: TraceGenerator::new(*w, 0x5ca1e + i as u64),
                 root: space.root(),
                 now_mc: 0,
                 done: 0,
@@ -197,8 +161,6 @@ impl<S: OpSource> SharedSystem<S> {
             llc: Cache::new(mem_cfg.llc),
             controllers,
             interleave: ChannelInterleave::new(u32::try_from(channels).expect("channels")),
-            keep_millis: ((1.0 - cfg.o3_overlap) * 1000.0).round() as u64,
-            occupancy_ps: clock::ns_to_ps(cfg.burst_occupancy_ns),
             core_khz: clock::ghz_to_khz(mem_cfg.core_ghz),
             cfg,
             channel_free_at: vec![0; channels],
@@ -266,7 +228,7 @@ impl<S: OpSource> SharedSystem<S> {
         self.channel_free_at[ch] = now_ps
             + wait_ps
             + clock::cycles_to_ps(channel_cycles, self.core_khz)
-            + self.occupancy_ps;
+            + BURST_OCCUPANCY_PS;
         cycles += clock::ps_to_cycles(wait_ps, self.core_khz) + read.latency_cycles;
         if read.verdict == ReadVerdict::CheckFailed {
             return (read.line, cycles, read.verdict);
@@ -368,7 +330,7 @@ impl<S: OpSource> SharedSystem<S> {
             let (_, c, _) = self.line_access(ci, pa, write, false);
             cycles += c;
         }
-        self.cores[ci].now_mc += cycles * self.keep_millis;
+        self.cores[ci].now_mc += cycles * EXPOSED_MILLIS;
     }
 
     /// Runs all cores to completion (time-ordered interleaving); returns
@@ -434,6 +396,24 @@ mod tests {
         let a = SharedSystem::new(b, None, cfg).run();
         let c = SharedSystem::new(b, None, cfg).run();
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn every_core_runs_its_own_page_table() {
+        // Four copies of one workload are four processes: no two cores may
+        // share a root table or the frame behind the same virtual page.
+        let bundles = same_bundles(4);
+        let lbm = bundles.iter().find(|b| b.name == "SAME-lbm").unwrap();
+        let mut sys = SharedSystem::new(lbm, None, SharedConfig::default());
+        let va = VirtAddr::new(TraceGenerator::HEAP_BASE + 5 * PAGE_SIZE as u64);
+        let roots: Vec<u64> = sys.cores.iter().map(|c| c.root.0).collect();
+        let leaves: Vec<u64> = (0..4)
+            .map(|ci| sys.walk(ci, va).0.expect("heap page is mapped").frame().0)
+            .collect();
+        for frames in [&roots, &leaves] {
+            let distinct: std::collections::BTreeSet<_> = frames.iter().collect();
+            assert_eq!(distinct.len(), 4, "cores share frames: {frames:?}");
+        }
     }
 
     #[test]

@@ -196,8 +196,8 @@ fn run_one(profile: WorkloadProfile, seed: u64, mlp: usize) -> RunResult {
 
 #[test]
 fn overlapped_mode_is_deterministic_and_never_slower() {
-    // Overlap determinism matters as much as speed: the mlp artefact and
-    // BENCH_memsys are committed, so two hosts must agree exactly.
+    // Overlap determinism matters as much as speed: the mlp and channels
+    // artefacts are committed, so two hosts must agree exactly.
     for name in ["sssp", "xalancbmk", "lbm"] {
         let w = *ALL_WORKLOADS.iter().find(|w| w.name == name).unwrap();
         let base = run_one(w, 7, 1);
