@@ -24,10 +24,15 @@
 //!   (TRR, PARA, Graphene, Blockhammer, SoftTRR, CATT, DAPPER, PT-Guard)
 //!   over a uniform activation stream.
 //!
+//! The QARMA and serve reports record the `line_kernel` they timed
+//! (`avx2` or `fused`, chosen by the CPU).
+//!
 //! `--check FILE` re-measures a representative number and fails (exit 1)
 //! if it regressed more than 2× over the value recorded in `FILE`. The
 //! gate dispatches on the report's `schema` field and rejects any schema
-//! it does not know, retired ones included. The margin stays 2× because
+//! it does not know, retired ones included. It also fails, naming both,
+//! when the report timed a different line kernel than this CPU runs:
+//! ns/op from two kernels say nothing about a regression. The margin stays 2× because
 //! committed numbers come from one host and the gate runs on others; a
 //! paired same-host comparison is `perfbench`'s job.
 
@@ -43,7 +48,7 @@ use ptguard::PtGuardConfig;
 use ptguard_bench::harness::{black_box, measure, sample_budget, Measurement};
 use ptguard_bench::sample_pte_line;
 use qarma::pac::PacKey;
-use qarma::{Qarma128, Qarma64, Sbox};
+use qarma::{LineKernel, Qarma128, Qarma64, Sbox};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -126,6 +131,7 @@ fn bench_qarma(rows: &mut Vec<Row>, fast: bool) {
 fn bench_mac(rows: &mut Vec<Row>, fast: bool) {
     let budget = sample_budget(fast);
     let mac = PteMac::from_config(&PtGuardConfig::default());
+    println!("line kernel: {}", mac.line_kernel().name());
     let line = sample_pte_line();
     let addr = PhysAddr::new(0x4000);
     report(
@@ -217,9 +223,31 @@ fn bench_sweep(jobs: usize, fast: bool) -> Option<Value> {
 }
 
 /// Schema tags of the three reports `bench` writes.
-const QARMA_SCHEMA: &str = "ptguard-bench-qarma/v3";
-const SERVE_SCHEMA: &str = "ptguard-bench-serve/v1";
+const QARMA_SCHEMA: &str = "ptguard-bench-qarma/v4";
+const SERVE_SCHEMA: &str = "ptguard-bench-serve/v2";
 const ARENA_SCHEMA: &str = "ptguard-bench-arena/v2";
+
+/// The line kernel `PteMac::compute` runs on this CPU.
+fn line_kernel() -> LineKernel {
+    PteMac::from_config(&PtGuardConfig::default()).line_kernel()
+}
+
+/// The gate's kernel check: the committed report must have timed the line
+/// kernel this CPU runs, since ns/op across kernels measure no regression.
+fn check_kernel(committed: &Value, fresh: LineKernel) -> Result<(), String> {
+    let kernel = committed
+        .get("line_kernel")
+        .and_then(Value::as_str)
+        .ok_or("committed report lacks line_kernel")?;
+    if kernel != fresh.name() {
+        return Err(format!(
+            "committed report timed the {kernel} line kernel, but this CPU runs the {} kernel; \
+             ns/op across kernels are not comparable",
+            fresh.name()
+        ));
+    }
+    Ok(())
+}
 
 fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
     let results = Value::Obj(
@@ -239,6 +267,7 @@ fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
     let mut pairs = vec![
         ("schema", Value::Str(QARMA_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
+        ("line_kernel", Value::Str(line_kernel().name().to_string())),
         ("results", results),
     ];
     if let Some(s) = sweep {
@@ -332,6 +361,10 @@ fn bench_serve(fast: bool) -> Value {
     Value::obj(vec![
         ("schema", Value::Str(SERVE_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
+        (
+            "line_kernel",
+            Value::Str(engine.mac().line_kernel().name().to_string()),
+        ),
         ("iters", Value::U64(iters as u64)),
         ("results", Value::Obj(sizes)),
     ])
@@ -361,6 +394,7 @@ fn check_serve(committed: &Value) -> Result<(), String> {
     }
     let committed_ns = p50("batch8", "p50_ns")?;
     let engine = serve::core::Engine::new(&PtGuardConfig::default());
+    check_kernel(committed, engine.mac().line_kernel())?;
     let fresh = serve_drain_hist(&engine, 8, 2_000).percentile(50.0);
     println!(
         "check: serve batch-8 drain fresh {fresh:.1} ns vs committed {committed_ns:.1} (gate 2x)"
@@ -503,6 +537,7 @@ fn check_mac(committed: &Value, fast: bool) -> Result<(), String> {
     }
 
     let mac = PteMac::from_config(&PtGuardConfig::default());
+    check_kernel(committed, mac.line_kernel())?;
     let line = sample_pte_line();
     let addr = PhysAddr::new(0x4000);
     let fresh = measure(sample_budget(fast), || mac.compute(black_box(&line), addr));
@@ -622,6 +657,8 @@ mod tests {
             "ptguard-bench-memsys/v3",
             "ptguard-bench-channels/v2",
             "ptguard-bench-qarma/v2",
+            "ptguard-bench-qarma/v3",
+            "ptguard-bench-serve/v1",
             "ptguard-bench-arena/v1",
             "no-such-report/v9",
         ] {
@@ -642,5 +679,43 @@ mod tests {
         assert!(err.contains("results.batch1"), "{err}");
         let err = check(&schema_only(ARENA_SCHEMA), true).unwrap_err();
         assert!(err.contains("lacks results"), "{err}");
+    }
+
+    #[test]
+    fn a_report_from_another_line_kernel_fails_naming_both_kernels() {
+        let fresh = line_kernel();
+        let other = match fresh {
+            LineKernel::Avx2 => LineKernel::Fused,
+            LineKernel::Fused => LineKernel::Avx2,
+        };
+        let ns = |v: f64| {
+            Value::obj(vec![
+                ("ns_per_op", Value::F64(v)),
+                ("p50_ns", Value::F64(v)),
+            ])
+        };
+        let report = |schema: &str| {
+            Value::obj(vec![
+                ("schema", Value::Str(schema.to_string())),
+                ("line_kernel", Value::Str(other.name().to_string())),
+                (
+                    "results",
+                    Value::obj(vec![
+                        ("mac_compute", ns(1e9)),
+                        ("batch1", ns(1e9)),
+                        ("batch8", ns(1e9)),
+                    ]),
+                ),
+            ])
+        };
+        for schema in [QARMA_SCHEMA, SERVE_SCHEMA] {
+            let err = check(&report(schema), true).unwrap_err();
+            let want = format!(
+                "committed report timed the {} line kernel, but this CPU runs the {} kernel",
+                other.name(),
+                fresh.name()
+            );
+            assert!(err.contains(&want), "{schema}: {err}");
+        }
     }
 }

@@ -1072,28 +1072,16 @@ impl PhysMem for OsPort<'_> {
         {
             return line.word(addr.line_offset() / 8);
         }
-        // Functional DRAM read: strip a verified MAC like the read path
-        // would, without mutating engine statistics or timing. The line
-        // lives on whichever channel the interleave maps it to.
+        // Functional DRAM read: the line a timed data read would forward,
+        // without touching engine statistics or timing. The line lives on
+        // whichever channel the interleave maps it to.
         let ctrl = self.sys.channel(self.sys.chan_of(addr));
         let raw = Line::from_bytes(&ctrl.device().read_line(addr));
-        let stripped = match ctrl.engine() {
-            Some(engine) => {
-                let mac_unit = engine.mac_unit();
-                let stored = ptguard::pattern::extract_mac(&raw);
-                if mac_unit.compute(&raw, addr) == stored {
-                    if engine.config().optimized {
-                        ptguard::pattern::strip_mac_and_identifier(&raw)
-                    } else {
-                        ptguard::pattern::strip_mac(&raw)
-                    }
-                } else {
-                    raw
-                }
-            }
+        let line = match ctrl.engine() {
+            Some(engine) => engine.peek_read(&raw, addr),
             None => raw,
         };
-        stripped.word(addr.line_offset() / 8)
+        line.word(addr.line_offset() / 8)
     }
 
     fn write_u64(&mut self, addr: PhysAddr, value: u64) {
@@ -1483,5 +1471,47 @@ mod tests {
             assert_eq!(outa.cycles(), outb.cycles());
             assert!(outa.is_ok());
         }
+    }
+
+    /// Writes `line` with its own MAC embedded (a line that *looks*
+    /// protected but does not match the write pattern) through channel 0's
+    /// controller, then reads word 0 back functionally (`OsPort`) and timed
+    /// (the controller's data-read path), in that order.
+    fn forged_word0(cfg: PtGuardConfig, addr: PhysAddr) -> (Line, u64, u64) {
+        let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
+        let mc = MemoryController::new(device, Some(PtGuardEngine::new(cfg)), 3.0);
+        let mut sys = MemorySystem::new(MemSysConfig::default(), vec![mc]);
+        let engine = sys.channel(0).engine().unwrap();
+        let fmt = engine.config().format;
+        let line = Line::from_words([0xabcd, 0, 0, 0, 0, 0, 0, 0]);
+        let forged =
+            ptguard::pattern::embed_mac_for(&line, engine.mac_unit().compute(&line, addr), fmt);
+        sys.channel_mut(0).write_line(addr, forged);
+        let functional = OsPort::new(&mut sys).read_u64(addr);
+        let timed = sys.channel_mut(0).read_line(addr, false).line.word(0);
+        (forged, functional, timed)
+    }
+
+    #[test]
+    fn functional_read_forwards_a_tracked_collision_like_the_timed_read() {
+        let addr = PhysAddr::new(0x20_0000);
+        let (forged, functional, timed) = forged_word0(PtGuardConfig::default(), addr);
+        // The write path saw the MAC field match and tracked the line in the
+        // CTB, so a data read forwards it as stored.
+        assert_eq!(timed, forged.word(0));
+        assert_eq!(functional, timed, "functional read stripped a tracked line");
+    }
+
+    #[test]
+    fn functional_read_forwards_an_unidentified_line_like_the_timed_read() {
+        // Optimized PT-Guard: the forged line carries a valid MAC but no
+        // identifier, so a data read skips verification and forwards it.
+        let addr = PhysAddr::new(0x20_0040);
+        let (forged, functional, timed) = forged_word0(PtGuardConfig::optimized(), addr);
+        assert_eq!(timed, forged.word(0));
+        assert_eq!(
+            functional, timed,
+            "functional read stripped an unidentified line"
+        );
     }
 }

@@ -83,6 +83,21 @@ pub struct ReadOutcome {
     pub added_latency_cycles: u32,
 }
 
+/// The first step of the read cascade (Sections IV-C, V-A, V-B).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadPath {
+    /// A tracked colliding line: forwarded as stored.
+    Tracked,
+    /// Optimized mode, a data read without the identifier: forwarded as
+    /// stored.
+    Unidentified,
+    /// Optimized mode, a zero payload carrying MAC-zero: verified by
+    /// comparison.
+    MacZero,
+    /// Full MAC verification.
+    Verify,
+}
+
 /// Counters the engine maintains.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
@@ -326,32 +341,74 @@ impl PtGuardEngine {
         self.process_read_with(line, addr, is_pte, None)
     }
 
-    /// Whether a read of `line` from `addr` will reach full MAC verification
-    /// (as opposed to the CTB/identifier/MAC-zero shortcuts). Read-only
-    /// mirror of the shortcut cascade at the top of [`Self::process_read`]:
-    /// the controller's drain step uses it to decide which queued reads to
-    /// include in a [`PteMac::compute_batch`] call. A stale answer can only
-    /// cost batching efficiency, never correctness — [`Self::process_read_with`]
-    /// falls back to a scalar MAC when no precomputed value is supplied.
-    #[must_use]
-    pub fn read_needs_mac(&self, line: &Line, addr: PhysAddr, is_pte: bool) -> bool {
+    /// The step of the read cascade a read of `line` from `addr` takes
+    /// before any MAC work: a shortcut, or full verification. Shared by
+    /// [`Self::process_read_with`], [`Self::read_needs_mac`] and
+    /// [`Self::peek_read`], so the three cannot disagree.
+    fn read_path(&self, line: &Line, addr: PhysAddr, is_pte: bool) -> ReadPath {
+        // Tracked colliding lines are forwarded untouched, no MAC work.
         if self.ctb.contains(addr) {
-            return false;
+            return ReadPath::Tracked;
         }
         let fmt = self.cfg.format;
         if self.cfg.optimized {
             let id = pattern::extract_identifier_for(line, fmt);
             if id != self.cfg.identifier && !is_pte {
-                return false;
+                // No identifier: not a protected line; skip the MAC entirely.
+                return ReadPath::Unidentified;
             }
+            // MAC-zero shortcut: an all-zero payload carrying the
+            // precomputed MAC-zero verifies by comparison alone.
             if id == self.cfg.identifier
                 && pattern::strip_mac_and_identifier_for(line, fmt).is_zero()
                 && pattern::extract_mac_for(line, fmt) == self.mac.mac_zero()
             {
-                return false;
+                return ReadPath::MacZero;
             }
         }
-        true
+        ReadPath::Verify
+    }
+
+    /// `line` with its MAC (and, when optimized, its identifier) cleared.
+    fn strip(&self, line: &Line) -> Line {
+        if self.cfg.optimized {
+            pattern::strip_mac_and_identifier_for(line, self.cfg.format)
+        } else {
+            pattern::strip_mac_for(line, self.cfg.format)
+        }
+    }
+
+    /// Whether a read of `line` from `addr` will reach full MAC verification
+    /// (as opposed to the CTB/identifier/MAC-zero shortcuts) — the read
+    /// cascade of [`Self::process_read`], without its side effects. The
+    /// controller's drain step uses it to decide which queued reads to
+    /// include in a [`PteMac::compute_batch`] call. A stale answer can only
+    /// cost batching efficiency, never correctness — [`Self::process_read_with`]
+    /// falls back to a scalar MAC when no precomputed value is supplied.
+    #[must_use]
+    pub fn read_needs_mac(&self, line: &Line, addr: PhysAddr, is_pte: bool) -> bool {
+        self.read_path(line, addr, is_pte) == ReadPath::Verify
+    }
+
+    /// The line a data read (`is_pte = false`) of `line` from `addr`
+    /// forwards to the caches: what [`Self::process_read`] returns, with no
+    /// counter, CTB or memo touched. A data read never fails its check: a
+    /// line whose MAC does not verify is forwarded as stored.
+    ///
+    /// Functional (untimed) reads use it, so they see exactly what a timed
+    /// read of the same line would.
+    #[must_use]
+    pub fn peek_read(&self, line: &Line, addr: PhysAddr) -> Line {
+        let fmt = self.cfg.format;
+        match self.read_path(line, addr, false) {
+            ReadPath::MacZero => self.strip(line),
+            ReadPath::Verify
+                if self.mac.compute(line, addr) == pattern::extract_mac_for(line, fmt) =>
+            {
+                self.strip(line)
+            }
+            _ => *line,
+        }
     }
 
     /// [`Self::process_read`], with an optionally precomputed MAC for the
@@ -372,22 +429,11 @@ impl PtGuardEngine {
             self.stats.pte_reads += 1;
         }
 
-        // Tracked colliding lines are forwarded untouched, no MAC work.
-        if self.ctb.contains(addr) {
-            return ReadOutcome {
-                line,
-                verdict: ReadVerdict::Forwarded,
-                mac_computed: false,
-                added_latency_cycles: 0,
-            };
-        }
-
-        let fmt = self.cfg.format;
-        if self.cfg.optimized {
-            let id = pattern::extract_identifier_for(&line, fmt);
-            if id != self.cfg.identifier && !is_pte {
-                // No identifier: not a protected line; skip the MAC entirely.
-                self.stats.identifier_skips += 1;
+        match self.read_path(&line, addr, is_pte) {
+            path @ (ReadPath::Tracked | ReadPath::Unidentified) => {
+                if path == ReadPath::Unidentified {
+                    self.stats.identifier_skips += 1;
+                }
                 return ReadOutcome {
                     line,
                     verdict: ReadVerdict::Forwarded,
@@ -395,24 +441,21 @@ impl PtGuardEngine {
                     added_latency_cycles: 0,
                 };
             }
-            // MAC-zero shortcut: an all-zero payload carrying the
-            // precomputed MAC-zero verifies by comparison alone.
-            if id == self.cfg.identifier
-                && pattern::strip_mac_and_identifier_for(&line, fmt).is_zero()
-                && pattern::extract_mac_for(&line, fmt) == self.mac.mac_zero()
-            {
+            ReadPath::MacZero => {
                 self.stats.mac_zero_hits += 1;
                 self.stats.verified += 1;
                 return ReadOutcome {
-                    line: pattern::strip_mac_and_identifier_for(&line, fmt),
+                    line: self.strip(&line),
                     verdict: ReadVerdict::Verified,
                     mac_computed: false,
                     added_latency_cycles: 0,
                 };
             }
+            ReadPath::Verify => {}
         }
 
         // Full MAC verification.
+        let fmt = self.cfg.format;
         self.stats.read_mac_computations += 1;
         let latency = self.cfg.mac_latency_cycles;
         let stored = pattern::extract_mac_for(&line, fmt);
@@ -420,13 +463,8 @@ impl PtGuardEngine {
 
         if computed == stored {
             self.stats.verified += 1;
-            let stripped = if self.cfg.optimized {
-                pattern::strip_mac_and_identifier_for(&line, fmt)
-            } else {
-                pattern::strip_mac_for(&line, fmt)
-            };
             return ReadOutcome {
-                line: stripped,
+                line: self.strip(&line),
                 verdict: ReadVerdict::Verified,
                 mac_computed: true,
                 added_latency_cycles: latency,
@@ -474,13 +512,8 @@ impl PtGuardEngine {
                 self.stats.corrected += 1;
                 self.stats.max_correction_guesses =
                     self.stats.max_correction_guesses.max(c.guesses);
-                let stripped = if self.cfg.optimized {
-                    pattern::strip_mac_and_identifier_for(&c.line, fmt)
-                } else {
-                    pattern::strip_mac_for(&c.line, fmt)
-                };
                 return ReadOutcome {
-                    line: stripped,
+                    line: self.strip(&c.line),
                     verdict: ReadVerdict::Corrected {
                         guesses: c.guesses,
                         step: c.step,

@@ -26,7 +26,7 @@
 //! a *tweakable* cipher makes natural) removes the aliasing; see
 //! `chunk_swap_aliasing_is_rejected` below and DESIGN.md.
 
-use qarma::{Qarma128, Sbox, TweakSchedule};
+use qarma::{LineKernel, Qarma128, Sbox};
 
 use crate::config::{PtGuardConfig, MAC_BITS};
 use crate::format::PteFormat;
@@ -43,11 +43,6 @@ pub struct PteMac {
     /// The cipher key, for the reference cipher behind
     /// [`Self::compute_unbatched`].
     key: [u128; 2],
-    /// Tweak schedules of the chunk offsets 16, 32 and 48. Chunk `i` of a
-    /// line enciphers under `base + 16i = base ⊕ 16i` (the base is
-    /// line-aligned) and the schedule is linear in the tweak, so a line
-    /// needs one schedule, for its base.
-    chunk_offsets: [TweakSchedule; 3],
     format: PteFormat,
     protected_mask: u64,
     pfn_mask: u64,
@@ -77,7 +72,6 @@ impl PteMac {
         let protected_mask = format.protected_mask(max_phys_bits);
         let pfn_mask = format.pfn_mask(max_phys_bits);
         let mut engine = Self {
-            chunk_offsets: [16, 32, 48].map(|off| cipher.tweak_schedule(off)),
             cipher,
             key,
             format,
@@ -108,7 +102,6 @@ impl PteMac {
     pub fn full_coverage(key: [u128; 2], rounds: usize, sbox: Sbox) -> Self {
         let cipher = Qarma128::new(key, rounds, sbox);
         let mut engine = Self {
-            chunk_offsets: [16, 32, 48].map(|off| cipher.tweak_schedule(off)),
             cipher,
             key,
             format: PteFormat::X86_64,
@@ -138,6 +131,12 @@ impl PteMac {
         self.protected_mask
     }
 
+    /// The QARMA kernel [`Self::compute`] runs on this CPU.
+    #[must_use]
+    pub fn line_kernel(&self) -> LineKernel {
+        self.cipher.line_kernel()
+    }
+
     /// The precomputed address-independent MAC of the all-zero line.
     #[must_use]
     pub fn mac_zero(&self) -> u128 {
@@ -147,19 +146,16 @@ impl PteMac {
     /// Computes the 96-bit MAC of `line` at `addr`.
     ///
     /// Only the protected bits contribute; the MAC/identifier regions and
-    /// the accessed bits may hold anything. One tweak schedule serves all
-    /// four chunks; the hot path allocates nothing.
+    /// the accessed bits may hold anything. The four chunks go through
+    /// [`Qarma128::encrypt_line`] together, under the line address as tweak
+    /// (chunk `i` at `base + 16i = base ⊕ 16i`, the base being
+    /// line-aligned); the hot path allocates nothing.
     #[must_use]
     pub fn compute(&self, line: &Line, addr: PhysAddr) -> u128 {
-        let [c0, chunks @ ..] = line.masked(self.protected_mask).chunks();
-        let base = self
-            .cipher
-            .tweak_schedule(u128::from(addr.line_addr().as_u64()));
-        let mut x = self.cipher.encrypt_scheduled(c0, &base);
-        for (&chunk, &offset) in chunks.iter().zip(&self.chunk_offsets) {
-            x ^= self.cipher.encrypt_scheduled(chunk, &(base ^ offset));
-        }
-        x & MAC_MASK
+        let chunks = line.masked(self.protected_mask).chunks();
+        let tweak = u128::from(addr.line_addr().as_u64());
+        let [q1, q2, q3, q4] = self.cipher.encrypt_line(chunks, tweak);
+        (q1 ^ q2 ^ q3 ^ q4) & MAC_MASK
     }
 
     /// Computes the MAC through the straight-line reference cipher
@@ -378,6 +374,44 @@ mod tests {
                     assert_eq!(reference, e.compute(line, *addr), "r={rounds} {sbox:?}");
                     assert_eq!(reference, mac, "r={rounds} {sbox:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_engine_kind_matches_the_reference_on_edge_and_random_lines() {
+        // The x86_64, ARMv8 and full-coverage engines differ only in which
+        // bits they mask; each must agree with the reference cipher on the
+        // zero line, the all-ones line and seeded random lines, at
+        // line-aligned and unaligned addresses.
+        let key = [
+            0x84be85ce9804e94bec2802d4e0a488e4,
+            0x10235374a49bccdde2f10325a89bdcfe,
+        ];
+        let engines = [
+            PteMac::with_format(key, 9, Sbox::Sigma1, 46, PteFormat::X86_64),
+            PteMac::with_format(key, 9, Sbox::Sigma1, 40, PteFormat::ArmV8),
+            PteMac::full_coverage(key, 9, Sbox::Sigma1),
+        ];
+        // SplitMix64 over a fixed seed.
+        let mut state = 0x5eed_3ac5u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut lines = vec![Line::ZERO, Line::from_words([u64::MAX; 8])];
+        lines.extend((0..16).map(|_| Line::from_words([0; 8].map(|_: u64| next()))));
+        for (e, engine) in engines.iter().enumerate() {
+            for (i, line) in lines.iter().enumerate() {
+                let addr = PhysAddr::new(next() >> 20);
+                assert_eq!(
+                    engine.compute(line, addr),
+                    engine.compute_unbatched(line, addr),
+                    "engine {e}, line {i}, {:?}",
+                    engine.line_kernel()
+                );
             }
         }
     }

@@ -40,12 +40,24 @@
 //! directions, the LFSR masks — is precomputed at construction into
 //! fixed-size arrays sized by [`MAX_ROUNDS`], so `encrypt`/`decrypt` run on
 //! the stack with zero heap allocations (pinned by `tests/alloc.rs`).
+//!
+//! ## Lines
+//!
+//! [`Core::encrypt_line`] enciphers the four 16-byte chunks of a 64-byte
+//! line under tweaks `t ⊕ 16·i`. It computes one tweak schedule and XORs in
+//! the precomputed schedules of the chunk offsets. On a CPU with AVX2 it
+//! runs the `avx2` kernel, which keeps two chunks in each 256-bit register;
+//! elsewhere it runs the fused kernel above once per chunk. The choice is
+//! made once, at construction, and both give the same bits.
 
 use std::ops::BitXor;
 
 use crate::consts::MAX_ROUNDS;
 use crate::sbox::Sbox;
 use crate::{H, LFSR_CELLS, NUM_CELLS, TAU};
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Byte lane of cell `k` (row-major specification index) in the
 /// column-major state.
@@ -238,18 +250,26 @@ fn mix64(x: u128) -> u128 {
 ///
 /// Every step from the tweak to these words — the cell permutations `h` and
 /// `τ`, the ω-LFSR and MixColumns — is linear over GF(2), so the schedule
-/// is too: `schedule(a ⊕ b) = schedule(a) ⊕ schedule(b)`. A caller that
-/// enciphers under related tweaks (the four 16-byte chunks of one line,
-/// whose tweaks differ from a line-aligned base only in bits 4 and 5)
-/// computes one schedule and XORs in precomputed ones.
+/// is too: `schedule(a ⊕ b) = schedule(a) ⊕ schedule(b)`. So
+/// [`Core::encrypt_line`], whose chunk tweaks differ from the line's only in
+/// bits 4 and 5, computes one schedule and XORs in precomputed ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TweakSchedule {
+pub(crate) struct TweakSchedule {
     /// `t₀`, added with the input and the output whitening.
     plain: u128,
     /// `M·τ(tᵢ)` for `i = 1..=r`.
     fwd: [u128; MAX_ROUNDS],
     /// `τ(tᵢ)` for `i = 1..=r`.
     bwd: [u128; MAX_ROUNDS],
+}
+
+impl TweakSchedule {
+    /// The schedule of the zero tweak (the schedule is linear).
+    const ZERO: Self = Self {
+        plain: 0,
+        fwd: [0; MAX_ROUNDS],
+        bwd: [0; MAX_ROUNDS],
+    };
 }
 
 impl BitXor for TweakSchedule {
@@ -264,6 +284,26 @@ impl BitXor for TweakSchedule {
             *a ^= b;
         }
         self
+    }
+}
+
+/// The kernel that enciphers a line's four chunks, chosen once per cipher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineKernel {
+    /// The fused table kernel, once per chunk: every CPU without AVX2.
+    Fused,
+    /// The AVX2 kernel: two chunks per 256-bit register, PSHUFB tables.
+    Avx2,
+}
+
+impl LineKernel {
+    /// Short lower-case name, as benchmark reports record it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            LineKernel::Fused => "fused",
+            LineKernel::Avx2 => "avx2",
+        }
     }
 }
 
@@ -340,6 +380,13 @@ pub(crate) struct Core {
     enc: Keys,
     /// Decryption key material (the mirrored set).
     dec: Keys,
+    /// Tweak schedules of the chunk offsets 0, 16, 32 and 48 of a line
+    /// (8-bit cells only).
+    chunk_offsets: [TweakSchedule; 4],
+    /// The AVX2 line kernel's tables: present only for 8-bit cells on a CPU
+    /// that reports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    avx2: Option<avx2::Tables>,
 }
 
 impl Core {
@@ -408,7 +455,7 @@ impl Core {
             .iter()
             .fold(0u128, |m, &k| m | (0xff << (8 * lane(TAU_INV[k]))));
 
-        Self {
+        let mut core = Self {
             cell_bits,
             rounds,
             sbox,
@@ -421,7 +468,27 @@ impl Core {
             // Reflector key k1 = M·k0.
             enc: Keys::new(mix, w0, w1, fwd_rk, bwd_rk, mix(k0)),
             dec: Keys::new(mix, w1, w0, bwd_rk, fwd_rk, k0),
+            chunk_offsets: [TweakSchedule::ZERO; 4],
+            #[cfg(target_arch = "x86_64")]
+            avx2: if cell_bits == 8 {
+                avx2::Tables::detect(sbox)
+            } else {
+                None
+            },
+        };
+        if cell_bits == 8 {
+            core.chunk_offsets = [0, 16, 32, 48].map(|off| core.tweak_schedule(off));
         }
+        core
+    }
+
+    /// The kernel [`Self::encrypt_line`] runs.
+    pub(crate) fn line_kernel(&self) -> LineKernel {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2.is_some() {
+            return LineKernel::Avx2;
+        }
+        LineKernel::Fused
     }
 
     /// Width dispatch for MixColumns.
@@ -495,6 +562,31 @@ impl Core {
     /// Encrypts one packed block under a precomputed tweak schedule.
     pub(crate) fn encrypt_scheduled(&self, p: u128, ts: &TweakSchedule) -> u128 {
         self.crypt(&self.enc, p, ts)
+    }
+
+    /// Encrypts four packed blocks, block `i` under packed tweak `t ⊕ 16·i`,
+    /// on the kernel [`Self::line_kernel`] names.
+    pub(crate) fn encrypt_line(&self, blocks: [u128; 4], t: u128) -> [u128; 4] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(tables) = &self.avx2 {
+            // SAFETY: the kernel's only requirement is that the CPU supports
+            // AVX2. An `avx2::Tables` exists only if `Tables::detect` saw
+            // `is_x86_feature_detected!("avx2")` hold (its fields are private
+            // to `avx2`, so nothing else can build one), and a CPU's feature
+            // set does not change while the process runs.
+            return unsafe { avx2::encrypt_line(self, tables, blocks, t) };
+        }
+        self.encrypt_line_fused(blocks, t)
+    }
+
+    /// [`Self::encrypt_line`] on the fused kernel.
+    pub(crate) fn encrypt_line_fused(&self, blocks: [u128; 4], t: u128) -> [u128; 4] {
+        let base = self.tweak_schedule(t);
+        let mut out = [0; 4];
+        for ((o, &block), &offset) in out.iter_mut().zip(&blocks).zip(&self.chunk_offsets) {
+            *o = self.encrypt_scheduled(block, &(base ^ offset));
+        }
+        out
     }
 
     /// Encrypts one packed block under packed tweak `t`.

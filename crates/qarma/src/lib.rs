@@ -54,7 +54,7 @@ pub mod q64;
 pub mod reference;
 pub mod sbox;
 
-pub use engine::TweakSchedule;
+pub use engine::LineKernel;
 pub use q128::Qarma128;
 pub use q64::Qarma64;
 pub use sbox::Sbox;

@@ -6,7 +6,7 @@
 //! results folded.
 
 use crate::consts::{ALPHA128, C128, MAX_ROUNDS_128};
-use crate::engine::{ortho128, Core, TweakSchedule};
+use crate::engine::{ortho128, Core, LineKernel};
 use crate::sbox::Sbox;
 
 /// The QARMA-128 tweakable block cipher.
@@ -71,23 +71,23 @@ impl Qarma128 {
         self.core.decrypt(ciphertext, tweak)
     }
 
-    /// The tweak schedule of `tweak`, for [`Self::encrypt_scheduled`].
+    /// Enciphers the four 16-byte chunks of a 64-byte line: `out[i] =
+    /// encrypt(blocks[i], tweak ⊕ 16·i)`. With the line's address as `tweak`,
+    /// chunk `i` is enciphered under its own 16-byte-granular address.
     ///
-    /// The schedule is linear over GF(2) in the tweak, so a caller
-    /// enciphering under tweaks `t ⊕ δ` for a few fixed offsets `δ`
-    /// computes `tweak_schedule(t)` once and XORs in precomputed
-    /// `tweak_schedule(δ)`.
-    #[must_use]
-    pub fn tweak_schedule(&self, tweak: u128) -> TweakSchedule {
-        self.core.tweak_schedule(tweak)
-    }
-
-    /// Encrypts `plaintext` under a precomputed tweak schedule:
-    /// `encrypt_scheduled(p, &tweak_schedule(t)) == encrypt(p, t)`.
+    /// One tweak schedule serves all four chunks. The work runs on the
+    /// kernel [`Self::line_kernel`] names; every kernel gives the same bits.
     /// Allocation-free.
     #[must_use]
-    pub fn encrypt_scheduled(&self, plaintext: u128, schedule: &TweakSchedule) -> u128 {
-        self.core.encrypt_scheduled(plaintext, schedule)
+    pub fn encrypt_line(&self, blocks: [u128; 4], tweak: u128) -> [u128; 4] {
+        self.core.encrypt_line(blocks, tweak)
+    }
+
+    /// The kernel [`Self::encrypt_line`] runs: [`LineKernel::Avx2`] exactly
+    /// when the CPU reports AVX2, chosen once at construction.
+    #[must_use]
+    pub fn line_kernel(&self) -> LineKernel {
+        self.core.line_kernel()
     }
 
     /// Number of forward/backward rounds `r`.
@@ -106,6 +106,7 @@ impl Qarma128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consts::MAX_ROUNDS_128;
 
     const W0: u128 = 0x84be85ce9804e94bec2802d4e0a488e4;
     const K0: u128 = 0x10235374a49bccdde2f10325a89bdcfe;
@@ -168,8 +169,10 @@ mod tests {
 
     #[test]
     fn tweak_schedule_is_linear_and_matches_encrypt() {
+        // `encrypt_line` XORs the chunk offsets' schedules into one base
+        // schedule; that rests on this linearity.
         for rounds in [1usize, 9, 11] {
-            let c = Qarma128::new([W0, K0], rounds, Sbox::Sigma1);
+            let c = Qarma128::new([W0, K0], rounds, Sbox::Sigma1).core;
             let base = c.tweak_schedule(TW & !63);
             for off in [16u128, 32, 48] {
                 let ts = base ^ c.tweak_schedule(off);
@@ -180,6 +183,76 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// SplitMix64 over a fixed seed, so a failure names a reproducible case.
+    fn splitmix(state: &mut u64) -> u128 {
+        let mut word = || {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (u128::from(word()) << 64) | u128::from(word())
+    }
+
+    #[test]
+    fn line_kernels_match_the_reference() {
+        // The kernel `encrypt_line` selects (AVX2 wherever the CPU has it),
+        // the fused kernel and the straight-line reference, on the same
+        // seeded keys, chunks and tweaks, line-aligned or not.
+        let mut rng = 0x5eed_11e5;
+        for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
+            for rounds in 1..=MAX_ROUNDS_128 {
+                for case in 0..40 {
+                    let key = [splitmix(&mut rng), splitmix(&mut rng)];
+                    let c = Qarma128::new(key, rounds, sbox);
+                    let blocks = [0; 4].map(|_: u128| splitmix(&mut rng));
+                    let tweak = splitmix(&mut rng) & if case % 2 == 0 { !63 } else { !0 };
+                    let want: [u128; 4] = std::array::from_fn(|i| {
+                        crate::reference::encrypt128(
+                            key,
+                            rounds,
+                            sbox,
+                            blocks[i],
+                            tweak ^ (16 * i as u128),
+                        )
+                    });
+                    let at = format!("{sbox:?} r={rounds} case {case}");
+                    assert_eq!(c.core.encrypt_line_fused(blocks, tweak), want, "fused {at}");
+                    assert_eq!(
+                        c.encrypt_line(blocks, tweak),
+                        want,
+                        "{:?} {at}",
+                        c.line_kernel()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_line_kernel_is_selected_exactly_when_the_cpu_has_avx2() {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx2 = false;
+        let want = if has_avx2 {
+            LineKernel::Avx2
+        } else {
+            LineKernel::Fused
+        };
+        for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
+            assert_eq!(Qarma128::new([W0, K0], 9, sbox).line_kernel(), want);
+        }
+    }
+
+    #[test]
+    #[ignore = "needs an AVX2 CPU; CI's bench-smoke job runs it with --include-ignored"]
+    fn this_cpu_runs_the_avx2_line_kernel() {
+        let c = Qarma128::new([W0, K0], 9, Sbox::Sigma1);
+        assert_eq!(c.line_kernel(), LineKernel::Avx2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Regression pin for the allocation-free hot path: `encrypt`, `decrypt`,
-//! `tweak_schedule` and `encrypt_scheduled` must perform zero heap
-//! allocations after construction.
+//! Regression pin for the allocation-free hot path: `encrypt`, `decrypt`
+//! and the line entry point `encrypt_line` (on whichever kernel this CPU
+//! selects) must perform zero heap allocations after construction.
 //!
 //! Lives in its own integration-test binary so the counting global allocator
 //! does not leak into the unit tests.
@@ -39,8 +39,7 @@ fn allocations() -> u64 {
 
 #[test]
 fn cipher_hot_path_is_allocation_free() {
-    // Build the ciphers and the offset schedule before the counting window
-    // opens.
+    // Build the ciphers before the counting window opens.
     let q64 = Qarma64::new([0x84be85ce9804e94b, 0xec2802d4e0a488e4], 7, Sbox::Sigma1);
     let q128 = Qarma128::new(
         [
@@ -50,30 +49,30 @@ fn cipher_hot_path_is_allocation_free() {
         9,
         Sbox::Sigma1,
     );
-    let offset = q128.tweak_schedule(16);
 
     let before = allocations();
     let mut acc64 = 0u64;
     let mut acc128 = 0u128;
-    let mut acc_scheduled = 0u128;
+    let mut acc_line = 0u128;
     for i in 0..64u64 {
         let ct = q64.encrypt(0xfb62_3599_da6e_8127 ^ i, i);
         acc64 = acc64.wrapping_add(q64.decrypt(ct, i));
         let ct = q128.encrypt(0xfb62_3599 ^ u128::from(i), u128::from(i));
         acc128 = acc128.wrapping_add(q128.decrypt(ct, u128::from(i)));
-        let schedule = q128.tweak_schedule(u128::from(i) << 6) ^ offset;
-        acc_scheduled ^= q128.encrypt_scheduled(u128::from(i), &schedule);
+        let chunks = [0u128, 1, 2, 3].map(|c| u128::from(i) << c);
+        acc_line ^= q128.encrypt_line(chunks, u128::from(i) << 6)[3];
     }
     let after = allocations();
 
     // Keep the work observable so it cannot be optimized away.
     assert_ne!(acc64, 0);
     assert_ne!(acc128, 0);
-    assert_ne!(acc_scheduled, 0);
+    assert_ne!(acc_line, 0);
     assert_eq!(
         after - before,
         0,
-        "QARMA hot path allocated {} time(s)",
-        after - before
+        "QARMA hot path allocated {} time(s) ({:?} line kernel)",
+        after - before,
+        q128.line_kernel()
     );
 }

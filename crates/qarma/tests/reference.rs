@@ -57,7 +57,6 @@ fn qarma128_kernel_matches_the_reference() {
                 let ct = reference::encrypt128(key, rounds, sbox, pt, tw);
                 let at = format!("{sbox:?} r={rounds} case {case}");
                 assert_eq!(c.encrypt(pt, tw), ct, "encrypt {at}");
-                assert_eq!(c.encrypt_scheduled(pt, &c.tweak_schedule(tw)), ct, "{at}");
                 assert_eq!(c.decrypt(ct, tw), pt, "decrypt {at}");
                 assert_eq!(reference::decrypt128(key, rounds, sbox, ct, tw), pt, "{at}");
             }
