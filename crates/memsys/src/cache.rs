@@ -2,8 +2,8 @@
 //!
 //! Lines carry their data because PT-Guard's transparency contract is about
 //! *content*: lines live MAC-stripped inside the hierarchy and MAC-embedded
-//! in DRAM. Eviction of a dirty line therefore re-enters the PT-Guard write
-//! path at the memory controller.
+//! in DRAM. A dirty line that leaves the last level therefore re-enters the
+//! PT-Guard write path at the memory controller.
 
 use pagetable::addr::PhysAddr;
 use ptguard::line::Line;

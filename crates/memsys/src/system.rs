@@ -123,7 +123,7 @@ pub struct PumpStats {
     /// never costs a scheduler round-trip).
     pub bank_ready_events: u64,
     /// Distributed-refresh slices (one tREFI each) completed across the
-    /// channel devices, off-wheel writes and functional reads included.
+    /// channel devices, off-wheel writes included.
     pub refresh_events: u64,
     /// Calls to [`MemorySystem::advance_to_next_event`] that fired events.
     pub advances: u64,
@@ -512,44 +512,46 @@ impl MemorySystem {
         Err(cycles)
     }
 
-    /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses),
-    /// evicting through [`Self::writeback`] / the controller as usual.
+    /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses).
     fn install_fill(&mut self, addr: PhysAddr, line: Line, write: bool, is_pte: bool) {
-        if let Some((wa, wl)) = self.llc.fill(addr, line, false) {
-            self.ctrl_for(wa).write_line(wa, wl);
-        }
+        self.fill_level(2, addr, line, false);
         self.fill_level(1, addr, line, false);
         if !is_pte {
             self.fill_level(0, addr, line, write);
         }
     }
 
-    /// Fills `addr` into cache level `level` (0 = L1D, 1 = L2), writing any
-    /// evicted dirty line back through [`Self::writeback`].
+    /// Fills `addr` into cache level `level` (0 = L1D, 1 = L2, 2 = LLC) and
+    /// writes the dirty line it displaces, if any, back through
+    /// [`Self::writeback`].
     fn fill_level(&mut self, level: usize, addr: PhysAddr, line: Line, dirty: bool) {
         let evicted = match level {
             0 => self.l1d.fill(addr, line, dirty),
             1 => self.l2.fill(addr, line, dirty),
-            _ => unreachable!("only L1D and L2 fill through fill_level"),
+            _ => self.llc.fill(addr, line, dirty),
         };
         if let Some((wa, wl)) = evicted {
-            // Writebacks percolate down; model them as reaching DRAM via
-            // the controller (off the critical path).
-            self.writeback(wa, wl);
+            self.writeback(level, wa, wl);
         }
     }
 
-    fn writeback(&mut self, addr: PhysAddr, line: Line) {
-        // Dirty data merges into lower levels if present, else goes to DRAM.
-        if self.llc.peek(addr).is_some() {
-            self.llc.update(addr, line, true);
+    /// Writes a dirty victim of cache level `level` one level down, as
+    /// gem5's classic caches do (DESIGN.md, memsys "Writeback policy"): an
+    /// L1D or L2 victim is filled dirty into the next level, cascading
+    /// whatever that fill displaces, and an LLC victim goes to DRAM (off
+    /// the critical path).
+    fn writeback(&mut self, level: usize, addr: PhysAddr, line: Line) {
+        if level < 2 {
+            self.fill_level(level + 1, addr, line, true);
         } else {
             self.ctrl_for(addr).write_line(addr, line);
         }
     }
 
     /// Writes every dirty line back to DRAM (through PT-Guard) and clears
-    /// dirtiness — the state a quiesced system reaches naturally.
+    /// dirtiness — the state a quiesced system reaches naturally. The L1D
+    /// drains into the L2, then the L2 into the LLC, then the LLC into
+    /// DRAM, by the same one-level-down rule as any eviction.
     ///
     /// In-flight pipelined ops are drained first: a flush with a non-empty
     /// MSHR file must complete — not drop — the pending misses, or their
@@ -575,13 +577,13 @@ impl MemorySystem {
             "every pending op waits on a queued read"
         );
         for (a, l) in self.l1d.drain_dirty() {
-            self.writeback(a, l);
+            self.writeback(0, a, l);
         }
         for (a, l) in self.l2.drain_dirty() {
-            self.writeback(a, l);
+            self.writeback(1, a, l);
         }
         for (a, l) in self.llc.drain_dirty() {
-            self.ctrl_for(a).write_line(a, l);
+            self.writeback(2, a, l);
         }
     }
 
@@ -600,34 +602,38 @@ impl MemorySystem {
         let _ = self.llc.invalidate(addr);
     }
 
-    /// Functional, untimed u64 read at a physical address, through the
-    /// cache hierarchy (caches win over DRAM).
-    #[must_use]
-    pub fn func_read_u64(&mut self, addr: PhysAddr) -> u64 {
-        let line = match self
+    /// The line holding `addr`, untimed: the highest cached copy, else the
+    /// line a timed data read of DRAM would forward
+    /// ([`PtGuardEngine::peek_read`](ptguard::PtGuardEngine::peek_read)).
+    /// No clock, row buffer, LRU state or counter moves.
+    fn func_line(&self, addr: PhysAddr) -> Line {
+        if let Some(line) = self
             .l1d
             .peek(addr)
             .or_else(|| self.l2.peek(addr))
             .or_else(|| self.llc.peek(addr))
         {
-            Some(line) => line,
-            None => self.ctrl_for(addr).read_line(addr, false).line,
-        };
-        line.word(addr.line_offset() / 8)
+            return line;
+        }
+        let ctrl = self.channel(self.chan_of(addr));
+        let raw = Line::from_bytes(&ctrl.device().read_line(addr));
+        match ctrl.engine() {
+            Some(engine) => engine.peek_read(&raw, addr),
+            None => raw,
+        }
+    }
+
+    /// Functional, untimed u64 read at a physical address, through the
+    /// cache hierarchy (caches win over DRAM).
+    #[must_use]
+    pub fn func_read_u64(&self, addr: PhysAddr) -> u64 {
+        self.func_line(addr).word(addr.line_offset() / 8)
     }
 
     /// Functional, untimed u64 write at a physical address: read-modify-
     /// write through the hierarchy with write-allocate into the L1.
     pub fn func_write_u64(&mut self, addr: PhysAddr, value: u64) {
-        let mut line = match self
-            .l1d
-            .peek(addr)
-            .or_else(|| self.l2.peek(addr))
-            .or_else(|| self.llc.peek(addr))
-        {
-            Some(line) => line,
-            None => self.ctrl_for(addr).read_line(addr, false).line,
-        };
+        let mut line = self.func_line(addr);
         line.set_word(addr.line_offset() / 8, value);
         if self.l1d.peek(addr).is_some() {
             self.l1d.update(addr, line, true);
@@ -1060,28 +1066,7 @@ impl PhysMem for OsPort<'_> {
     }
 
     fn read_u64(&self, addr: PhysAddr) -> u64 {
-        // PhysMem::read_u64 takes &self; route through an unsafe-free
-        // workaround: peek caches, fall back to an *untimed functional*
-        // device read of the stripped line.
-        if let Some(line) = self
-            .sys
-            .l1d
-            .peek(addr)
-            .or_else(|| self.sys.l2.peek(addr))
-            .or_else(|| self.sys.llc.peek(addr))
-        {
-            return line.word(addr.line_offset() / 8);
-        }
-        // Functional DRAM read: the line a timed data read would forward,
-        // without touching engine statistics or timing. The line lives on
-        // whichever channel the interleave maps it to.
-        let ctrl = self.sys.channel(self.sys.chan_of(addr));
-        let raw = Line::from_bytes(&ctrl.device().read_line(addr));
-        let line = match ctrl.engine() {
-            Some(engine) => engine.peek_read(&raw, addr),
-            None => raw,
-        };
-        line.word(addr.line_offset() / 8)
+        self.sys.func_read_u64(addr)
     }
 
     fn write_u64(&mut self, addr: PhysAddr, value: u64) {
@@ -1408,6 +1393,68 @@ mod tests {
             let port = OsPort::new(&mut sys);
             assert_eq!(port.read_u64(addr), 0xdead_beef_cafe_f00d);
         }
+    }
+
+    #[test]
+    fn a_dirty_victim_moves_one_level_down() {
+        // An L1D victim whose line the L2 holds and the LLC does not is
+        // absorbed dirty by the L2; it reaches DRAM only when it leaves
+        // the LLC.
+        let mut sys = system(true);
+        let a = PhysAddr::new(0x40_0000);
+        let (stale, stored) = (Line::from_words([1; 8]), Line::from_words([2; 8]));
+        let _ = sys.l2.fill(a, stale, false);
+        let _ = sys.l1d.fill(a, stored, true);
+        // Clean fills of lines in `a`'s set push `a` out of one level.
+        let evict = |sys: &mut MemorySystem, level: usize| {
+            let cfg = [sys.cfg.l1d, sys.cfg.l2, sys.cfg.llc][level];
+            let stride = (cfg.sets() * 64) as u64;
+            for k in 1..=cfg.ways as u64 {
+                let conflict = PhysAddr::new(a.as_u64() + k * stride);
+                sys.fill_level(level, conflict, Line::ZERO, false);
+            }
+        };
+        let writes = |sys: &MemorySystem| sys.channel(0).stats().writes;
+        evict(&mut sys, 0);
+        assert_eq!(sys.l1d.peek(a), None);
+        assert_eq!(sys.l2.peek(a), Some(stored), "the L2 absorbs the L1 victim");
+        assert_eq!(writes(&sys), 0, "an L1 victim reached DRAM");
+        evict(&mut sys, 1);
+        assert_eq!(
+            sys.llc.peek(a),
+            Some(stored),
+            "the LLC absorbs the L2 victim"
+        );
+        assert_eq!(writes(&sys), 0, "an L2 victim reached DRAM");
+        evict(&mut sys, 2);
+        assert_eq!(writes(&sys), 1, "the LLC victim goes to DRAM");
+        assert_eq!(sys.func_read_u64(a), 2);
+    }
+
+    #[test]
+    fn functional_accesses_to_uncached_lines_are_untimed() {
+        let mut sys = system(true);
+        let (read, write) = (PhysAddr::new(0x12_3440), PhysAddr::new(0x45_6780));
+        for addr in [read, write] {
+            sys.channel_mut(0)
+                .write_line(addr, Line::from_words([7; 8]));
+        }
+        let snapshot = |sys: &MemorySystem| {
+            let ch = sys.channel(0);
+            format!(
+                "{:?} {:?} {} {:?}",
+                ch.stats(),
+                ch.engine().unwrap().stats(),
+                ch.device().now_ps(),
+                ch.device().stats(),
+            )
+        };
+        let before = snapshot(&sys);
+        assert_eq!(sys.func_read_u64(read), 7);
+        sys.func_write_u64(write, 9);
+        assert_eq!(snapshot(&sys), before, "a functional access was timed");
+        assert_eq!(sys.func_read_u64(write), 9);
+        assert_eq!(sys.func_read_u64(PhysAddr::new(0x45_6788)), 7);
     }
 
     fn system_n(guarded: bool, channels: usize) -> MemorySystem {

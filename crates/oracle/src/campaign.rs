@@ -326,8 +326,8 @@ pub fn run(cfg: &CampaignConfig) -> CampaignResult {
 
 /// Runs the campaign, optionally fanning the targeted and stochastic
 /// phases out over `pool`. Trials are grouped into fixed-size chunks (each
-/// with its own freshly built [`Rig`] — trials are rig-independent because
-/// every injection starts from [`Rig::reset`]); chunk results are merged in
+/// with its own freshly built rig — trials are rig-independent because
+/// every injection starts from a reset rig); chunk results are merged in
 /// trial order, so the result is **byte-identical for any worker count**.
 #[must_use]
 pub fn run_with_pool(cfg: &CampaignConfig, pool: Option<&ThreadPool>) -> CampaignResult {

@@ -186,7 +186,7 @@ impl RefMachine {
         }
         *cycles += self.cfg.llc.latency_cycles;
         if let Some(line) = self.llc.lookup(addr) {
-            self.fill_l2(addr, line);
+            self.fill_l2(addr, line, false);
             if demand {
                 self.fill_l1(addr, line, write);
             }
@@ -196,10 +196,8 @@ impl RefMachine {
         *cycles += read.latency_cycles;
         // A line that fails its check is installed nowhere (Section IV-F).
         if read.verdict != ReadVerdict::CheckFailed {
-            if let Some((a, l)) = self.llc.fill(addr, read.line, false) {
-                self.ctrl(a).write_line(a, l);
-            }
-            self.fill_l2(addr, read.line);
+            self.fill_llc(addr, read.line, false);
+            self.fill_l2(addr, read.line, false);
             if demand {
                 self.fill_l1(addr, read.line, write);
             }
@@ -207,25 +205,24 @@ impl RefMachine {
         (read.line, true, read.verdict)
     }
 
+    /// Fills the L1D. Dirty victims move one level down, as in gem5's
+    /// classic caches: the L1D's into the L2, the L2's into the LLC, the
+    /// LLC's to DRAM.
     fn fill_l1(&mut self, addr: PhysAddr, line: Line, dirty: bool) {
         if let Some((a, l)) = self.l1d.fill(addr, line, dirty) {
-            self.writeback(a, l);
+            self.fill_l2(a, l, true);
         }
     }
 
-    fn fill_l2(&mut self, addr: PhysAddr, line: Line) {
-        if let Some((a, l)) = self.l2.fill(addr, line, false) {
-            self.writeback(a, l);
+    fn fill_l2(&mut self, addr: PhysAddr, line: Line, dirty: bool) {
+        if let Some((a, l)) = self.l2.fill(addr, line, dirty) {
+            self.fill_llc(a, l, true);
         }
     }
 
-    /// A dirty L1/L2 victim merges into the LLC if the line is there, else
-    /// it goes straight to DRAM.
-    fn writeback(&mut self, addr: PhysAddr, line: Line) {
-        if self.llc.peek(addr).is_some() {
-            self.llc.update(addr, line, true);
-        } else {
-            self.ctrl(addr).write_line(addr, line);
+    fn fill_llc(&mut self, addr: PhysAddr, line: Line, dirty: bool) {
+        if let Some((a, l)) = self.llc.fill(addr, line, dirty) {
+            self.ctrl(a).write_line(a, l);
         }
     }
 }

@@ -4,10 +4,10 @@
 //! signal otherwise — the system re-keys: every protected line's MAC must
 //! be recomputed under a fresh key. [`crate::PtGuardEngine::rekey_memory`]
 //! does this stop-the-world; this module provides the *gradual* variant the
-//! paper points to (CEASER-style [43]): a boundary sweeps across physical
-//! memory, lines below it live under the new key, lines above under the
-//! old, and the memory controller dispatches by address while normal
-//! traffic continues.
+//! paper points to (CEASER-style, the paper's reference 43): a boundary
+//! sweeps across physical memory, lines below it live under the new key,
+//! lines above under the old, and the memory controller dispatches by
+//! address while normal traffic continues.
 
 use crate::config::PtGuardConfig;
 use crate::engine::{PtGuardEngine, ReadOutcome, WriteOutcome};

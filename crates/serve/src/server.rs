@@ -3,7 +3,7 @@
 //!
 //! Each connection gets a *reader* thread (decodes frames, submits jobs to
 //! the shared [`BatchCore`]) and a *writer* thread (flushes responses from
-//! the connection's [`Outbox`]). Workers deliver responses by pushing into
+//! the connection's outbox). Workers deliver responses by pushing into
 //! the owning connection's outbox, so slow clients only back-pressure
 //! themselves. The outbox queue holds [`Response`] values (`Copy` lines,
 //! no heap), and its `VecDeque` retains capacity, so the steady-state

@@ -191,23 +191,15 @@ impl SharedSystem {
         cycles += core.l2.latency_cycles;
         if let Some(line) = core.l2.lookup(addr) {
             if !is_pte {
-                if let Some((wa, wl)) = core.l1.fill(addr, line, write) {
-                    self.writeback(wa, wl);
-                }
+                self.fill_level(ci, 0, addr, line, write);
             }
             return (line, cycles, ReadVerdict::Forwarded);
         }
         cycles += self.llc.latency_cycles;
         if let Some(line) = self.llc.lookup(addr) {
-            let core = &mut self.cores[ci];
-            if let Some((wa, wl)) = core.l2.fill(addr, line, false) {
-                self.writeback(wa, wl);
-            }
+            self.fill_level(ci, 1, addr, line, false);
             if !is_pte {
-                let core = &mut self.cores[ci];
-                if let Some((wa, wl)) = core.l1.fill(addr, line, write) {
-                    self.writeback(wa, wl);
-                }
+                self.fill_level(ci, 0, addr, line, write);
             }
             return (line, cycles, ReadVerdict::Forwarded);
         }
@@ -233,26 +225,35 @@ impl SharedSystem {
         if read.verdict == ReadVerdict::CheckFailed {
             return (read.line, cycles, read.verdict);
         }
-        if let Some((wa, wl)) = self.llc.fill(addr, read.line, false) {
-            let ch = self.interleave.channel_of(wa) as usize;
-            self.controllers[ch].write_line(wa, wl);
-        }
-        let core = &mut self.cores[ci];
-        if let Some((wa, wl)) = core.l2.fill(addr, read.line, false) {
-            self.writeback(wa, wl);
-        }
+        self.fill_level(ci, 2, addr, read.line, false);
+        self.fill_level(ci, 1, addr, read.line, false);
         if !is_pte {
-            let core = &mut self.cores[ci];
-            if let Some((wa, wl)) = core.l1.fill(addr, read.line, write) {
-                self.writeback(wa, wl);
-            }
+            self.fill_level(ci, 0, addr, read.line, write);
         }
         (read.line, cycles, read.verdict)
     }
 
-    fn writeback(&mut self, addr: PhysAddr, line: Line) {
-        if self.llc.peek(addr).is_some() {
-            self.llc.update(addr, line, true);
+    /// Fills `addr` into core `ci`'s L1 (level 0) or L2 (level 1), or into
+    /// the shared LLC (level 2), and writes the dirty line it displaces,
+    /// if any, back through [`Self::writeback`].
+    fn fill_level(&mut self, ci: usize, level: usize, addr: PhysAddr, line: Line, dirty: bool) {
+        let evicted = match level {
+            0 => self.cores[ci].l1.fill(addr, line, dirty),
+            1 => self.cores[ci].l2.fill(addr, line, dirty),
+            _ => self.llc.fill(addr, line, dirty),
+        };
+        if let Some((wa, wl)) = evicted {
+            self.writeback(ci, level, wa, wl);
+        }
+    }
+
+    /// Writes a dirty victim of core `ci`'s cache level `level` one level
+    /// down, as `MemorySystem` does (DESIGN.md, memsys "Writeback policy"):
+    /// the core's L1 victim into its L2, its L2 victim into the shared LLC,
+    /// and an LLC victim to DRAM.
+    fn writeback(&mut self, ci: usize, level: usize, addr: PhysAddr, line: Line) {
+        if level < 2 {
+            self.fill_level(ci, level + 1, addr, line, true);
         } else {
             let ch = self.interleave.channel_of(addr) as usize;
             self.controllers[ch].write_line(addr, line);

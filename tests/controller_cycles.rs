@@ -16,30 +16,30 @@ use workloads::ALL_WORKLOADS;
 /// Regenerate with `PIN_PRINT=1 cargo test -q --test controller_cycles -- --nocapture`.
 const PINNED_CYCLES: [(&str, u64); 25] = [
     ("perlbench", 321141),
-    ("mcf", 442788),
-    ("omnetpp", 379402),
-    ("xalancbmk", 571805),
+    ("mcf", 420905),
+    ("omnetpp", 366992),
+    ("xalancbmk", 546277),
     ("x264", 317257),
     ("deepsjeng", 316205),
     ("leela", 314424),
     ("exchange2", 312420),
     ("xz", 330173),
-    ("bwaves", 408832),
-    ("cactuBSSN", 401535),
+    ("bwaves", 408647),
+    ("cactuBSSN", 401350),
     ("namd", 381139),
     ("povray", 377036),
-    ("lbm", 502966),
+    ("lbm", 502672),
     ("wrf", 397523),
     ("cam4", 386345),
     ("imagick", 374192),
     ("nab", 380063),
-    ("fotonik3d", 469707),
-    ("roms", 421754),
-    ("bc", 553871),
-    ("bfs", 500130),
-    ("cc", 532545),
-    ("pr", 472994),
-    ("sssp", 571164),
+    ("fotonik3d", 469583),
+    ("roms", 421569),
+    ("bc", 527843),
+    ("bfs", 472534),
+    ("cc", 503888),
+    ("pr", 451305),
+    ("sssp", 545065),
 ];
 
 #[test]
