@@ -2,6 +2,7 @@
 //! TLB/MMU-cache behaviour, DRAM row-buffer locality, and every PT-Guard
 //! engine counter — the observability surface behind Figures 6 and 7.
 
+use memsys::system::MemorySystem;
 use ptguard::PtGuardConfig;
 use simx::runner::{build_machine, run};
 use workloads::profiles::by_name;
@@ -9,7 +10,8 @@ use workloads::profiles::by_name;
 use crate::report::{pct, Table};
 use crate::Scale;
 
-/// A full diagnostic snapshot of one run.
+/// A full diagnostic snapshot of one run's measured region: every counter
+/// is the region's own count, not the machine's lifetime total.
 #[derive(Debug, Clone)]
 pub struct DiagReport {
     /// Workload name.
@@ -49,35 +51,71 @@ pub fn diagnose_seeded(
     let profile = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let mut machine = build_machine(profile, guard, crate::salted(0xd1a6, sweep_seed), 4);
     let _ = run(&mut machine, scale.instructions()); // warm-up
+    let before = Counters::read(&machine.sys);
     let result = run(&mut machine, scale.instructions());
-
-    let (l1, l2, llc) = machine.sys.cache_stats();
-    let tlb = machine.sys.tlb_stats();
-    let mmu = machine.sys.mmu_stats();
-    let dram = machine.sys.channel(0).device().stats();
-    let engine = machine.sys.channel(0).engine().map(|e| {
-        let s = e.stats();
-        (
-            s.reads,
-            s.read_mac_computations,
-            s.identifier_skips,
-            s.mac_zero_hits,
-            s.verified,
-        )
-    });
+    let c = Counters::read(&machine.sys).since(&before);
     DiagReport {
         name: name.to_string(),
         ipc: result.ipc(),
         mpki: result.mpki,
-        cache: [
-            (l1.hits, l1.misses),
-            (l2.hits, l2.misses),
-            (llc.hits, llc.misses),
-        ],
-        tlb: (tlb.hits, tlb.misses),
-        mmu: (mmu.hits, mmu.misses),
-        dram_rows: (dram.row_hits, dram.row_misses),
-        engine,
+        cache: c.cache,
+        tlb: c.tlb,
+        mmu: c.mmu,
+        dram_rows: c.dram_rows,
+        engine: c.engine,
+    }
+}
+
+/// Every counter the dump reports, read at one instant.
+struct Counters {
+    cache: [(u64, u64); 3],
+    tlb: (u64, u64),
+    mmu: (u64, u64),
+    dram_rows: (u64, u64),
+    engine: Option<(u64, u64, u64, u64, u64)>,
+}
+
+impl Counters {
+    fn read(sys: &MemorySystem) -> Self {
+        let (l1, l2, llc) = sys.cache_stats();
+        let tlb = sys.tlb_stats();
+        let mmu = sys.mmu_stats();
+        let dram = sys.channel(0).device().stats();
+        Self {
+            cache: [
+                (l1.hits, l1.misses),
+                (l2.hits, l2.misses),
+                (llc.hits, llc.misses),
+            ],
+            tlb: (tlb.hits, tlb.misses),
+            mmu: (mmu.hits, mmu.misses),
+            dram_rows: (dram.row_hits, dram.row_misses),
+            engine: sys.channel(0).engine().map(|e| {
+                let s = e.stats();
+                (
+                    s.reads,
+                    s.read_mac_computations,
+                    s.identifier_skips,
+                    s.mac_zero_hits,
+                    s.verified,
+                )
+            }),
+        }
+    }
+
+    /// The counts between `before` and `self`.
+    fn since(&self, before: &Self) -> Self {
+        let d = |a: (u64, u64), b: (u64, u64)| (a.0 - b.0, a.1 - b.1);
+        Self {
+            cache: std::array::from_fn(|i| d(self.cache[i], before.cache[i])),
+            tlb: d(self.tlb, before.tlb),
+            mmu: d(self.mmu, before.mmu),
+            dram_rows: d(self.dram_rows, before.dram_rows),
+            engine: self
+                .engine
+                .zip(before.engine)
+                .map(|(a, b)| (a.0 - b.0, a.1 - b.1, a.2 - b.2, a.3 - b.3, a.4 - b.4)),
+        }
     }
 }
 
@@ -169,5 +207,25 @@ mod tests {
             "skips {skips} should dwarf MAC computations {macs}"
         );
         let _ = verified;
+    }
+
+    #[test]
+    fn counters_cover_the_measured_region_only() {
+        // The dump's engine counters must be the region's, like its IPC and
+        // MPKI: the same run through `simulate_workload` (same seed, same
+        // warm-up) reports the region's read MACs.
+        let guard = PtGuardConfig::default();
+        let d = diagnose("xalancbmk", Some(guard), Scale::Trial);
+        let profile = by_name("xalancbmk").expect("profile");
+        let region = simx::runner::simulate_workload(
+            profile,
+            Some(guard),
+            Scale::Trial.instructions(),
+            crate::salted(0xd1a6, 0),
+        );
+        let (_, macs, ..) = d.engine.expect("engine mounted");
+        assert!(region.mac_computations > 0);
+        assert_eq!(macs, region.mac_computations);
+        assert!((d.mpki - region.mpki).abs() < 1e-12);
     }
 }

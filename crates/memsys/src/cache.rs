@@ -10,9 +10,10 @@ use ptguard::line::Line;
 
 use crate::config::CacheConfig;
 
-/// One cache way.
+/// One cache block: a way's tag, state and data, kept together so a set
+/// is one contiguous run of blocks.
 #[derive(Debug, Clone, Copy)]
-struct Way {
+struct Block {
     tag: u64,
     valid: bool,
     dirty: bool,
@@ -20,8 +21,8 @@ struct Way {
     data: Line,
 }
 
-impl Way {
-    const EMPTY: Way = Way {
+impl Block {
+    const EMPTY: Block = Block {
         tag: 0,
         valid: false,
         dirty: false,
@@ -30,14 +31,24 @@ impl Way {
     };
 }
 
+/// A way of one set, as found by [`Cache::probe`]: the resident way on a
+/// hit, the fill victim on a miss.
+///
+/// Only `probe` makes one, and it stays meaningful only until the set
+/// changes: a caller may fill or dirty it after changing other caches,
+/// never after touching this one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Way(usize);
+
 /// Hit/miss statistics.
 ///
-/// Accounting contract: only [`Cache::lookup`] records `hits`/`misses` —
-/// those two counters measure *demand* traffic exclusively. [`Cache::fill`]
-/// and [`Cache::update`] are maintenance operations (refills, writeback
-/// absorption) and never touch the hit/miss counters; `fill` instead counts
-/// in `fills`. This keeps [`CacheStats::miss_ratio`] a pure demand-side
-/// metric no matter how many refills land on stale copies.
+/// Accounting contract: only [`Cache::lookup`] and [`Cache::probe`] record
+/// `hits`/`misses` — those two counters measure *demand* traffic
+/// exclusively. [`Cache::fill`], [`Cache::fill_way`], [`Cache::update`] and
+/// [`Cache::set_dirty`] are maintenance operations (refills, writeback
+/// absorption) and never touch the hit/miss counters; the fills instead
+/// count in `fills`. This keeps [`CacheStats::miss_ratio`] a pure
+/// demand-side metric no matter how many refills land on stale copies.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Demand lookups that hit.
@@ -46,8 +57,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Dirty lines written back on eviction.
     pub writebacks: u64,
-    /// Lines installed or refreshed via [`Cache::fill`] (maintenance
-    /// traffic; disjoint from `hits`/`misses`).
+    /// Lines installed or refreshed via [`Cache::fill`] or
+    /// [`Cache::fill_way`] (maintenance traffic; disjoint from
+    /// `hits`/`misses`).
     pub fills: u64,
 }
 
@@ -70,11 +82,16 @@ impl CacheStats {
 }
 
 /// A set-associative cache holding 64-byte lines with data.
+///
+/// Every operation finds its block with one scan of the set, which
+/// yields the resident way or, failing that, the way a fill would take. A demand access that misses keeps that
+/// victim ([`Cache::probe`]) and installs the refill there
+/// ([`Cache::fill_way`]) without scanning again.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
     ways: usize,
-    storage: Vec<Way>,
+    storage: Vec<Block>,
     clock: u64,
     stats: CacheStats,
     /// Access latency in CPU cycles (exposed for the hierarchy).
@@ -97,7 +114,7 @@ impl Cache {
         Self {
             sets,
             ways: cfg.ways,
-            storage: vec![Way::EMPTY; sets * cfg.ways],
+            storage: vec![Block::EMPTY; sets * cfg.ways],
             clock: 0,
             stats: CacheStats::default(),
             latency_cycles: cfg.latency_cycles,
@@ -112,38 +129,79 @@ impl Cache {
         )
     }
 
+    /// The one scan of a set: `Ok(i)` if the block at storage index `i`
+    /// holds `tag`, else `Err(i)` for the way a fill takes — the first
+    /// invalid way, or else the least recently used one.
+    ///
+    /// An invalid way ranks as age 0, below every valid way (a valid way's
+    /// `lru` is a clock value, and the clock ticks before it is stored), so
+    /// one running minimum with a strict `<` finds the first invalid way
+    /// when there is one. Valid ways hold distinct clock values, so the LRU
+    /// way is unique. The minimum is kept with selects, not a branch per
+    /// way, since its outcome follows no pattern the host could predict.
+    fn search(&self, set: usize, tag: u64) -> Result<usize, usize> {
+        let base = set * self.ways;
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, b) in self.storage[base..base + self.ways].iter().enumerate() {
+            if b.valid && b.tag == tag {
+                return Ok(base + i);
+            }
+            let age = if b.valid { b.lru } else { 0 };
+            let older = age < oldest;
+            victim = if older { i } else { victim };
+            oldest = if older { age } else { oldest };
+        }
+        Err(base + victim)
+    }
+
+    /// The address of the line with `tag` in `set`.
+    fn line_addr(&self, set: usize, tag: u64) -> PhysAddr {
+        let line_no = (tag << self.sets.trailing_zeros()) | set as u64;
+        PhysAddr::new(line_no << 6)
+    }
+
+    /// A demand lookup of `addr` that keeps what it found: on a hit, the
+    /// resident way and its data (LRU updated); on a miss, the way a fill
+    /// of `addr` would take, for [`Cache::fill_way`].
+    ///
+    /// Counts a hit or a miss and never dirties a line, exactly like
+    /// [`Cache::lookup`].
+    pub fn probe(&mut self, addr: PhysAddr) -> Result<(Way, Line), Way> {
+        self.clock += 1;
+        let (set, tag) = self.index(addr);
+        match self.search(set, tag) {
+            Ok(i) => {
+                let b = &mut self.storage[i];
+                b.lru = self.clock;
+                self.stats.hits += 1;
+                Ok((Way(i), b.data))
+            }
+            Err(i) => {
+                self.stats.misses += 1;
+                Err(Way(i))
+            }
+        }
+    }
+
     /// Looks up `addr`; on a hit returns the line data and updates LRU.
     ///
     /// Lookup never marks a line dirty: a line only becomes dirty when its
-    /// data actually changes, via [`Cache::update`] or [`Cache::fill`]. A
-    /// store that hits must therefore follow up with `update(addr, line,
-    /// true)` once the new data exists. (Marking dirty at lookup time wrote
-    /// unmodified lines back on fault/early-exit paths where the store
-    /// never completed, inflating `writebacks` and DRAM traffic.)
+    /// data actually changes, via [`Cache::update`], [`Cache::set_dirty`]
+    /// or a fill. A store that hits must therefore follow up with
+    /// `update(addr, line, true)` (or `set_dirty` on the probed way) once
+    /// the new data exists. (Marking dirty at lookup time wrote unmodified
+    /// lines back on fault/early-exit paths where the store never
+    /// completed, inflating `writebacks` and DRAM traffic.)
     pub fn lookup(&mut self, addr: PhysAddr) -> Option<Line> {
-        self.clock += 1;
-        let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        for w in &mut self.storage[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.lru = self.clock;
-                self.stats.hits += 1;
-                return Some(w.data);
-            }
-        }
-        self.stats.misses += 1;
-        None
+        self.probe(addr).ok().map(|(_, line)| line)
     }
 
     /// Peeks without touching LRU or statistics.
     #[must_use]
     pub fn peek(&self, addr: PhysAddr) -> Option<Line> {
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        self.storage[base..base + self.ways]
-            .iter()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| w.data)
+        self.search(set, tag).ok().map(|i| self.storage[i].data)
     }
 
     /// Installs `data` for `addr`, evicting the LRU way if needed.
@@ -158,38 +216,56 @@ impl Cache {
         self.clock += 1;
         self.stats.fills += 1;
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        // Hit-update path (e.g. refill over a stale copy).
-        for w in &mut self.storage[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.data = data;
-                w.dirty |= dirty;
-                w.lru = self.clock;
-                return None;
+        match self.search(set, tag) {
+            // Refill over a resident (possibly stale) copy.
+            Ok(i) => {
+                let b = &mut self.storage[i];
+                b.data = data;
+                b.dirty |= dirty;
+                b.lru = self.clock;
+                None
             }
+            Err(victim) => self.install(victim, set, tag, data, dirty),
         }
-        // Choose a victim: first invalid, else LRU.
-        let victim = {
-            let ways = &self.storage[base..base + self.ways];
-            match ways.iter().position(|w| !w.valid) {
-                Some(i) => i,
-                None => ways
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.lru)
-                    .map(|(i, _)| i)
-                    .expect("non-empty set"),
-            }
-        };
-        let w = &mut self.storage[base + victim];
-        let evicted = if w.valid && w.dirty {
+    }
+
+    /// [`Cache::fill`] of a line that [`Cache::probe`] just missed, into the
+    /// victim way that probe returned: the same result, without scanning
+    /// the set again. The set must not have changed since the probe.
+    pub fn fill_way(
+        &mut self,
+        way: Way,
+        addr: PhysAddr,
+        data: Line,
+        dirty: bool,
+    ) -> Option<(PhysAddr, Line)> {
+        self.clock += 1;
+        self.stats.fills += 1;
+        let (set, tag) = self.index(addr);
+        debug_assert_eq!(
+            self.search(set, tag),
+            Err(way.0),
+            "fill_way: the set changed since the probe that chose the way"
+        );
+        self.install(way.0, set, tag, data, dirty)
+    }
+
+    /// Puts `tag` into block `i` of `set`, returning the block's line if
+    /// it was valid and dirty (a writeback).
+    fn install(
+        &mut self,
+        i: usize,
+        set: usize,
+        tag: u64,
+        data: Line,
+        dirty: bool,
+    ) -> Option<(PhysAddr, Line)> {
+        let old = self.storage[i];
+        let evicted = (old.valid && old.dirty).then(|| (self.line_addr(set, old.tag), old.data));
+        if evicted.is_some() {
             self.stats.writebacks += 1;
-            let line_no = (w.tag << self.sets.trailing_zeros()) | set as u64;
-            Some((PhysAddr::new(line_no << 6), w.data))
-        } else {
-            None
-        };
-        *w = Way {
+        }
+        self.storage[i] = Block {
             tag,
             valid: true,
             dirty,
@@ -199,48 +275,44 @@ impl Cache {
         evicted
     }
 
+    /// Marks the resident way a [`Cache::probe`] hit dirty: a store hit
+    /// whose data is about to change. Touches neither LRU nor statistics,
+    /// like [`Cache::update`].
+    pub fn set_dirty(&mut self, way: Way) {
+        debug_assert!(self.storage[way.0].valid, "set_dirty: way not resident");
+        self.storage[way.0].dirty = true;
+    }
+
     /// Updates the data of a resident line (no-op if absent). Marks dirty
     /// when `dirty` is set.
     pub fn update(&mut self, addr: PhysAddr, data: Line, dirty: bool) {
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        for w in &mut self.storage[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.data = data;
-                w.dirty |= dirty;
-                return;
-            }
+        if let Ok(i) = self.search(set, tag) {
+            let b = &mut self.storage[i];
+            b.data = data;
+            b.dirty |= dirty;
         }
     }
 
     /// Invalidates a line without writeback, returning its data if dirty.
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<(PhysAddr, Line)> {
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        for w in &mut self.storage[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.valid = false;
-                if w.dirty {
-                    let line_no = (w.tag << self.sets.trailing_zeros()) | set as u64;
-                    return Some((PhysAddr::new(line_no << 6), w.data));
-                }
-                return None;
-            }
-        }
-        None
+        let i = self.search(set, tag).ok()?;
+        let b = &mut self.storage[i];
+        b.valid = false;
+        let (dirty, data) = (b.dirty, b.data);
+        dirty.then(|| (self.line_addr(set, tag), data))
     }
 
     /// Drains every dirty line (e.g. at a flush point), returning them.
     pub fn drain_dirty(&mut self) -> Vec<(PhysAddr, Line)> {
         let mut out = Vec::new();
-        let shift = self.sets.trailing_zeros();
         for set in 0..self.sets {
-            for way in 0..self.ways {
-                let w = &mut self.storage[set * self.ways + way];
-                if w.valid && w.dirty {
-                    let line_no = (w.tag << shift) | set as u64;
-                    out.push((PhysAddr::new(line_no << 6), w.data));
-                    w.dirty = false;
+            for i in set * self.ways..(set + 1) * self.ways {
+                let b = self.storage[i];
+                if b.valid && b.dirty {
+                    out.push((self.line_addr(set, b.tag), b.data));
+                    self.storage[i].dirty = false;
                 }
             }
         }

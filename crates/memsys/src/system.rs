@@ -22,7 +22,7 @@ use ptguard::engine::ReadVerdict;
 use ptguard::line::Line;
 use sched::{EventKey, EventWheel, Log2Hist};
 
-use crate::cache::Cache;
+use crate::cache::{Cache, Way};
 use crate::config::MemSysConfig;
 use crate::controller::{ControllerStats, MemoryController};
 use crate::mmucache::MmuCache;
@@ -132,22 +132,9 @@ pub struct PumpStats {
     pub idle_skip_ps: Log2Hist,
 }
 
-/// Result of classifying one walk-level PTE in the op state machine.
-enum WalkStep {
-    /// Non-present or out-of-bounds entry at `level`.
-    Fault {
-        /// Walk level of the missing entry.
-        level: usize,
-    },
-    /// The walk terminated with this leaf (TLB already updated).
-    Leaf(Pte),
-    /// Descend into the next table.
-    Descend(Frame),
-}
-
-/// State of one in-flight pipelined memory operation.
+/// The next step of a running op ([`MemorySystem::drive`]).
 #[derive(Debug, Clone, Copy)]
-enum OpState {
+enum Step {
     /// Walking: about to access the entry of `table` at `level`.
     Walk {
         /// Current page-table frame.
@@ -155,33 +142,54 @@ enum OpState {
         /// Walk level (3 = PML4 … 0 = PT).
         level: usize,
     },
-    /// Suspended on a DRAM read of a walk entry.
-    AwaitWalk {
-        /// Walk level of the suspended access.
-        level: usize,
-        /// The entry's physical address.
-        entry_addr: PhysAddr,
-    },
     /// Translated: about to access the data line through `leaf`.
     Data {
         /// The leaf PTE.
         leaf: Pte,
     },
-    /// Suspended on a DRAM read of the data line at `pa`.
-    AwaitData {
+}
+
+/// The DRAM read a suspended op awaits.
+#[derive(Debug, Clone, Copy)]
+enum Await {
+    /// A walk entry's line.
+    Walk {
+        /// Walk level of the suspended access.
+        level: usize,
+        /// The entry's physical address.
+        entry_addr: PhysAddr,
+    },
+    /// The data line at `pa`.
+    Data {
         /// The data line's physical address.
         pa: PhysAddr,
     },
 }
 
+impl Await {
+    /// The address read and whether it is a page-table read.
+    fn target(self) -> (PhysAddr, bool) {
+        match self {
+            Await::Walk { entry_addr, .. } => (entry_addr, true),
+            Await::Data { pa } => (pa, false),
+        }
+    }
+}
+
 /// One in-flight pipelined memory operation.
 #[derive(Debug, Clone, Copy)]
-struct PendingOp {
+struct Op {
     id: u64,
     va: VirtAddr,
     write: bool,
     cycles: u64,
-    state: OpState,
+}
+
+/// An op suspended on an MSHR entry.
+#[derive(Debug, Clone, Copy)]
+struct PendingOp {
+    op: Op,
+    awaits: Await,
 }
 
 /// One outstanding miss line: the controller request plus every op waiting
@@ -444,21 +452,23 @@ impl MemorySystem {
         }
     }
 
-    /// Classifies one walk-level PTE: fault, leaf (TLB inserted, huge pages
-    /// splintered to 4 KB granularity), or descend. Shared by the drive and
-    /// resume steps of the op state machine.
-    fn classify_pte(&mut self, va: VirtAddr, level: usize, pte: Pte) -> WalkStep {
+    /// Classifies one walk-level PTE: the op's next step (the data access
+    /// through a leaf, with the TLB inserted and huge pages splintered to
+    /// 4 KB granularity, or the next table down), or `Err(level)` for a
+    /// non-present or out-of-bounds entry. Shared by the drive and resume
+    /// steps of the op state machine.
+    fn classify_pte(&mut self, va: VirtAddr, level: usize, pte: Pte) -> Result<Step, usize> {
         let max_frame = 1u64 << (self.max_phys_bits - 12);
         if !pte.present() {
-            return WalkStep::Fault { level };
+            return Err(level);
         }
         if pte.frame().0 >= max_frame {
             // The OS-visible bounds check of Section IV-E.
-            return WalkStep::Fault { level };
+            return Err(level);
         }
         if level == 0 {
             self.tlb.insert(va.vpn(), pte);
-            return WalkStep::Leaf(pte);
+            return Ok(Step::Data { leaf: pte });
         }
         if level == 1 && pte.huge_page() {
             // 2 MB leaf: splinter into a 4 KB-granular TLB entry so the
@@ -467,15 +477,23 @@ impl MemorySystem {
             splinter.set_frame(Frame((pte.frame().0 & !0x1ff) | va.pt_index() as u64));
             let splinter = Pte::from_raw(splinter.raw() & !pagetable::x86_64::bits::HUGE_PAGE);
             self.tlb.insert(va.vpn(), splinter);
-            return WalkStep::Leaf(splinter);
+            return Ok(Step::Data { leaf: splinter });
         }
-        WalkStep::Descend(pte.frame())
+        Ok(Step::Walk {
+            table: pte.frame(),
+            level: level - 1,
+        })
     }
 
     /// Probes L1 → L2 → LLC. On a hit, performs the usual upward fills /
     /// store-dirtying and returns the line plus probe cycles; on a full
     /// miss, returns the accumulated probe cycles and the caller suspends
     /// the op on the MSHR file.
+    ///
+    /// Each level's set is searched once: a probe that misses returns the
+    /// way the refill takes, and a hit further down fills there. Between a
+    /// level's probe and its fill only lower levels change, since
+    /// writebacks move down.
     fn probe_caches(
         &mut self,
         addr: PhysAddr,
@@ -486,33 +504,41 @@ impl MemorySystem {
         // The L1 is probed even for walk accesses (hardware walkers are
         // coherent with the data cache); walk fills go into L2/LLC only.
         cycles += self.l1d.latency_cycles;
-        if let Some(line) = self.l1d.lookup(addr) {
-            if write && !is_pte {
-                // A demand store that hits: the line's data is about to
-                // change, so dirty it now (lookup itself never dirties).
-                self.l1d.update(addr, line, true);
+        let l1_way = match self.l1d.probe(addr) {
+            Ok((way, line)) => {
+                if write && !is_pte {
+                    // A demand store that hits: the line's data is about
+                    // to change, so dirty it now (a probe never dirties).
+                    self.l1d.set_dirty(way);
+                }
+                return Ok((line, cycles));
             }
-            return Ok((line, cycles));
-        }
+            Err(victim) => victim,
+        };
         cycles += self.l2.latency_cycles;
-        if let Some(line) = self.l2.lookup(addr) {
-            if !is_pte {
-                self.fill_level(0, addr, line, write);
+        let l2_way = match self.l2.probe(addr) {
+            Ok((_, line)) => {
+                if !is_pte {
+                    self.fill_probed(0, l1_way, addr, line, write);
+                }
+                return Ok((line, cycles));
             }
-            return Ok((line, cycles));
-        }
+            Err(victim) => victim,
+        };
         cycles += self.llc.latency_cycles;
         if let Some(line) = self.llc.lookup(addr) {
-            self.fill_level(1, addr, line, false);
+            self.fill_probed(1, l2_way, addr, line, false);
             if !is_pte {
-                self.fill_level(0, addr, line, write);
+                self.fill_probed(0, l1_way, addr, line, write);
             }
             return Ok((line, cycles));
         }
         Err(cycles)
     }
 
-    /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses).
+    /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses). The
+    /// sets are searched afresh: other ops may have changed them while
+    /// this one waited on DRAM.
     fn install_fill(&mut self, addr: PhysAddr, line: Line, write: bool, is_pte: bool) {
         self.fill_level(2, addr, line, false);
         self.fill_level(1, addr, line, false);
@@ -521,16 +547,27 @@ impl MemorySystem {
         }
     }
 
-    /// Fills `addr` into cache level `level` (0 = L1D, 1 = L2, 2 = LLC) and
-    /// writes the dirty line it displaces, if any, back through
-    /// [`Self::writeback`].
+    /// Cache level `level` (0 = L1D, 1 = L2, 2 = LLC).
+    fn level_mut(&mut self, level: usize) -> &mut Cache {
+        match level {
+            0 => &mut self.l1d,
+            1 => &mut self.l2,
+            _ => &mut self.llc,
+        }
+    }
+
+    /// Fills `addr` into cache level `level` and writes the dirty line it
+    /// displaces, if any, back through [`Self::writeback`].
     fn fill_level(&mut self, level: usize, addr: PhysAddr, line: Line, dirty: bool) {
-        let evicted = match level {
-            0 => self.l1d.fill(addr, line, dirty),
-            1 => self.l2.fill(addr, line, dirty),
-            _ => self.llc.fill(addr, line, dirty),
-        };
-        if let Some((wa, wl)) = evicted {
+        if let Some((wa, wl)) = self.level_mut(level).fill(addr, line, dirty) {
+            self.writeback(level, wa, wl);
+        }
+    }
+
+    /// [`Self::fill_level`] into the victim way a probe of that level
+    /// returned when it missed `addr`.
+    fn fill_probed(&mut self, level: usize, way: Way, addr: PhysAddr, line: Line, dirty: bool) {
+        if let Some((wa, wl)) = self.level_mut(level).fill_way(way, addr, line, dirty) {
             self.writeback(level, wa, wl);
         }
     }
@@ -677,14 +714,13 @@ impl MemorySystem {
                 Err(c) => {
                     let id = self.next_op_id;
                     self.next_op_id += 1;
-                    let op = PendingOp {
+                    let op = Op {
                         id,
                         va,
                         write,
                         cycles: self.cfg.tlb_latency_cycles + c,
-                        state: OpState::AwaitData { pa },
                     };
-                    self.suspend(op, pa, false);
+                    self.suspend(op, Await::Data { pa });
                     return IssueOutcome::Pending(id);
                 }
             }
@@ -692,17 +728,19 @@ impl MemorySystem {
         self.stats.walks += 1;
         let id = self.next_op_id;
         self.next_op_id += 1;
-        let op = PendingOp {
+        let op = Op {
             id,
             va,
             write,
             cycles: self.cfg.tlb_latency_cycles,
-            state: OpState::Walk {
+        };
+        self.drive(
+            op,
+            Step::Walk {
                 table: self.root,
                 level: 3,
             },
-        };
-        self.drive(op);
+        );
         // `drive` either suspended the op or pushed its outcome last.
         if let Some(&(cid, out)) = self.completed.last() {
             if cid == id {
@@ -790,10 +828,10 @@ impl MemorySystem {
             let pos = self
                 .pending
                 .iter()
-                .position(|p| p.id == op_id)
+                .position(|p| p.op.id == op_id)
                 .expect("MSHR waiter must be pending");
-            let op = self.pending.remove(pos);
-            self.resume(op, read, i == 0);
+            let pending = self.pending.remove(pos);
+            self.resume(pending, read, i == 0);
         }
     }
 
@@ -830,11 +868,11 @@ impl MemorySystem {
         out.append(&mut self.completed);
     }
 
-    /// Runs `op` until it completes or suspends on a miss.
-    fn drive(&mut self, mut op: PendingOp) {
+    /// Runs `op` from `step` until it completes or suspends on a miss.
+    fn drive(&mut self, mut op: Op, mut step: Step) {
         loop {
-            match op.state {
-                OpState::Walk { table, level } => {
+            match step {
+                Step::Walk { table, level } => {
                     let entry_addr = PhysAddr::new(
                         table.base().as_u64() + (op.va.level_index(level) as u64) * 8,
                     );
@@ -858,33 +896,20 @@ impl MemorySystem {
                             }
                             Err(c) => {
                                 op.cycles += c;
-                                op.state = OpState::AwaitWalk { level, entry_addr };
-                                self.suspend(op, entry_addr, true);
+                                self.suspend(op, Await::Walk { level, entry_addr });
                                 return;
                             }
                         }
                     };
                     match self.classify_pte(op.va, level, pte) {
-                        WalkStep::Fault { level } => {
-                            self.completed.push((
-                                op.id,
-                                AccessOutcome::PageFault {
-                                    cycles: op.cycles,
-                                    level,
-                                },
-                            ));
+                        Ok(next) => step = next,
+                        Err(level) => {
+                            self.page_fault(&op, level);
                             return;
-                        }
-                        WalkStep::Leaf(leaf) => op.state = OpState::Data { leaf },
-                        WalkStep::Descend(next) => {
-                            op.state = OpState::Walk {
-                                table: next,
-                                level: level - 1,
-                            }
                         }
                     }
                 }
-                OpState::Data { leaf } => {
+                Step::Data { leaf } => {
                     let pa = leaf.target(op.va.page_offset());
                     match self.probe_caches(pa, op.write, false) {
                         Ok((_, c)) => {
@@ -896,26 +921,34 @@ impl MemorySystem {
                                     llc_miss: false,
                                 },
                             ));
-                            return;
                         }
                         Err(c) => {
                             op.cycles += c;
-                            op.state = OpState::AwaitData { pa };
-                            self.suspend(op, pa, false);
-                            return;
+                            self.suspend(op, Await::Data { pa });
                         }
                     }
-                }
-                OpState::AwaitWalk { .. } | OpState::AwaitData { .. } => {
-                    unreachable!("suspended ops resume through advance_to_next_event")
+                    return;
                 }
             }
         }
     }
 
-    /// Parks `op` on the MSHR entry for `addr`'s line, creating the entry —
-    /// and queueing the DRAM read — if this is the line's first miss.
-    fn suspend(&mut self, op: PendingOp, addr: PhysAddr, is_pte: bool) {
+    /// Completes `op` with a page fault at walk level `level`.
+    fn page_fault(&mut self, op: &Op, level: usize) {
+        self.completed.push((
+            op.id,
+            AccessOutcome::PageFault {
+                cycles: op.cycles,
+                level,
+            },
+        ));
+    }
+
+    /// Parks `op` on the MSHR entry for the line it `awaits`, creating the
+    /// entry — and queueing the DRAM read — if this is the line's first
+    /// miss.
+    fn suspend(&mut self, op: Op, awaits: Await) {
+        let (addr, is_pte) = awaits.target();
         let line_addr = addr.line_addr().as_u64();
         if let Some(entry) = self
             .mshr
@@ -954,16 +987,17 @@ impl MemorySystem {
                 debug_assert!(self.wheel.len() <= self.channels());
             }
         }
-        self.pending.push(op);
+        self.pending.push(PendingOp { op, awaits });
     }
 
     /// Resumes a suspended op with its DRAM read. The primary waiter
     /// installs the fill; merged waiters only collect the latency (and, for
     /// stores, dirty the installed line).
-    fn resume(&mut self, mut op: PendingOp, read: &crate::controller::DramRead, primary: bool) {
+    fn resume(&mut self, pending: PendingOp, read: &crate::controller::DramRead, primary: bool) {
+        let PendingOp { mut op, awaits } = pending;
         op.cycles += read.latency_cycles;
-        match op.state {
-            OpState::AwaitWalk { level, entry_addr } => {
+        match awaits {
+            Await::Walk { level, entry_addr } => {
                 self.stats.walk_llc_misses += 1;
                 if read.verdict == ReadVerdict::CheckFailed {
                     self.stats.integrity_faults += 1;
@@ -984,29 +1018,11 @@ impl MemorySystem {
                     self.mmu.insert(entry_addr, pte);
                 }
                 match self.classify_pte(op.va, level, pte) {
-                    WalkStep::Fault { level } => {
-                        self.completed.push((
-                            op.id,
-                            AccessOutcome::PageFault {
-                                cycles: op.cycles,
-                                level,
-                            },
-                        ));
-                    }
-                    WalkStep::Leaf(leaf) => {
-                        op.state = OpState::Data { leaf };
-                        self.drive(op);
-                    }
-                    WalkStep::Descend(next) => {
-                        op.state = OpState::Walk {
-                            table: next,
-                            level: level - 1,
-                        };
-                        self.drive(op);
-                    }
+                    Ok(next) => self.drive(op, next),
+                    Err(level) => self.page_fault(&op, level),
                 }
             }
-            OpState::AwaitData { pa } => {
+            Await::Data { pa } => {
                 self.stats.llc_misses += 1;
                 // The demand path consumes the line whatever the verdict,
                 // but a failed check is never installed (Section IV-F).
@@ -1028,9 +1044,6 @@ impl MemorySystem {
                         llc_miss: true,
                     },
                 ));
-            }
-            OpState::Walk { .. } | OpState::Data { .. } => {
-                unreachable!("only suspended ops resume")
             }
         }
     }

@@ -1,5 +1,8 @@
 //! The 64-entry fully-associative TLB (Table III).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use pagetable::addr::Frame;
 use pagetable::x86_64::Pte;
 
@@ -33,10 +36,44 @@ impl TlbStats {
     }
 }
 
+/// Multiplicative hash of a virtual page number for the TLB's index.
+///
+/// The keys are simulated VPNs and at most `capacity` of them are resident,
+/// so keys crafted to collide (a replayed trace can choose its addresses)
+/// cost at most one probe sequence over the resident keys, which is what a
+/// linear scan of the entries costs anyway. The product's high half is
+/// folded into the low half because the map places keys by the low bits.
+#[derive(Debug, Clone, Copy, Default)]
+struct VpnHasher(u64);
+
+impl Hasher for VpnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, vpn: u64) {
+        let h = (self.0 ^ vpn).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A fully-associative, LRU TLB.
+///
+/// Entries sit in a dense `Vec`; an exact index maps each resident VPN to
+/// its position, so a lookup, insert or invalidate finds its entry without
+/// scanning. Only choosing an eviction victim scans, for the least
+/// recently used entry, and the newcomer overwrites it in place.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<TlbEntry>,
+    /// VPN → position in `entries`, for every resident entry.
+    index: HashMap<u64, usize, BuildHasherDefault<VpnHasher>>,
     capacity: usize,
     clock: u64,
     stats: TlbStats,
@@ -54,6 +91,7 @@ impl Tlb {
         assert!(capacity > 0, "TLB capacity must be at least one entry");
         Self {
             entries: Vec::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             capacity,
             clock: 0,
             stats: TlbStats::default(),
@@ -63,7 +101,8 @@ impl Tlb {
     /// Looks up a virtual page number; returns the cached leaf PTE.
     pub fn lookup(&mut self, vpn: u64) -> Option<Pte> {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.vpn == vpn) {
+        if let Some(&i) = self.index.get(&vpn) {
+            let e = &mut self.entries[i];
             e.lru = self.clock;
             self.stats.hits += 1;
             return Some(e.pte);
@@ -75,45 +114,55 @@ impl Tlb {
     /// Installs a translation (after a successful page walk).
     pub fn insert(&mut self, vpn: u64, pte: Pte) {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.vpn == vpn) {
-            e.pte = pte;
-            e.lru = self.clock;
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            self.entries.swap_remove(victim);
-        }
-        self.entries.push(TlbEntry {
+        let entry = TlbEntry {
             vpn,
             pte,
             lru: self.clock,
-        });
+        };
+        if let Some(&i) = self.index.get(&vpn) {
+            self.entries[i] = entry;
+            return;
+        }
+        if self.entries.len() < self.capacity {
+            self.index.insert(vpn, self.entries.len());
+            self.entries.push(entry);
+            return;
+        }
+        // Every entry's `lru` is a distinct clock value, so the victim is
+        // unique and its position in `entries` decides nothing.
+        let victim = self
+            .entries
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.lru)
+            .map(|(i, _)| i)
+            .expect("a full TLB has entries");
+        self.index.remove(&self.entries[victim].vpn);
+        self.index.insert(vpn, victim);
+        self.entries[victim] = entry;
     }
 
     /// Invalidates one page (e.g. on unmap).
     pub fn invalidate(&mut self, vpn: u64) {
-        self.entries.retain(|e| e.vpn != vpn);
+        let Some(i) = self.index.remove(&vpn) else {
+            return;
+        };
+        self.entries.swap_remove(i);
+        if let Some(moved) = self.entries.get(i) {
+            self.index.insert(moved.vpn, i);
+        }
     }
 
     /// Full TLB shootdown.
     pub fn flush(&mut self) {
         self.entries.clear();
+        self.index.clear();
     }
 
     /// The frame a cached translation maps to, if present (test helper).
     #[must_use]
     pub fn peek_frame(&self, vpn: u64) -> Option<Frame> {
-        self.entries
-            .iter()
-            .find(|e| e.vpn == vpn)
-            .map(|e| e.pte.frame())
+        self.index.get(&vpn).map(|&i| self.entries[i].pte.frame())
     }
 
     /// Statistics.

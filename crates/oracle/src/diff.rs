@@ -17,8 +17,8 @@ use pagetable::x86_64::{Pte, PteFlags};
 use rng::SplitMix64;
 
 use crate::ops::{
-    encode_repro, gen_cache_ops, gen_mmu_ops, gen_tlb_ops, line_from_seed, CacheOp, MmuOp, TlbOp,
-    WalkProbe,
+    encode_repro, gen_cache_ops, gen_mmu_ops, gen_tlb_ops, line_from_seed, CacheOp, MmuOp, ReproOp,
+    TlbOp, WalkProbe,
 };
 use crate::refmodel::{RefCache, RefMmuCache, RefTlb};
 use crate::refwalk::{ref_walk, RefTables, RefWalkResult};
@@ -53,6 +53,28 @@ impl Divergence {
         f.write_all(&self.repro)?;
         Ok(path)
     }
+}
+
+/// Runs `fails` on `ops`; if it reports a mismatch, shrinks the stream to
+/// a minimal one that still fails and packages it as a [`Divergence`]
+/// (`param` is the reproducer header's geometry field).
+fn shrunk<T: ReproOp>(
+    kind: &'static str,
+    seed: u64,
+    param: u64,
+    ops: &[T],
+    fails: impl Fn(&[T]) -> Option<String>,
+) -> Option<Divergence> {
+    let _first = fails(ops)?;
+    let minimal = shrink_ops(ops, |s| fails(s).is_some());
+    let message = fails(&minimal).unwrap_or_else(|| "shrunk stream no longer fails".to_string());
+    Some(Divergence {
+        kind,
+        message,
+        ops_total: ops.len(),
+        ops_minimal: minimal.len(),
+        repro: encode_repro(seed, param, &minimal),
+    })
 }
 
 /// Greedy ddmin-style shrinker: repeatedly removes chunks (halving the
@@ -143,39 +165,64 @@ pub fn run_cache_ops<C: CacheModel>(
     ways: usize,
     ops: &[CacheOp],
 ) -> Option<String> {
+    run_against_ref(fast, size_bytes, ways, ops, apply_cache_op)
+}
+
+/// Runs one op stream through the demand path of the real [`Cache`] and
+/// of a fresh [`RefCache`], returning the first mismatch, if any.
+///
+/// A `Lookup(a)` is a demand access, a store when bit 0 of `a` is set:
+/// [`Cache::probe`], then on a miss [`Cache::fill_way`] of a refill into
+/// the victim the probe returned (dirty for a store), or on a store hit
+/// [`Cache::set_dirty`] of the probed way. The reference does `lookup`,
+/// then `fill` or `update`. Every other op runs as in [`run_cache_ops`],
+/// so the sets the probes meet hold invalid ways, dirty lines and stale
+/// recency alike.
+pub fn run_probe_ops(
+    fast: &mut Cache,
+    size_bytes: usize,
+    ways: usize,
+    ops: &[CacheOp],
+) -> Option<String> {
+    run_against_ref(fast, size_bytes, ways, ops, |fast, reference, op| {
+        let CacheOp::Lookup(a) = op else {
+            return apply_cache_op(fast, reference, op);
+        };
+        let (addr, store, refill) = (PhysAddr::new(a), a & 1 == 1, line_from_seed(a));
+        let f = match fast.probe(addr) {
+            Ok((way, line)) => {
+                if store {
+                    fast.set_dirty(way);
+                }
+                Ok(line)
+            }
+            Err(victim) => Err(fast.fill_way(victim, addr, refill, store)),
+        };
+        let r = match reference.lookup(addr) {
+            Some(line) => {
+                if store {
+                    reference.update(addr, line, true);
+                }
+                Ok(line)
+            }
+            None => Err(reference.fill(addr, refill, store)),
+        };
+        diff_value(f, r)
+    })
+}
+
+/// Steps `fast` and a fresh [`RefCache`] through `ops` with `apply`,
+/// comparing their statistics after every op.
+fn run_against_ref<C: CacheModel>(
+    fast: &mut C,
+    size_bytes: usize,
+    ways: usize,
+    ops: &[CacheOp],
+    mut apply: impl FnMut(&mut C, &mut RefCache, CacheOp) -> Option<String>,
+) -> Option<String> {
     let mut reference = RefCache::new(size_bytes, ways);
     for (i, op) in ops.iter().enumerate() {
-        let mismatch = match *op {
-            CacheOp::Lookup(a) => {
-                let addr = PhysAddr::new(a);
-                diff_value(fast.lookup(addr), reference.lookup(addr))
-            }
-            CacheOp::Fill(a, d, dirty) => {
-                let (addr, line) = (PhysAddr::new(a), line_from_seed(d));
-                diff_value(
-                    fast.fill(addr, line, dirty),
-                    reference.fill(addr, line, dirty),
-                )
-            }
-            CacheOp::Update(a, d, dirty) => {
-                let (addr, line) = (PhysAddr::new(a), line_from_seed(d));
-                fast.update(addr, line, dirty);
-                reference.update(addr, line, dirty);
-                None
-            }
-            CacheOp::Invalidate(a) => {
-                let addr = PhysAddr::new(a);
-                diff_value(fast.invalidate(addr), reference.invalidate(addr))
-            }
-            CacheOp::Drain => {
-                let mut f = fast.drain_dirty();
-                let mut r = reference.drain_dirty();
-                f.sort_by_key(|&(a, _)| a.as_u64());
-                r.sort_by_key(|&(a, _)| a.as_u64());
-                diff_value(f, r)
-            }
-        };
-        if let Some(m) = mismatch {
+        if let Some(m) = apply(fast, &mut reference, *op) {
             return Some(format!("op {i} {op:?}: {m}"));
         }
         if fast.stats() != reference.stats() {
@@ -187,6 +234,45 @@ pub fn run_cache_ops<C: CacheModel>(
         }
     }
     None
+}
+
+/// Applies one op to both caches, returning a mismatch in what they
+/// returned.
+fn apply_cache_op<C: CacheModel>(
+    fast: &mut C,
+    reference: &mut RefCache,
+    op: CacheOp,
+) -> Option<String> {
+    match op {
+        CacheOp::Lookup(a) => {
+            let addr = PhysAddr::new(a);
+            diff_value(fast.lookup(addr), reference.lookup(addr))
+        }
+        CacheOp::Fill(a, d, dirty) => {
+            let (addr, line) = (PhysAddr::new(a), line_from_seed(d));
+            diff_value(
+                fast.fill(addr, line, dirty),
+                reference.fill(addr, line, dirty),
+            )
+        }
+        CacheOp::Update(a, d, dirty) => {
+            let (addr, line) = (PhysAddr::new(a), line_from_seed(d));
+            fast.update(addr, line, dirty);
+            reference.update(addr, line, dirty);
+            None
+        }
+        CacheOp::Invalidate(a) => {
+            let addr = PhysAddr::new(a);
+            diff_value(fast.invalidate(addr), reference.invalidate(addr))
+        }
+        CacheOp::Drain => {
+            let mut f = fast.drain_dirty();
+            let mut r = reference.drain_dirty();
+            f.sort_by_key(|&(a, _)| a.as_u64());
+            r.sort_by_key(|&(a, _)| a.as_u64());
+            diff_value(f, r)
+        }
+    }
 }
 
 fn diff_value<T: PartialEq + std::fmt::Debug>(fast: T, reference: T) -> Option<String> {
@@ -213,16 +299,19 @@ pub fn diff_cache_impl<C: CacheModel>(
 ) -> Option<Divergence> {
     let fails =
         |subset: &[CacheOp]| run_cache_ops(&mut make_fast(), cfg.size_bytes, cfg.ways, subset);
-    let _first = fails(ops)?;
-    let minimal = shrink_ops(ops, |s| fails(s).is_some());
-    let message = fails(&minimal).unwrap_or_else(|| "shrunk stream no longer fails".to_string());
-    Some(Divergence {
-        kind,
-        message,
-        ops_total: ops.len(),
-        ops_minimal: minimal.len(),
-        repro: encode_repro(seed, cfg.size_bytes as u64, &minimal),
-    })
+    shrunk(kind, seed, cfg.size_bytes as u64, ops, fails)
+}
+
+/// Demand-path cache differential ([`run_probe_ops`]): a seeded stream
+/// over twice the cache's capacity, so most probes that miss evict.
+/// Returns a shrunk [`Divergence`] on mismatch.
+#[must_use]
+pub fn diff_cache_probe(seed: u64, n_ops: usize, cfg: CacheConfig) -> Option<Divergence> {
+    let footprint = (cfg.sets() * cfg.ways) as u64 * 2;
+    let ops = gen_cache_ops(&mut SplitMix64::new(seed), n_ops, footprint);
+    let fails =
+        |subset: &[CacheOp]| run_probe_ops(&mut Cache::new(cfg), cfg.size_bytes, cfg.ways, subset);
+    shrunk("cache-probe", seed, cfg.size_bytes as u64, &ops, fails)
 }
 
 /// Runs one TLB op stream through the real [`Tlb`] and a [`RefTlb`].
@@ -268,16 +357,7 @@ pub fn run_tlb_ops(fast: &mut Tlb, capacity: usize, ops: &[TlbOp]) -> Option<Str
 pub fn diff_tlb(seed: u64, n_ops: usize, capacity: usize) -> Option<Divergence> {
     let ops = gen_tlb_ops(&mut SplitMix64::new(seed), n_ops, capacity as u64 * 2);
     let fails = |subset: &[TlbOp]| run_tlb_ops(&mut Tlb::new(capacity), capacity, subset);
-    let _first = fails(&ops)?;
-    let minimal = shrink_ops(&ops, |s| fails(s).is_some());
-    let message = fails(&minimal).unwrap_or_else(|| "shrunk stream no longer fails".to_string());
-    Some(Divergence {
-        kind: "tlb",
-        message,
-        ops_total: ops.len(),
-        ops_minimal: minimal.len(),
-        repro: encode_repro(seed, capacity as u64, &minimal),
-    })
+    shrunk("tlb", seed, capacity as u64, &ops, fails)
 }
 
 /// Runs one MMU-cache op stream through the real [`MmuCache`] and a
@@ -328,16 +408,7 @@ pub fn diff_mmu(seed: u64, n_ops: usize, entries: usize, ways: usize) -> Option<
     let ops = gen_mmu_ops(&mut SplitMix64::new(seed), n_ops, (entries as u64) * 2);
     let fails =
         |subset: &[MmuOp]| run_mmu_ops(&mut MmuCache::new(entries, ways, 2), entries, ways, subset);
-    let _first = fails(&ops)?;
-    let minimal = shrink_ops(&ops, |s| fails(s).is_some());
-    let message = fails(&minimal).unwrap_or_else(|| "shrunk stream no longer fails".to_string());
-    Some(Divergence {
-        kind: "mmu",
-        message,
-        ops_total: ops.len(),
-        ops_minimal: minimal.len(),
-        repro: encode_repro(seed, entries as u64, &minimal),
-    })
+    shrunk("mmu", seed, entries as u64, &ops, fails)
 }
 
 /// Flat byte-addressed memory for the fast walker: the same page-table
@@ -542,16 +613,7 @@ pub fn check_walk_probe(fixture: &WalkFixture, probe: WalkProbe) -> Option<Strin
 pub fn diff_walker(seed: u64, mappings: usize, probes: usize) -> Option<Divergence> {
     let fixture = build_walk_fixture(seed, mappings, probes);
     let fails = |subset: &[WalkProbe]| subset.iter().find_map(|&p| check_walk_probe(&fixture, p));
-    let _first = fails(&fixture.probes)?;
-    let minimal = shrink_ops(&fixture.probes, |s| fails(s).is_some());
-    let message = fails(&minimal).unwrap_or_else(|| "shrunk stream no longer fails".to_string());
-    Some(Divergence {
-        kind: "walker",
-        message,
-        ops_total: fixture.probes.len(),
-        ops_minimal: minimal.len(),
-        repro: encode_repro(seed, mappings as u64, &minimal),
-    })
+    shrunk("walker", seed, mappings as u64, &fixture.probes, fails)
 }
 
 /// Decodes and re-runs a cache reproducer file against the real [`Cache`],
@@ -609,10 +671,30 @@ mod tests {
     }
 
     #[test]
+    fn probe_then_fill_way_matches_the_reference_at_table_iii_geometry() {
+        // Table III's L1D (32 KB, 8-way) and L2 (256 KB, 16-way).
+        for (size_bytes, ways) in [(32 << 10, 8), (256 << 10, 16)] {
+            let cfg = CacheConfig {
+                size_bytes,
+                ways,
+                latency_cycles: 1,
+            };
+            for seed in [13u64, 14] {
+                let d = diff_cache_probe(seed, 30_000, cfg);
+                assert!(d.is_none(), "unexpected divergence: {d:?}");
+            }
+        }
+    }
+
+    #[test]
     fn tlb_differential_finds_no_divergence() {
-        for seed in [4u64, 5, 6] {
-            let d = diff_tlb(seed, 4000, 16);
-            assert!(d.is_none(), "unexpected divergence: {d:?}");
+        // 16 entries, and Table III's 64: inserts evict, invalidates move
+        // entries and flushes clear the index at both sizes.
+        for capacity in [16, 64] {
+            for seed in [4u64, 5, 6] {
+                let d = diff_tlb(seed, 4000, capacity);
+                assert!(d.is_none(), "unexpected divergence: {d:?}");
+            }
         }
     }
 

@@ -31,7 +31,10 @@ pub struct TraceGenerator {
     base: u64,
     stream_cursor: u64,
     rng: u64,
-    stream_fraction_fp: u64, // fixed-point threshold in 2^-32 units
+    // Fixed-point thresholds in 2^-32 units, fixed by the profile.
+    mem_threshold_fp: u64,
+    store_threshold_fp: u64,
+    stream_fraction_fp: u64,
     /// Random-pattern state: current page and remaining intra-page burst.
     chase_page: u64,
     chase_left: u32,
@@ -49,6 +52,8 @@ impl TraceGenerator {
             base: Self::HEAP_BASE,
             stream_cursor: 0,
             rng: seed | 1,
+            mem_threshold_fp: (profile.mem_ratio * 4294967296.0) as u64,
+            store_threshold_fp: (profile.store_ratio * 4294967296.0) as u64,
             stream_fraction_fp: (profile.stream_fraction() * 4294967296.0) as u64,
             chase_page: 0,
             chase_left: 0,
@@ -88,12 +93,11 @@ impl TraceGenerator {
     /// Generates the next instruction.
     pub fn next_op(&mut self) -> Op {
         let r = self.next_u64();
-        let mem_threshold = (self.profile.mem_ratio * 4294967296.0) as u64;
-        if (r & 0xffff_ffff) >= mem_threshold {
+        if (r & 0xffff_ffff) >= self.mem_threshold_fp {
             return Op::Compute;
         }
         let r2 = self.next_u64();
-        let is_store = (r2 & 0xffff_ffff) < (self.profile.store_ratio * 4294967296.0) as u64;
+        let is_store = (r2 & 0xffff_ffff) < self.store_threshold_fp;
         let addr = if ((r2 >> 32) & 0xffff_ffff) < self.stream_fraction_fp {
             // Cold component: sequential sweep or pointer-chase, per profile.
             let lines_total = self.profile.stream_pages * (PAGE_SIZE as u64 / 64);
