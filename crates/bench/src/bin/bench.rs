@@ -11,8 +11,8 @@
 //! timing row carries its median and spread:
 //!
 //! * `qarma`/`mac`/`all` → `BENCH_qarma.json` — ns/op (median, fastest
-//!   and slowest sample) for the QARMA-64/128 kernels, the PTE-line MAC
-//!   (scalar and batch), verification and PAC, plus the MAC oracle's
+//!   and slowest sample) for QARMA-128 encrypt and decrypt, the PTE-line
+//!   MAC (scalar and batch) and verification, plus the MAC oracle's
 //!   pair-sweep wall time serial vs. parallel.
 //! * `serve` → `BENCH_serve.json` — full latency *distribution* (p50/p99/
 //!   p999 from the same [`serve::hist::Log2Hist`] the load generator
@@ -47,8 +47,7 @@ use ptguard::mac::PteMac;
 use ptguard::PtGuardConfig;
 use ptguard_bench::harness::{black_box, measure, sample_budget, Measurement};
 use ptguard_bench::sample_pte_line;
-use qarma::pac::PacKey;
-use qarma::{LineKernel, Qarma128, Qarma64, Sbox};
+use qarma::{LineKernel, Qarma128, Sbox};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -102,15 +101,6 @@ fn report(rows: &mut Vec<Row>, name: &'static str, m: Measurement) {
 
 fn bench_qarma(rows: &mut Vec<Row>, fast: bool) {
     let budget = sample_budget(fast);
-    let q64 = Qarma64::new([0x84be85ce9804e94b, 0xec2802d4e0a488e4], 5, Sbox::Sigma1);
-    report(
-        rows,
-        "qarma64_r5_encrypt",
-        measure(budget, || {
-            q64.encrypt(black_box(0xfb623599da6e8127), black_box(0x477d469dec0b8762))
-        }),
-    );
-
     let q128 = Qarma128::new([1, 2], 9, Sbox::Sigma1);
     report(
         rows,
@@ -163,21 +153,6 @@ fn bench_mac(rows: &mut Vec<Row>, fast: bool) {
             mac.soft_verify(black_box(&line), addr, stored, 4)
         }),
     );
-
-    let key = PacKey::new([0x84be85ce9804e94b, 0xec2802d4e0a488e4]);
-    let signed = key.sign(0x7f12_3456_7890, 0x42);
-    report(
-        rows,
-        "pac_sign",
-        measure(budget, || {
-            key.sign(black_box(0x7f12_3456_7890), black_box(0x42))
-        }),
-    );
-    report(
-        rows,
-        "pac_auth",
-        measure(budget, || key.auth(black_box(signed), black_box(0x42))),
-    );
 }
 
 /// Times the MAC oracle's pair sweep serial and on a `jobs`-wide pool.
@@ -223,7 +198,7 @@ fn bench_sweep(jobs: usize, fast: bool) -> Option<Value> {
 }
 
 /// Schema tags of the three reports `bench` writes.
-const QARMA_SCHEMA: &str = "ptguard-bench-qarma/v4";
+const QARMA_SCHEMA: &str = "ptguard-bench-qarma/v5";
 const SERVE_SCHEMA: &str = "ptguard-bench-serve/v2";
 const ARENA_SCHEMA: &str = "ptguard-bench-arena/v2";
 
@@ -658,6 +633,7 @@ mod tests {
             "ptguard-bench-channels/v2",
             "ptguard-bench-qarma/v2",
             "ptguard-bench-qarma/v3",
+            "ptguard-bench-qarma/v4",
             "ptguard-bench-serve/v1",
             "ptguard-bench-arena/v1",
             "no-such-report/v9",

@@ -40,19 +40,29 @@ pub struct AblationPoint {
 /// Workloads sampled for the performance column (high/mid/low MPKI).
 pub const SAMPLED: [&str; 3] = ["xalancbmk", "omnetpp", "povray"];
 
-fn measure(cfg: PtGuardConfig, scale: Scale, sweep_seed: u64) -> (f64, f64) {
+/// `(avg, worst)` slowdown of each of `cfgs` over the sampled workloads. A
+/// workload's unprotected baseline is simulated once and shared by every
+/// design.
+fn measure(cfgs: &[PtGuardConfig], scale: Scale, sweep_seed: u64) -> Vec<(f64, f64)> {
     let instrs = scale.instructions();
-    let mut slowdowns = Vec::new();
+    let mut slowdowns = vec![Vec::with_capacity(SAMPLED.len()); cfgs.len()];
     for (i, name) in SAMPLED.iter().enumerate() {
         let p = by_name(name).expect("profile");
         let seed = crate::salted(0xab1a + i as u64, sweep_seed);
         let base = simulate_workload(p, None, instrs, seed);
-        let guarded = simulate_workload(p, Some(cfg), instrs, seed);
-        slowdowns.push(1.0 - guarded.ipc() / base.ipc());
+        for (slowdowns, &cfg) in slowdowns.iter_mut().zip(cfgs) {
+            let guarded = simulate_workload(p, Some(cfg), instrs, seed);
+            slowdowns.push(1.0 - guarded.ipc() / base.ipc());
+        }
     }
-    let avg = slowdowns.iter().sum::<f64>() / slowdowns.len() as f64;
-    let worst = slowdowns.iter().copied().fold(f64::MIN, f64::max);
-    (avg.max(0.0), worst.max(0.0))
+    slowdowns
+        .iter()
+        .map(|s| {
+            let avg = s.iter().sum::<f64>() / s.len() as f64;
+            let worst = s.iter().copied().fold(f64::MIN, f64::max);
+            (avg.max(0.0), worst.max(0.0))
+        })
+        .collect()
 }
 
 /// Runs the ablation.
@@ -65,58 +75,51 @@ pub fn run(scale: Scale) -> Vec<AblationPoint> {
 /// (seed 0 reproduces [`run`] exactly).
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<AblationPoint> {
-    let mut out = Vec::new();
-
-    // 1. Paper default: 96-bit MAC, correction k = 4.
-    let cfg = PtGuardConfig::default();
-    let (avg, worst) = measure(cfg, scale, sweep_seed);
-    out.push(AblationPoint {
-        label: "96-bit MAC + correction (paper)",
-        mac_bits: 96,
-        correction: true,
-        n_eff: effective_mac_bits(96, 4, 372),
-        attack_years: attack_years(p_escape(96, 4, 372), 50.0),
-        avg_slowdown: avg,
-        worst_slowdown: worst,
-    });
-
-    // 2. Detection-only at the same width: full 96 bits of security.
-    let cfg = PtGuardConfig {
+    let detection_only = PtGuardConfig {
         correction: false,
         ..PtGuardConfig::default()
     };
-    let (avg, worst) = measure(cfg, scale, sweep_seed);
-    out.push(AblationPoint {
-        label: "96-bit MAC, detection only",
-        mac_bits: 96,
-        correction: false,
-        n_eff: effective_mac_bits(96, 0, 1),
-        attack_years: attack_years(p_escape(96, 0, 1), 50.0),
-        avg_slowdown: avg,
-        worst_slowdown: worst,
-    });
-
-    // 3. The paper's proposed alternative: a 64-bit MAC (same security as
-    // the corrected 96-bit design, ~64 vs ~66 bits) with a proportionally
-    // cheaper computation. We model the smaller MAC's latency benefit via
-    // the latency knob (≈7 vs 10 cycles for a shallower fold).
-    let cfg = PtGuardConfig {
-        correction: false,
-        ..PtGuardConfig::default()
-    }
-    .with_mac_latency(7);
-    let (avg, worst) = measure(cfg, scale, sweep_seed);
-    out.push(AblationPoint {
-        label: "64-bit MAC, detection only (7cy)",
-        mac_bits: 64,
-        correction: false,
-        n_eff: effective_mac_bits(64, 0, 1),
-        attack_years: attack_years(p_escape(64, 0, 1), 50.0),
-        avg_slowdown: avg,
-        worst_slowdown: worst,
-    });
-
-    out
+    // (label, MAC bits, correction, configuration):
+    // 1. the paper default: 96-bit MAC, correction k = 4;
+    // 2. detection-only at the same width: full 96 bits of security;
+    // 3. the paper's proposed alternative: a 64-bit MAC (same security as
+    //    the corrected 96-bit design, ~64 vs ~66 bits) with a
+    //    proportionally cheaper computation. We model the smaller MAC's
+    //    latency benefit via the latency knob (≈7 vs 10 cycles for a
+    //    shallower fold).
+    let designs = [
+        (
+            "96-bit MAC + correction (paper)",
+            96,
+            true,
+            PtGuardConfig::default(),
+        ),
+        ("96-bit MAC, detection only", 96, false, detection_only),
+        (
+            "64-bit MAC, detection only (7cy)",
+            64,
+            false,
+            detection_only.with_mac_latency(7),
+        ),
+    ];
+    let slowdowns = measure(&designs.map(|d| d.3), scale, sweep_seed);
+    designs
+        .into_iter()
+        .zip(slowdowns)
+        .map(|((label, mac_bits, correction, _), (avg, worst))| {
+            // Correction spends k = 4 bits over at most 372 guesses.
+            let (k, guesses) = if correction { (4, 372) } else { (0, 1) };
+            AblationPoint {
+                label,
+                mac_bits,
+                correction,
+                n_eff: effective_mac_bits(mac_bits, k, guesses),
+                attack_years: attack_years(p_escape(mac_bits, k, guesses), 50.0),
+                avg_slowdown: avg,
+                worst_slowdown: worst,
+            }
+        })
+        .collect()
 }
 
 /// Renders the ablation.

@@ -58,24 +58,40 @@ pub fn run_with(scale: Scale, guard: PtGuardConfig) -> Fig6Result {
 /// (seed 0 reproduces [`run_with`] exactly).
 #[must_use]
 pub fn run_with_seed(scale: Scale, guard: PtGuardConfig, sweep_seed: u64) -> Fig6Result {
+    run_designs(scale, &[guard], sweep_seed)
+        .pop()
+        .expect("one design")
+}
+
+/// [`run_with_seed`] for each of `guards`, in order. A workload's
+/// unprotected baseline does not depend on the guard and the simulation is
+/// deterministic, so it is simulated once and shared by every design.
+#[must_use]
+pub fn run_designs(scale: Scale, guards: &[PtGuardConfig], sweep_seed: u64) -> Vec<Fig6Result> {
     let instrs = scale.instructions();
-    let mut rows = Vec::with_capacity(ALL_WORKLOADS.len());
+    let mut rows = vec![Vec::with_capacity(ALL_WORKLOADS.len()); guards.len()];
     for (i, w) in ALL_WORKLOADS.iter().enumerate() {
         let seed = salted(0x600d + i as u64, sweep_seed);
         let base = simulate_workload(*w, None, instrs, seed);
-        let guarded = simulate_workload(*w, Some(guard), instrs, seed);
-        rows.push(Fig6Row {
-            name: w.name.to_string(),
-            normalized_ipc: guarded.ipc() / base.ipc(),
-            mpki: base.mpki,
-        });
+        for (rows, &guard) in rows.iter_mut().zip(guards) {
+            let guarded = simulate_workload(*w, Some(guard), instrs, seed);
+            rows.push(Fig6Row {
+                name: w.name.to_string(),
+                normalized_ipc: guarded.ipc() / base.ipc(),
+                mpki: base.mpki,
+            });
+        }
     }
-    let ipcs: Vec<f64> = rows.iter().map(|r| r.normalized_ipc).collect();
-    Fig6Result {
-        gmean_ipc: gmean(&ipcs),
-        amean_ipc: amean(&ipcs),
-        rows,
-    }
+    rows.into_iter()
+        .map(|rows| {
+            let ipcs: Vec<f64> = rows.iter().map(|r| r.normalized_ipc).collect();
+            Fig6Result {
+                gmean_ipc: gmean(&ipcs),
+                amean_ipc: amean(&ipcs),
+                rows,
+            }
+        })
+        .collect()
 }
 
 /// Runs Figure 6 with the paper's baseline PT-Guard (10-cycle MAC).

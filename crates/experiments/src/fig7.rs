@@ -47,28 +47,32 @@ pub fn run(scale: Scale) -> Fig7Result {
 }
 
 /// [`run`], with a sweep seed threaded into the underlying Figure 6 runs
-/// (seed 0 reproduces [`run`] exactly).
+/// (seed 0 reproduces [`run`] exactly). Every point shares one baseline
+/// run per workload.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Fig7Result {
-    let mut points = Vec::new();
+    let mut keys = Vec::new();
+    let mut guards = Vec::new();
     for &lat in &LATENCIES {
-        for (design, optimized) in [("PT-Guard", false), ("Optimized PT-Guard", true)] {
-            let mut cfg = if optimized {
-                PtGuardConfig::optimized()
-            } else {
-                PtGuardConfig::default()
-            };
-            cfg.mac_latency_cycles = lat;
-            let r = fig6::run_with_seed(scale, cfg, sweep_seed);
-            let worst = 1.0 - r.worst().1;
-            points.push(Fig7Point {
-                design,
-                mac_latency: lat,
-                avg_slowdown: r.mean_slowdown(),
-                worst_slowdown: worst,
-            });
+        for (design, cfg) in [
+            ("PT-Guard", PtGuardConfig::default()),
+            ("Optimized PT-Guard", PtGuardConfig::optimized()),
+        ] {
+            keys.push((design, lat));
+            guards.push(cfg.with_mac_latency(lat));
         }
     }
+    let results = fig6::run_designs(scale, &guards, sweep_seed);
+    let points = keys
+        .into_iter()
+        .zip(results)
+        .map(|((design, mac_latency), r)| Fig7Point {
+            design,
+            mac_latency,
+            avg_slowdown: r.mean_slowdown(),
+            worst_slowdown: 1.0 - r.worst().1,
+        })
+        .collect();
     Fig7Result { points }
 }
 

@@ -151,7 +151,8 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: fig7::render(&r),
                 metrics,
-                sim_ops: 8 * 25 * 2 * instrs,
+                // 25 baselines shared by the 8 points' 25 guarded runs each.
+                sim_ops: (25 + 8 * 25) * instrs,
             }
         }
         "fig8" => {
@@ -249,7 +250,8 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: ablation::render(&points),
                 metrics,
-                sim_ops: 3 * 3 * 2 * instrs,
+                // 3 baselines shared by the 3 designs' 3 guarded runs each.
+                sim_ops: (3 + 3 * 3) * instrs,
             }
         }
         "diag" => {

@@ -715,6 +715,26 @@ mod tests {
     }
 
     #[test]
+    fn armv8_descriptor_matches_the_bit_loop_references() {
+        use crate::refwalk::{ref_armv8_pfn, ref_armv8_unused_mask};
+        use pagetable::armv8::{unused_mask, Descriptor};
+
+        let mut rng = SplitMix64::new(15);
+        let edges = [0, u64::MAX].into_iter().chain((0..64).map(|b| 1u64 << b));
+        for raw in edges.chain((0..20_000).map(|_| rng.next_u64())) {
+            let frame = Descriptor::from_raw(raw).frame();
+            assert_eq!(frame.0, ref_armv8_pfn(raw), "raw {raw:#018x}");
+        }
+        for max_phys_bits in 12..=52 {
+            assert_eq!(
+                unused_mask(max_phys_bits),
+                ref_armv8_unused_mask(max_phys_bits),
+                "max_phys_bits {max_phys_bits}"
+            );
+        }
+    }
+
+    #[test]
     fn shrinker_reduces_to_the_failing_core() {
         // A stream fails iff it contains both 3 and 7 (in any order).
         let ops: Vec<u32> = (0..100).collect();

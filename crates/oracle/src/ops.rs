@@ -229,7 +229,7 @@ pub fn encode_repro<T: ReproOp>(seed: u64, param: u64, ops: &[T]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a description of the first structural problem: bad magic, kind
-/// mismatch, CRC mismatch, or truncation.
+/// mismatch, CRC mismatch, an op count the body cannot hold, or truncation.
 pub fn decode_repro<T: ReproOp>(bytes: &[u8]) -> Result<(u64, u64, Vec<T>), String> {
     if bytes.len() < MAGIC.len() + 4 || bytes[..MAGIC.len()] != MAGIC {
         return Err("bad reproducer magic".to_string());
@@ -252,6 +252,12 @@ pub fn decode_repro<T: ReproOp>(bytes: &[u8]) -> Result<(u64, u64, Vec<T>), Stri
     let seed = get_varint(body, &mut pos).ok_or("truncated header")?;
     let param = get_varint(body, &mut pos).ok_or("truncated header")?;
     let count = get_varint(body, &mut pos).ok_or("truncated header")?;
+    // Every op encodes in at least one byte, so the bytes left bound the
+    // count before anything is sized from it.
+    let left = body.len() - pos;
+    if count > left as u64 {
+        return Err(format!("op count {count} exceeds the {left} bytes left"));
+    }
     let mut ops = Vec::with_capacity(count as usize);
     for i in 0..count {
         ops.push(T::decode_from(body, &mut pos).ok_or(format!("truncated op {i}"))?);
@@ -342,6 +348,23 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0xff;
         assert!(decode_repro::<TlbOp>(&bad).is_err());
+    }
+
+    #[test]
+    fn repro_count_is_bounded_by_the_body() {
+        // A well-formed header and CRC around a count of u64::MAX and a
+        // one-op body.
+        let mut bytes = MAGIC.to_vec();
+        put_varint(&mut bytes, REPRO_VERSION);
+        bytes.push(TlbOp::KIND);
+        put_varint(&mut bytes, 1);
+        put_varint(&mut bytes, 2);
+        put_varint(&mut bytes, u64::MAX);
+        TlbOp::Flush.encode_into(&mut bytes);
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        let err = decode_repro::<TlbOp>(&bytes).unwrap_err();
+        assert!(err.contains("op count"), "{err}");
     }
 
     #[test]

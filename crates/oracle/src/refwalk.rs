@@ -7,8 +7,9 @@
 //! representations and compares `pagetable::walker::Walker` against this
 //! interpreter access-for-access.
 //!
-//! Also hosts a bit-loop reference for the ARMv8 descriptor's split PFN
-//! field, cross-checked against `pagetable::armv8::Descriptor`.
+//! Also hosts bit-loop references for the ARMv8 descriptor's split PFN
+//! field and its unused-bit mask, cross-checked against
+//! `pagetable::armv8` by `diff`'s tests.
 
 use std::collections::BTreeMap;
 
@@ -117,12 +118,15 @@ pub fn ref_armv8_pfn(raw: u64) -> u64 {
 }
 
 /// Bit-loop reference for `pagetable::armv8::unused_mask`: descriptor bits
-/// that would hold PFN bits at or above `max_phys_bits − 12` significance
-/// (the bits PT-Guard repurposes for the MAC).
+/// that would hold PFN bits at or above `max_phys_bits − 12` significance,
+/// plus the ignored bits 58:55 (the bits PT-Guard repurposes for the MAC).
 #[must_use]
 pub fn ref_armv8_unused_mask(max_phys_bits: u32) -> u64 {
     let first_unused_pfn_bit = max_phys_bits - 12;
     let mut mask = 0u64;
+    for ignored_bit in 55..=58 {
+        mask |= 1u64 << ignored_bit;
+    }
     for pfn_bit in first_unused_pfn_bit..40 {
         let descr_bit = if pfn_bit >= 38 {
             8 + (pfn_bit - 38)

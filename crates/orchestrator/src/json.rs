@@ -160,7 +160,8 @@ impl Value {
         }
     }
 
-    /// Parses a JSON document. Trailing garbage is an error.
+    /// Parses a JSON document. Trailing garbage is an error, and so is
+    /// nesting deeper than [`MAX_DEPTH`].
     ///
     /// # Errors
     ///
@@ -169,6 +170,7 @@ impl Value {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -198,9 +200,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a crafted document from
+/// overflowing the stack; the documents this workspace writes nest a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,11 +244,23 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => self.err("unexpected character"),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -489,6 +511,18 @@ mod tests {
         ] {
             assert!(Value::parse(s).is_err(), "{s:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let err = Value::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let err = Value::parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

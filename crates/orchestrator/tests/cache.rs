@@ -93,6 +93,14 @@ fn corrupted_entries_fall_back_to_miss_without_panicking() {
 }
 
 #[test]
+fn a_deeply_nested_entry_is_a_miss_not_a_stack_overflow() {
+    let tmp = TempDir::new("deep");
+    let cache = DiskCache::open(&tmp.0).unwrap();
+    fs::write(cache.entry_path("key1"), "[".repeat(1_000_000)).unwrap();
+    assert_eq!(cache.load("key1"), None);
+}
+
+#[test]
 fn engine_serves_warm_cache_without_executing() {
     let tmp = TempDir::new("warm");
     let cache = DiskCache::open(&tmp.0).unwrap();

@@ -1,35 +1,13 @@
 //! Cell-array state representation and primitive cell operations.
 //!
-//! The QARMA state is a 4×4 matrix of cells (4-bit cells for QARMA-64, 8-bit
-//! cells for QARMA-128). We represent it uniformly as `[u8; 16]` in row-major
-//! order with cell 0 holding the most-significant cell of the packed word,
-//! matching the paper's convention.
+//! The QARMA-128 state is a 4×4 matrix of 8-bit cells. We represent it as
+//! `[u8; 16]` in row-major order with cell 0 holding the most-significant
+//! cell of the packed word, matching the paper's convention.
 
 use crate::NUM_CELLS;
 
 /// The QARMA state: 16 cells, row-major, cell 0 most significant.
 pub type State = [u8; NUM_CELLS];
-
-/// Unpacks a 64-bit word into sixteen 4-bit cells (cell 0 = bits 63:60).
-#[must_use]
-pub fn unpack64(x: u64) -> State {
-    let mut s = [0u8; NUM_CELLS];
-    for (i, cell) in s.iter_mut().enumerate() {
-        *cell = ((x >> (60 - 4 * i)) & 0xf) as u8;
-    }
-    s
-}
-
-/// Packs sixteen 4-bit cells back into a 64-bit word.
-#[must_use]
-pub fn pack64(s: &State) -> u64 {
-    let mut x = 0u64;
-    for (i, &cell) in s.iter().enumerate() {
-        debug_assert!(cell < 16, "cell {i} out of 4-bit range");
-        x |= u64::from(cell) << (60 - 4 * i);
-    }
-    x
-}
 
 /// Unpacks a 128-bit word into sixteen 8-bit cells (cell 0 = bits 127:120).
 #[must_use]
@@ -76,36 +54,27 @@ pub fn permute(s: &State, table: &[usize; NUM_CELLS]) -> State {
     out
 }
 
-/// Rotates a `bits`-wide cell left by `r` bit positions.
+/// ρʳ: rotates a cell left by `r` bit positions.
 #[must_use]
-pub fn rotl_cell(v: u8, r: u32, bits: u32) -> u8 {
-    debug_assert!(bits == 4 || bits == 8);
-    let r = r % bits;
-    if r == 0 {
-        return v & mask(bits);
-    }
-    let m = mask(bits);
-    ((v << r) | ((v & m) >> (bits - r))) & m
+pub fn rotl_cell(v: u8, r: u32) -> u8 {
+    v.rotate_left(r)
 }
 
-/// Rotates a `bits`-wide cell right by `r` bit positions.
+/// Rotates a cell right by `r` bit positions, undoing [`rotl_cell`].
 #[must_use]
-pub fn rotr_cell(v: u8, r: u32, bits: u32) -> u8 {
-    rotl_cell(v, bits - (r % bits), bits)
+pub fn rotr_cell(v: u8, r: u32) -> u8 {
+    v.rotate_right(r)
 }
 
-fn mask(bits: u32) -> u8 {
-    ((1u16 << bits) - 1) as u8
-}
-
-/// `MixColumns` with a circulant matrix `circ(0, ρ^e1, ρ^e2, ρ^e3)`.
+/// `MixColumns` with a circulant matrix `circ(0, ρ^e1, ρ^e2, ρ^e3)`; QARMA-128
+/// uses `circ(0, ρ¹, ρ⁴, ρ⁵)`.
 ///
 /// The state matrix is row-major (`cell = s[4*row + col]`); each output cell
 /// is the XOR of the other three cells in its column, each rotated left by
 /// the circulant exponent `exps[(row_src - row_dst) mod 4]` (`exps[0]` is the
 /// structural zero of the matrix and is never used).
 #[must_use]
-pub fn mix_columns(s: &State, exps: &[u32; 4], cell_bits: u32) -> State {
+pub fn mix_columns(s: &State, exps: &[u32; 4]) -> State {
     let mut out = [0u8; NUM_CELLS];
     for col in 0..4 {
         for row in 0..4 {
@@ -115,24 +84,12 @@ pub fn mix_columns(s: &State, exps: &[u32; 4], cell_bits: u32) -> State {
                     continue;
                 }
                 let e = exps[(4 + src - row) % 4];
-                acc ^= rotl_cell(s[4 * src + col], e, cell_bits);
+                acc ^= rotl_cell(s[4 * src + col], e);
             }
             out[4 * row + col] = acc;
         }
     }
     out
-}
-
-/// Forward ω LFSR on a 4-bit cell: `(b3,b2,b1,b0) → (b0⊕b1, b3, b2, b1)`.
-#[must_use]
-pub fn lfsr4_forward(cell: u8) -> u8 {
-    ((cell >> 1) | (((cell ^ (cell >> 1)) & 1) << 3)) & 0xf
-}
-
-/// Inverse of [`lfsr4_forward`].
-#[must_use]
-pub fn lfsr4_backward(cell: u8) -> u8 {
-    ((cell << 1) | (((cell >> 3) ^ cell) & 1)) & 0xf
 }
 
 /// Forward ω LFSR on an 8-bit cell.
@@ -159,12 +116,8 @@ mod tests {
     use super::*;
     use crate::{invert_perm, TAU};
 
-    #[test]
-    fn pack_unpack64_roundtrip() {
-        for x in [0u64, u64::MAX, 0x0123_4567_89ab_cdef, 0xdead_beef_cafe_f00d] {
-            assert_eq!(pack64(&unpack64(x)), x);
-        }
-    }
+    /// QARMA-128's `M = Q = circ(0, ρ¹, ρ⁴, ρ⁵)`.
+    const Q128: [u32; 4] = [0, 1, 4, 5];
 
     #[test]
     fn pack_unpack128_roundtrip() {
@@ -175,60 +128,37 @@ mod tests {
 
     #[test]
     fn cell0_is_most_significant() {
-        let s = unpack64(0xf000_0000_0000_0000);
-        assert_eq!(s[0], 0xf);
-        assert!(s[1..].iter().all(|&c| c == 0));
         let s = unpack128(0xff << 120);
         assert_eq!(s[0], 0xff);
+        assert!(s[1..].iter().all(|&c| c == 0));
     }
 
     #[test]
     fn rotations_invert() {
-        for bits in [4u32, 8] {
-            for r in 0..bits {
-                for v in 0..=mask(bits) {
-                    assert_eq!(rotr_cell(rotl_cell(v, r, bits), r, bits), v);
-                }
+        for r in 0..8 {
+            for v in 0..=u8::MAX {
+                assert_eq!(rotr_cell(rotl_cell(v, r), r), v);
             }
         }
     }
 
     #[test]
     fn permute_then_inverse_is_identity() {
-        let s = unpack64(0x0123_4567_89ab_cdef);
+        let s = unpack128(0x0123_4567_89ab_cdef_1122_3344_5566_7788);
         let inv = invert_perm(&TAU);
         assert_eq!(permute(&permute(&s, &TAU), &inv), s);
     }
 
     #[test]
     fn mix_is_involutory_for_qarma_matrices() {
-        // M = Q = circ(0, ρ1, ρ2, ρ1) over 4-bit cells (QARMA-64) and
-        // circ(0, ρ1, ρ4, ρ5) over 8-bit cells (QARMA-128) are involutory.
-        let s4 = unpack64(0x0123_4567_89ab_cdef);
-        let m4 = [0, 1, 2, 1];
-        assert_eq!(mix_columns(&mix_columns(&s4, &m4, 4), &m4, 4), s4);
-
-        let s8 = unpack128(0x0123_4567_89ab_cdef_1122_3344_5566_7788);
-        let m8 = [0, 1, 4, 5];
-        assert_eq!(mix_columns(&mix_columns(&s8, &m8, 8), &m8, 8), s8);
-    }
-
-    #[test]
-    fn lfsr4_inverts_and_has_long_period() {
-        for v in 0..16u8 {
-            assert_eq!(lfsr4_backward(lfsr4_forward(v)), v);
+        // M = Q = circ(0, ρ¹, ρ⁴, ρ⁵) over 8-bit cells is involutory, on a
+        // dense state and on every single-bit state.
+        let s = unpack128(0x0123_4567_89ab_cdef_1122_3344_5566_7788);
+        assert_eq!(mix_columns(&mix_columns(&s, &Q128), &Q128), s);
+        for bit in 0..128 {
+            let s = unpack128(1 << bit);
+            assert_eq!(mix_columns(&mix_columns(&s, &Q128), &Q128), s, "bit {bit}");
         }
-        // Non-zero orbit should have period 15 (maximal for 4-bit LFSR).
-        let mut v = 1u8;
-        let mut period = 0;
-        loop {
-            v = lfsr4_forward(v);
-            period += 1;
-            if v == 1 {
-                break;
-            }
-        }
-        assert_eq!(period, 15);
     }
 
     #[test]
@@ -241,13 +171,15 @@ mod tests {
     #[test]
     fn mix_diffuses_single_cell_to_column() {
         // A single non-zero cell must spread to the three *other* rows of its
-        // column (diagonal of the circulant is zero).
+        // column (diagonal of the circulant is zero), each copy rotated by
+        // the circulant's exponent for its distance.
         let mut s = [0u8; NUM_CELLS];
         s[4 + 2] = 0x1; // row 1, col 2
-        let out = mix_columns(&s, &[0, 1, 2, 1], 4);
+        let out = mix_columns(&s, &Q128);
         assert_eq!(out[4 + 2], 0, "diagonal entry must be zero");
         for row in [0usize, 2, 3] {
-            assert_ne!(out[4 * row + 2], 0, "row {row} did not receive diffusion");
+            let e = Q128[(4 + 1 - row) % 4];
+            assert_eq!(out[4 * row + 2], 1 << e, "row {row} did not receive ρ^{e}");
         }
         // Other columns untouched.
         for col in [0usize, 1, 3] {

@@ -1,27 +1,12 @@
-//! Round constants and reflection constants of the QARMA family.
+//! Round constants and the reflection constant of QARMA-128.
 //!
-//! All constants are derived from the fractional hexadecimal digits of π,
-//! exactly as in the original specification for QARMA-64. The digit stream
-//! (also familiar from Blowfish's P-array) is consumed in order; the
-//! reflection constant α takes one chunk out of the stream.
+//! All constants are 32-bit words of the fractional hexadecimal digits of π
+//! (the digit stream also familiar from Blowfish's P-array), taken in order
+//! as the specification takes them for its 64-bit variant: the round
+//! constants consume the stream from word 3, 64 bits at a time, skipping
+//! the pair that variant spends on α (words 13 and 14).
 
-/// QARMA-64 round constants `c0..c7` (64-bit chunks of π digits, `c0 = 0`).
-pub const C64: [u64; 8] = [
-    0x0000000000000000,
-    0x13198A2E03707344,
-    0xA4093822299F31D0,
-    0x082EFA98EC4E6C89,
-    0x452821E638D01377,
-    0xBE5466CF34E90C6C,
-    0x3F84D5B5B5470917,
-    0x9216D5D98979FB1B,
-];
-
-/// QARMA-64 reflection constant α.
-pub const ALPHA64: u64 = 0xC0AC29B7C97C50DD;
-
-/// QARMA-128 round constants `c0..c10` (128-bit chunks of the same π digit
-/// stream, `c0 = 0`; the chunk pair consumed by [`ALPHA128`] is skipped).
+/// QARMA-128 round constants `c0..c10` (`c0 = 0`).
 pub const C128: [u128; 11] = [
     0x00000000000000000000000000000000,
     0x13198A2E03707344A4093822299F31D0,
@@ -36,21 +21,13 @@ pub const C128: [u128; 11] = [
     0x9C30D5392AF26013C5D1B023286085F0,
 ];
 
-/// QARMA-128 reflection constant α (π digit chunk following the `c` stream
-/// head, mirroring the 64-bit derivation).
+/// QARMA-128 reflection constant α: π words 13 to 16.
 pub const ALPHA128: u128 = 0xC0AC29B7C97C50DD3F84D5B5B5470917;
 
-/// Maximum supported `r` for QARMA-64 (bounded by the constant table).
-pub const MAX_ROUNDS_64: usize = C64.len();
-
-/// Maximum supported `r` for QARMA-128 (bounded by the constant table).
-pub const MAX_ROUNDS_128: usize = C128.len();
-
-/// Maximum `r` across both variants. Sizes the fixed flat arrays of the
-/// allocation-free core: round-key tables and the on-stack tweak schedule.
-pub const MAX_ROUNDS: usize = MAX_ROUNDS_128;
-
-const _: () = assert!(MAX_ROUNDS >= MAX_ROUNDS_64 && MAX_ROUNDS >= MAX_ROUNDS_128);
+/// Maximum supported `r` (bounded by the constant table). Sizes the fixed
+/// flat arrays of the allocation-free core: round-key tables and the
+/// on-stack tweak schedule.
+pub const MAX_ROUNDS: usize = C128.len();
 
 #[cfg(test)]
 mod tests {
@@ -58,18 +35,11 @@ mod tests {
 
     #[test]
     fn c0_is_zero() {
-        assert_eq!(C64[0], 0);
         assert_eq!(C128[0], 0);
     }
 
     #[test]
     fn constants_are_distinct() {
-        for (i, a) in C64.iter().enumerate() {
-            for b in C64.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-            assert_ne!(*a, ALPHA64);
-        }
         for (i, a) in C128.iter().enumerate() {
             for b in C128.iter().skip(i + 1) {
                 assert_ne!(a, b);
@@ -79,9 +49,9 @@ mod tests {
     }
 
     #[test]
-    fn alpha64_matches_pi_stream() {
-        // α is the 13th/14th 32-bit π digit pair: C0AC29B7 C97C50DD.
-        assert_eq!(ALPHA64 >> 32, 0xC0AC29B7);
-        assert_eq!(ALPHA64 & 0xFFFF_FFFF, 0xC97C50DD);
+    fn alpha_matches_pi_stream() {
+        // α opens with the 13th/14th 32-bit π digit pair: C0AC29B7 C97C50DD.
+        assert_eq!(ALPHA128 >> 96, 0xC0AC29B7);
+        assert_eq!((ALPHA128 >> 64) as u32, 0xC97C50DD);
     }
 }

@@ -1,15 +1,14 @@
-//! Shared Even-Mansour reflection core used by both QARMA variants.
+//! The Even-Mansour reflection core of QARMA-128.
 //!
 //! ## State layout
 //!
 //! The core keeps the 16 cells in one `u128` word, one byte lane per cell,
 //! in *column-major* order: cell `(row r, column c)` — cell index `4r + c`
 //! in the specification's row-major numbering — sits in byte lane `4c + r`
-//! of the little-endian word, so column `c` is 32-bit word `c`. QARMA-128
-//! cells fill their lanes; QARMA-64's 4-bit cells sit in the low nibble of
-//! theirs. Only the boundary converts from the variants' packed big-endian
-//! words (cell 0 most significant): one byte swap and one 4×4 byte
-//! transpose, at the input block, the output block and the tweak.
+//! of the little-endian word, so column `c` is 32-bit word `c`. Only the
+//! boundary converts from the packed big-endian words (cell 0 most
+//! significant): one byte swap and one 4×4 byte transpose, at the input
+//! block, the output block and the tweak.
 //!
 //! ## Fused rounds
 //!
@@ -211,14 +210,6 @@ fn rot8<const R: u32>(x: u64) -> u64 {
     ((x << R) & hi) | ((x >> (8 - R)) & !hi)
 }
 
-/// Rotates every 4-bit cell (held in a byte lane) left by `R` (0 < `R` < 4).
-#[inline(always)]
-fn rot4<const R: u32>(x: u64) -> u64 {
-    let hi = rep64(((0x0fu32 << R) & 0x0f) as u8);
-    let lo = rep64((0x0fu32 >> (4 - R)) as u8);
-    ((x << R) & hi) | ((x >> (4 - R)) & lo)
-}
-
 /// Moves row `r + D` of every column into row `r`: each 32-bit column word
 /// rotated right by `8·D` bits.
 #[inline(always)]
@@ -234,14 +225,6 @@ fn rot_rows<const D: u32>(x: u64) -> u64 {
 fn mix128(x: u128) -> u128 {
     per_half(x, |h| {
         rot8::<1>(rot_rows::<1>(h)) ^ rot8::<4>(rot_rows::<2>(h)) ^ rot8::<5>(rot_rows::<3>(h))
-    })
-}
-
-/// The involutory QARMA-64 MixColumns `M = Q = circ(0, ρ¹, ρ², ρ¹)` at
-/// nibble width.
-fn mix64(x: u128) -> u128 {
-    per_half(x, |h| {
-        rot4::<1>(rot_rows::<1>(h)) ^ rot4::<2>(rot_rows::<2>(h)) ^ rot4::<1>(rot_rows::<3>(h))
     })
 }
 
@@ -328,14 +311,7 @@ impl Keys {
     /// Frames one direction: whitening `w_in` at the input and the centre
     /// of the second half, `w_out` at the centre of the first half and the
     /// output; round keys `first` before the reflector and `second` after.
-    fn new(
-        mix: fn(u128) -> u128,
-        w_in: u128,
-        w_out: u128,
-        first: &[u128],
-        second: &[u128],
-        reflect: u128,
-    ) -> Self {
+    fn new(w_in: u128, w_out: u128, first: &[u128], second: &[u128], reflect: u128) -> Self {
         let r = first.len();
         let mut keys = Self {
             input: w_in ^ first[0],
@@ -345,21 +321,18 @@ impl Keys {
             output: second[0] ^ w_out,
         };
         for i in 1..r {
-            keys.fwd[i - 1] = mix(permute_lanes(&TAU_LANES, first[i]));
+            keys.fwd[i - 1] = mix128(permute_lanes(&TAU_LANES, first[i]));
             keys.bwd[i - 1] = permute_lanes(&TAU_LANES, second[i]);
         }
-        keys.fwd[r - 1] = mix(permute_lanes(&TAU_LANES, w_out));
+        keys.fwd[r - 1] = mix128(permute_lanes(&TAU_LANES, w_out));
         keys.bwd[r - 1] = permute_lanes(&TAU_LANES, w_in);
         keys
     }
 }
 
-/// Variant-independent cipher parameters plus the precomputed tables and
-/// key material.
+/// Cipher parameters plus the precomputed tables and key material.
 #[derive(Debug, Clone)]
 pub(crate) struct Core {
-    /// Cell width in bits: 4 (QARMA-64) or 8 (QARMA-128).
-    pub cell_bits: u32,
     /// Number of forward (and backward) rounds `r`.
     pub rounds: usize,
     /// The selected S-box.
@@ -372,19 +345,14 @@ pub(crate) struct Core {
     sub_inv_tbl: [u8; 256],
     /// Lanes holding ω-LFSR tweak cells, in the τ-frame.
     lfsr_mask: u128,
-    /// Per-lane mask of the LFSR shift-down result (`width − 1` low bits).
-    lfsr_low: u64,
-    /// Feedback-bit destination: the cell's top bit position.
-    lfsr_top: u32,
     /// Encryption key material.
     enc: Keys,
     /// Decryption key material (the mirrored set).
     dec: Keys,
-    /// Tweak schedules of the chunk offsets 0, 16, 32 and 48 of a line
-    /// (8-bit cells only).
+    /// Tweak schedules of the chunk offsets 0, 16, 32 and 48 of a line.
     chunk_offsets: [TweakSchedule; 4],
-    /// The AVX2 line kernel's tables: present only for 8-bit cells on a CPU
-    /// that reports AVX2.
+    /// The AVX2 line kernel's tables: present only on a CPU that reports
+    /// AVX2.
     #[cfg(target_arch = "x86_64")]
     avx2: Option<avx2::Tables>,
 }
@@ -392,12 +360,8 @@ pub(crate) struct Core {
 impl Core {
     /// Builds the core and its full key schedule. Key and constant words
     /// are packed big-endian (cell 0 most significant, one cell per byte);
-    /// `round_consts` supplies `c0..c_{r-1}`; `w1` must already be `o(w0)`
-    /// (the orthomorphism acts on the variant's native word, so the variant
-    /// applies it before packing).
-    #[allow(clippy::too_many_arguments)]
+    /// `round_consts` supplies `c0..c_{r-1}`; `w1` must already be `o(w0)`.
     pub(crate) fn new(
-        cell_bits: u32,
         rounds: usize,
         sbox: Sbox,
         round_consts: &[u128],
@@ -409,19 +373,7 @@ impl Core {
         assert!((1..=MAX_ROUNDS).contains(&rounds));
         assert_eq!(round_consts.len(), rounds);
 
-        let (sub_tbl, sub_inv_tbl) = if cell_bits == 4 {
-            // 4-bit lanes only ever hold values < 16; extend the nibble
-            // tables over the low entries (apply_byte would wrongly inject
-            // the S-box image of 0 into the always-zero high nibble).
-            let mut fwd = [0u8; 256];
-            let mut bwd = [0u8; 256];
-            fwd[..16].copy_from_slice(sbox.table());
-            bwd[..16].copy_from_slice(&sbox.inverse_table());
-            (fwd, bwd)
-        } else {
-            (sbox.byte_table(), sbox.inverse_byte_table())
-        };
-        let mix: fn(u128) -> u128 = if cell_bits == 4 { mix64 } else { mix128 };
+        let sub_inv_tbl = sbox.inverse_byte_table();
         // A cell in row 0 of column `c` (bit 32·c) spreads over column word
         // `c`, so one MixColumns yields four table entries. M is circulant:
         // a cell in row `src` spreads the same way rotated down `src` rows.
@@ -432,7 +384,7 @@ impl Core {
                     .iter()
                     .enumerate()
                     .fold(0u128, |x, (c, &image)| x | (u128::from(image) << (32 * c)));
-                let columns = mix(cells);
+                let columns = mix128(cells);
                 for c in 0..4 {
                     let column = (columns >> (32 * c)) as u32;
                     for (src, tbl) in t.iter_mut().enumerate() {
@@ -456,29 +408,20 @@ impl Core {
             .fold(0u128, |m, &k| m | (0xff << (8 * lane(TAU_INV[k]))));
 
         let mut core = Self {
-            cell_bits,
             rounds,
             sbox,
-            fwd_tbl: tables(&sub_tbl),
+            fwd_tbl: tables(&sbox.byte_table()),
             bwd_tbl: tables(&sub_inv_tbl),
             sub_inv_tbl,
             lfsr_mask,
-            lfsr_low: rep64(if cell_bits == 4 { 0x07 } else { 0x7f }),
-            lfsr_top: cell_bits - 1,
             // Reflector key k1 = M·k0.
-            enc: Keys::new(mix, w0, w1, fwd_rk, bwd_rk, mix(k0)),
-            dec: Keys::new(mix, w1, w0, bwd_rk, fwd_rk, k0),
+            enc: Keys::new(w0, w1, fwd_rk, bwd_rk, mix128(k0)),
+            dec: Keys::new(w1, w0, bwd_rk, fwd_rk, k0),
             chunk_offsets: [TweakSchedule::ZERO; 4],
             #[cfg(target_arch = "x86_64")]
-            avx2: if cell_bits == 8 {
-                avx2::Tables::detect(sbox)
-            } else {
-                None
-            },
+            avx2: avx2::Tables::detect(sbox),
         };
-        if cell_bits == 8 {
-            core.chunk_offsets = [0, 16, 32, 48].map(|off| core.tweak_schedule(off));
-        }
+        core.chunk_offsets = [0, 16, 32, 48].map(|off| core.tweak_schedule(off));
         core
     }
 
@@ -491,34 +434,20 @@ impl Core {
         LineKernel::Fused
     }
 
-    /// Width dispatch for MixColumns.
-    #[inline(always)]
-    fn mix(&self, x: u128) -> u128 {
-        if self.cell_bits == 4 {
-            mix64(x)
-        } else {
-            mix128(x)
-        }
-    }
-
     /// One forward tweak update in the τ-frame (`τ(tᵢ) → τ(tᵢ₊₁)`):
     /// permutation `h`, then ω on the LFSR cells. The LFSR steps every lane
     /// at once: the feedback bit is a masked XOR of the tap shifts (taps
-    /// stay in-lane because each shift is < width and the result is masked
-    /// to the lane LSB before repositioning).
+    /// stay in-lane because each shift is < 8 and the result is masked to
+    /// the lane LSB before repositioning).
     #[inline(always)]
     fn tweak_update(&self, t: u128) -> u128 {
         let p = permute_lanes(&H_IN_TAU_FRAME, t);
         let lsb = rep64(0x01);
         let stepped = per_half(p, |h| {
-            let fb = if self.cell_bits == 4 {
-                // x³ + x + 1: feedback = bit0 ⊕ bit1.
-                (h ^ (h >> 1)) & lsb
-            } else {
-                // x⁷ + x⁵ + x⁴ + x³ + 1 taps: feedback = bit0 ⊕ bit2 ⊕ bit3 ⊕ bit4.
-                (h ^ (h >> 2) ^ (h >> 3) ^ (h >> 4)) & lsb
-            };
-            ((h >> 1) & self.lfsr_low) | (fb << self.lfsr_top)
+            // x⁷ + x⁵ + x⁴ + x³ + 1 taps: feedback = bit0 ⊕ bit2 ⊕ bit3 ⊕ bit4,
+            // into bit 7 as the low seven bits shift down.
+            let fb = (h ^ (h >> 2) ^ (h >> 3) ^ (h >> 4)) & lsb;
+            ((h >> 1) & rep64(0x7f)) | (fb << 7)
         });
         (p & !self.lfsr_mask) | (stepped & self.lfsr_mask)
     }
@@ -536,7 +465,7 @@ impl Core {
         for (f, b) in ts.fwd[..r].iter_mut().zip(&mut ts.bwd[..r]) {
             t = self.tweak_update(t);
             *b = t;
-            *f = self.mix(t);
+            *f = mix128(t);
         }
         ts
     }
@@ -600,47 +529,15 @@ impl Core {
     }
 }
 
-/// The orthomorphism `o(x) = (x ⋙ 1) ⊕ (x ≫ n−1)` used to derive `w1` from
-/// `w0`, applied on the packed word. Implemented here for both widths.
-pub(crate) fn ortho64(x: u64) -> u64 {
-    x.rotate_right(1) ^ (x >> 63)
-}
-
-/// 128-bit variant of [`ortho64`].
+/// The orthomorphism `o(x) = (x ⋙ 1) ⊕ (x ≫ 127)` used to derive `w1` from
+/// `w0`, applied on the packed word.
 pub(crate) fn ortho128(x: u128) -> u128 {
     x.rotate_right(1) ^ (x >> 127)
-}
-
-/// Spreads a 64-bit QARMA-64 word (16 nibble cells, cell 0 most significant)
-/// into packed-lane form: one nibble value per byte lane.
-pub(crate) fn spread64(x: u64) -> u128 {
-    let mut out = 0u128;
-    for i in 0..NUM_CELLS {
-        out = (out << 8) | u128::from((x >> (60 - 4 * i)) & 0xf);
-    }
-    out
-}
-
-/// Inverse of [`spread64`].
-pub(crate) fn unspread64(x: u128) -> u64 {
-    let mut out = 0u64;
-    for lane in x.to_be_bytes() {
-        out = (out << 4) | u64::from(lane & 0xf);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spread_roundtrips() {
-        for x in [0u64, u64::MAX, 0x0123_4567_89ab_cdef, 0xfb62_3599_da6e_8127] {
-            assert_eq!(unspread64(spread64(x)), x);
-        }
-        assert_eq!(spread64(0xf000_0000_0000_0000) >> 120, 0xf);
-    }
 
     #[test]
     fn state_layout_is_column_major() {
@@ -655,13 +552,9 @@ mod tests {
 
     #[test]
     fn mix_stripes_rotate_within_lanes() {
-        // 8-bit cells: cell (0, 0) must receive cell (1, 0) rotated left by
-        // ρ¹ (stripe d = 1 of circ(0, ρ¹, ρ⁴, ρ⁵)).
+        // Cell (0, 0) must receive cell (1, 0) rotated left by ρ¹ (stripe
+        // d = 1 of circ(0, ρ¹, ρ⁴, ρ⁵)).
         let out = mix128(0x81 << (8 * lane(4)));
         assert_eq!((out >> (8 * lane(0))) as u8, 0x81u8.rotate_left(1));
-        // 4-bit cells: cell (0, 0) receives cell (2, 0) rotated by ρ²
-        // (stripe d = 2 of circ(0, ρ¹, ρ², ρ¹)).
-        let out = mix64(0b1001 << (8 * lane(8)));
-        assert_eq!((out >> (8 * lane(0))) as u8, 0b0110);
     }
 }

@@ -243,7 +243,7 @@ fn mix(t: __m128i) -> __m128i {
 }
 
 /// Writes the tweak schedule of packed tweak `tweak` into `ts`: what
-/// `core.tweak_schedule(tweak)` returns, for 8-bit cells.
+/// `core.tweak_schedule(tweak)` returns.
 #[target_feature(enable = "avx2")]
 #[inline]
 fn tweak_schedule(core: &Core, tweak: u128, ts: &mut TweakSchedule) {

@@ -1,20 +1,16 @@
-//! # QARMA tweakable block cipher family
+//! # QARMA-128 tweakable block cipher
 //!
-//! A from-scratch implementation of the QARMA family of lightweight tweakable
-//! block ciphers (Roberto Avanzi, *IACR ToSC* 2017), the low-latency cipher
-//! that PT-Guard (DSN 2023, Section IV-F) uses to construct its 96-bit page
-//! table entry MAC.
+//! A from-scratch implementation of QARMA-128, the 128-bit member of the
+//! QARMA family of lightweight tweakable block ciphers (Roberto Avanzi,
+//! *IACR ToSC* 2017) and the low-latency cipher that PT-Guard (DSN 2023,
+//! Section IV-F) uses to construct its 96-bit page table entry MAC.
 //!
 //! QARMA is a three-round Even-Mansour construction with a keyed
 //! *pseudo-reflector* in the middle: `r` forward rounds, a central reflector,
 //! and `r` backward rounds, giving the cipher its α-reflection structure.
-//! Two block sizes are provided:
-//!
-//! * [`Qarma64`] — 64-bit blocks, 4-bit cells (16 cells), 128-bit key.
-//!   ARMv8.3 pointer authentication uses this variant with `r = 5`.
-//! * [`Qarma128`] — 128-bit blocks, 8-bit cells (16 cells), 256-bit key.
-//!   PT-Guard uses this variant (`r = 9`, i.e. 18 rounds total plus the
-//!   reflector) to MAC 16-byte chunks of a PTE cacheline.
+//! [`Qarma128`] has 128-bit blocks, 8-bit cells (16 cells) and a 256-bit
+//! key. PT-Guard uses it with `r = 9` (18 rounds total plus the reflector)
+//! to MAC the 16-byte chunks of a PTE cacheline.
 //!
 //! ## Validation
 //!
@@ -25,10 +21,10 @@
 //! plaintext/tweak/key bit). The official test vectors are not redistributed
 //! here; PT-Guard's security analysis models the MAC as a PRF, which these
 //! properties establish empirically. π-derived round constants are documented
-//! in [`consts`]. The fused table kernel behind both variants is held to
-//! [`reference`](mod@reference), a straight-line cell-array implementation
-//! built from the [`cells`] primitives, by a seeded differential test over
-//! every S-box and round count.
+//! in [`consts`]. The fused table kernel and the AVX2 line kernel are held
+//! to [`reference`](mod@reference), a straight-line cell-array
+//! implementation built from the [`cells`] primitives, by seeded
+//! differential tests over every S-box and round count.
 //!
 //! ## Example
 //!
@@ -48,15 +44,12 @@
 pub mod cells;
 pub mod consts;
 pub(crate) mod engine;
-pub mod pac;
 pub mod q128;
-pub mod q64;
 pub mod reference;
 pub mod sbox;
 
 pub use engine::LineKernel;
 pub use q128::Qarma128;
-pub use q64::Qarma64;
 pub use sbox::Sbox;
 
 /// Number of cells in the QARMA state (a 4×4 matrix).

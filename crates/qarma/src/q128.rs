@@ -5,7 +5,7 @@
 //! each enciphered under their 16-byte-granular address as tweak and the
 //! results folded.
 
-use crate::consts::{ALPHA128, C128, MAX_ROUNDS_128};
+use crate::consts::{ALPHA128, C128, MAX_ROUNDS};
 use crate::engine::{ortho128, Core, LineKernel};
 use crate::sbox::Sbox;
 
@@ -36,18 +36,17 @@ impl Qarma128 {
     ///
     /// # Panics
     ///
-    /// Panics if `rounds` is zero or exceeds [`MAX_ROUNDS_128`].
+    /// Panics if `rounds` is zero or exceeds [`MAX_ROUNDS`].
     #[must_use]
     pub fn new(key: [u128; 2], rounds: usize, sbox: Sbox) -> Self {
         assert!(
-            (1..=MAX_ROUNDS_128).contains(&rounds),
-            "QARMA-128 supports 1..={MAX_ROUNDS_128} rounds, got {rounds}"
+            (1..=MAX_ROUNDS).contains(&rounds),
+            "QARMA-128 supports 1..={MAX_ROUNDS} rounds, got {rounds}"
         );
         // The packed-lane state of the core *is* the native 128-bit word
         // (cell 0 = most-significant byte), so keys and constants pass
         // straight through.
         let core = Core::new(
-            8,
             rounds,
             sbox,
             &C128[..rounds],
@@ -106,7 +105,6 @@ impl Qarma128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consts::MAX_ROUNDS_128;
 
     const W0: u128 = 0x84be85ce9804e94bec2802d4e0a488e4;
     const K0: u128 = 0x10235374a49bccdde2f10325a89bdcfe;
@@ -146,6 +144,23 @@ mod tests {
     }
 
     #[test]
+    fn avalanche_on_tweak() {
+        // The MAC's tweak is the chunk address: one address bit must flip
+        // about half the ciphertext.
+        let c = Qarma128::new([W0, K0], 9, Sbox::Sigma1);
+        let base = c.encrypt(PT, TW);
+        let mut total = 0u32;
+        for bit in 0..128 {
+            total += (c.encrypt(PT, TW ^ (1 << bit)) ^ base).count_ones();
+        }
+        let avg = f64::from(total) / 128.0;
+        assert!(
+            (52.0..76.0).contains(&avg),
+            "weak tweak avalanche: avg {avg}"
+        );
+    }
+
+    #[test]
     fn avalanche_on_key() {
         let base = Qarma128::new([W0, K0], 9, Sbox::Sigma1).encrypt(PT, TW);
         let mut total = 0u32;
@@ -160,7 +175,9 @@ mod tests {
 
     #[test]
     fn golden_outputs_are_stable() {
-        // Regression pins (see q64's golden test for rationale).
+        // Regression pins for this implementation (not official vectors,
+        // which are unavailable offline; see the crate docs): any change to
+        // the round structure, constants or packing shows up here.
         let c9 = Qarma128::new([W0, K0], 9, Sbox::Sigma1);
         assert_eq!(c9.encrypt(PT, TW), 0x430df35e6d4ec8e8d0fde043b2806757);
         let c11 = Qarma128::new([W0, K0], 11, Sbox::Sigma1);
@@ -204,7 +221,7 @@ mod tests {
         // seeded keys, chunks and tweaks, line-aligned or not.
         let mut rng = 0x5eed_11e5;
         for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
-            for rounds in 1..=MAX_ROUNDS_128 {
+            for rounds in 1..=MAX_ROUNDS {
                 for case in 0..40 {
                     let key = [splitmix(&mut rng), splitmix(&mut rng)];
                     let c = Qarma128::new(key, rounds, sbox);

@@ -1,4 +1,4 @@
-//! A straight-line cell-array QARMA: the reference the fast kernel is
+//! A straight-line cell-array QARMA-128: the reference the fast kernels are
 //! checked against.
 //!
 //! Written for clarity, not speed: the state is a [`State`] of 16 cells,
@@ -7,21 +7,19 @@
 //! the encryption steps in reverse order: a backward round undoes a forward
 //! round with the same key and vice versa (M is an involution), and the
 //! reflector is inverted literally, under `k1`, so the reference does not
-//! rely on the mirrored key set the kernel decrypts with. It shares nothing
-//! with the kernel in `engine.rs` except the specification's constants,
-//! S-boxes and cell permutations.
+//! rely on the mirrored key set the kernels decrypt with. It shares nothing
+//! with the fused and AVX2 kernels in `engine.rs` and `engine/avx2.rs`
+//! except the specification's constants, S-boxes and cell permutations.
 
-use crate::cells::{
-    lfsr4_forward, lfsr8_forward, mix_columns, pack128, pack64, permute, unpack128, unpack64, xor,
-    State,
-};
-use crate::consts::{ALPHA128, ALPHA64, C128, C64};
+use crate::cells::{lfsr8_forward, mix_columns, pack128, permute, unpack128, xor, State};
+use crate::consts::{ALPHA128, C128};
 use crate::{invert_perm, Sbox, H, LFSR_CELLS, TAU};
+
+/// The MixColumns matrix `M = Q = circ(0, ρ¹, ρ⁴, ρ⁵)`, as its exponents.
+const EXPS: [u32; 4] = [0, 1, 4, 5];
 
 /// One instance's parameters and key material, as cell arrays.
 struct Cipher {
-    bits: u32,
-    exps: [u32; 4],
     sbox: Sbox,
     w0: State,
     w1: State,
@@ -35,20 +33,13 @@ struct Cipher {
 
 impl Cipher {
     /// `key` is `[w0, k0]`, `w1 = o(w0)` computed on the native word.
-    fn new(bits: u32, sbox: Sbox, key: [State; 2], w1: State, alpha: State, c: &[State]) -> Self {
-        let exps = if bits == 4 {
-            [0, 1, 2, 1]
-        } else {
-            [0, 1, 4, 5]
-        };
+    fn new(sbox: Sbox, key: [State; 2], w1: State, alpha: State, c: &[State]) -> Self {
         let [w0, k0] = key;
         Self {
-            bits,
-            exps,
             sbox,
             w0,
             w1,
-            k1: mix_columns(&k0, &exps, bits),
+            k1: mix_columns(&k0, &EXPS),
             fwd: c.iter().map(|ci| xor(&k0, ci)).collect(),
             bwd: c.iter().map(|ci| xor(&xor(&k0, &alpha), ci)).collect(),
         }
@@ -59,29 +50,17 @@ impl Cipher {
     }
 
     fn sub(&self, s: &State) -> State {
-        s.map(|c| {
-            if self.bits == 4 {
-                self.sbox.apply_nibble(c)
-            } else {
-                self.sbox.apply_byte(c)
-            }
-        })
+        s.map(|c| self.sbox.apply_byte(c))
     }
 
     fn sub_inv(&self, s: &State) -> State {
         let inv = self.sbox.inverse_table();
         let nibble = |c: u8| inv[usize::from(c)];
-        s.map(|c| {
-            if self.bits == 4 {
-                nibble(c)
-            } else {
-                (nibble(c >> 4) << 4) | nibble(c & 0xf)
-            }
-        })
+        s.map(|c| (nibble(c >> 4) << 4) | nibble(c & 0xf))
     }
 
     fn mix(&self, s: &State) -> State {
-        mix_columns(s, &self.exps, self.bits)
+        mix_columns(s, &EXPS)
     }
 
     /// `t₀ .. t_r`: each step permutes the cells by `h`, then steps the
@@ -91,11 +70,7 @@ impl Cipher {
         for _ in 0..self.rounds() {
             let mut next = permute(out.last().expect("t₀ is present"), &H);
             for &i in &LFSR_CELLS {
-                next[i] = if self.bits == 4 {
-                    lfsr4_forward(next[i])
-                } else {
-                    lfsr8_forward(next[i])
-                };
+                next[i] = lfsr8_forward(next[i]);
             }
             out.push(next);
         }
@@ -170,34 +145,15 @@ impl Cipher {
     }
 }
 
-/// The orthomorphism `o(x) = (x ⋙ 1) ⊕ (x ≫ n−1)` deriving `w1` from `w0`.
-fn ortho64(x: u64) -> u64 {
-    x.rotate_right(1) ^ (x >> 63)
-}
-
-/// 128-bit [`ortho64`].
+/// The orthomorphism `o(x) = (x ⋙ 1) ⊕ (x ≫ 127)` deriving `w1` from `w0`.
 fn ortho128(x: u128) -> u128 {
     x.rotate_right(1) ^ (x >> 127)
-}
-
-fn cipher64(key: [u64; 2], rounds: usize, sbox: Sbox) -> Cipher {
-    assert!((1..=C64.len()).contains(&rounds), "QARMA-64 rounds");
-    let consts: Vec<State> = C64[..rounds].iter().map(|&c| unpack64(c)).collect();
-    Cipher::new(
-        4,
-        sbox,
-        key.map(unpack64),
-        unpack64(ortho64(key[0])),
-        unpack64(ALPHA64),
-        &consts,
-    )
 }
 
 fn cipher128(key: [u128; 2], rounds: usize, sbox: Sbox) -> Cipher {
     assert!((1..=C128.len()).contains(&rounds), "QARMA-128 rounds");
     let consts: Vec<State> = C128[..rounds].iter().map(|&c| unpack128(c)).collect();
     Cipher::new(
-        8,
         sbox,
         key.map(unpack128),
         unpack128(ortho128(key[0])),
@@ -206,33 +162,11 @@ fn cipher128(key: [u128; 2], rounds: usize, sbox: Sbox) -> Cipher {
     )
 }
 
-/// QARMA-64 encryption of `plaintext` under `tweak`; `key` is `[w0, k0]`.
-///
-/// # Panics
-///
-/// Panics if `rounds` is outside `1..=MAX_ROUNDS_64`.
-#[must_use]
-pub fn encrypt64(key: [u64; 2], rounds: usize, sbox: Sbox, plaintext: u64, tweak: u64) -> u64 {
-    let c = cipher64(key, rounds, sbox);
-    pack64(&c.encrypt(unpack64(plaintext), unpack64(tweak)))
-}
-
-/// QARMA-64 decryption: the inverse of [`encrypt64`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is outside `1..=MAX_ROUNDS_64`.
-#[must_use]
-pub fn decrypt64(key: [u64; 2], rounds: usize, sbox: Sbox, ciphertext: u64, tweak: u64) -> u64 {
-    let c = cipher64(key, rounds, sbox);
-    pack64(&c.decrypt(unpack64(ciphertext), unpack64(tweak)))
-}
-
 /// QARMA-128 encryption of `plaintext` under `tweak`; `key` is `[w0, k0]`.
 ///
 /// # Panics
 ///
-/// Panics if `rounds` is outside `1..=MAX_ROUNDS_128`.
+/// Panics if `rounds` is outside `1..=MAX_ROUNDS`.
 #[must_use]
 pub fn encrypt128(key: [u128; 2], rounds: usize, sbox: Sbox, plaintext: u128, tweak: u128) -> u128 {
     let c = cipher128(key, rounds, sbox);
@@ -243,7 +177,7 @@ pub fn encrypt128(key: [u128; 2], rounds: usize, sbox: Sbox, plaintext: u128, tw
 ///
 /// # Panics
 ///
-/// Panics if `rounds` is outside `1..=MAX_ROUNDS_128`.
+/// Panics if `rounds` is outside `1..=MAX_ROUNDS`.
 #[must_use]
 pub fn decrypt128(
     key: [u128; 2],

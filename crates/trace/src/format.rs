@@ -20,6 +20,11 @@ pub const TAG_STORE: u8 = 2;
 /// reader's two-chunk prefetch window stays cache-friendly).
 pub const DEFAULT_CHUNK_OPS: u32 = 16 * 1024;
 
+/// Most ops one chunk may hold (64× the default). The writer refuses a
+/// larger capacity and the reader rejects a chunk that declares more, so a
+/// decoded chunk never exceeds 16 MiB of ops whatever its header says.
+pub const MAX_CHUNK_OPS: u32 = 1 << 20;
+
 /// Appends `v` as an LEB128 varint.
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {

@@ -17,8 +17,8 @@ use workloads::tracegen::Op;
 
 use crate::error::TraceError;
 use crate::format::{
-    crc32, get_varint, unzigzag, MAGIC, TAG_COMPUTE_RUN, TAG_LOAD, TAG_STORE, TRAILER_SENTINEL,
-    VERSION,
+    crc32, get_varint, unzigzag, MAGIC, MAX_CHUNK_OPS, TAG_COMPUTE_RUN, TAG_LOAD, TAG_STORE,
+    TRAILER_SENTINEL, VERSION,
 };
 
 /// Decoded trace header.
@@ -200,8 +200,21 @@ fn read_chunk<R: Read>(input: &mut R, index: u64) -> Result<Option<Vec<Op>>, Tra
         return Ok(None);
     }
     let op_count = u32::from_le_bytes(read_array(input)?);
-    let mut payload = vec![0u8; payload_len as usize];
-    input.read_exact(&mut payload)?;
+    if op_count > MAX_CHUNK_OPS {
+        return Err(TraceError::Corrupt(format!(
+            "chunk {index} declares {op_count} ops, above the {MAX_CHUNK_OPS}-op maximum"
+        )));
+    }
+    // Grow the buffer with the bytes that arrive, not with the declared
+    // length: a 4-byte field must not reserve 4 GiB.
+    let mut payload = Vec::new();
+    input
+        .by_ref()
+        .take(u64::from(payload_len))
+        .read_to_end(&mut payload)?;
+    if payload.len() != payload_len as usize {
+        return Err(TraceError::Truncated);
+    }
     let stored_crc = u32::from_le_bytes(read_array(input)?);
     if crc32(&payload) != stored_crc {
         return Err(TraceError::ChecksumMismatch { chunk: index });
@@ -215,7 +228,7 @@ fn read_chunk<R: Read>(input: &mut R, index: u64) -> Result<Option<Vec<Op>>, Tra
 /// (which a passing CRC makes astronomically unlikely, but a hand-built
 /// stream can still be malformed).
 fn decode_payload(payload: &[u8], op_count: u32) -> Option<Vec<Op>> {
-    let mut ops = Vec::with_capacity(op_count as usize);
+    let mut ops = Vec::new();
     let mut pos = 0usize;
     let mut prev_addr = 0u64;
     while pos < payload.len() {
@@ -224,9 +237,10 @@ fn decode_payload(payload: &[u8], op_count: u32) -> Option<Vec<Op>> {
         let arg = get_varint(payload, &mut pos)?;
         match tag {
             TAG_COMPUTE_RUN => {
-                // Bound by the chunk's declared op count before allocating,
-                // so a corrupt run length can't balloon memory.
-                if arg == 0 || ops.len() as u64 + arg > u64::from(op_count) {
+                // Bound by the chunk's declared op count (itself at most
+                // `MAX_CHUNK_OPS`) before pushing, so a corrupt run length
+                // can't balloon memory.
+                if arg == 0 || (ops.len() as u64).saturating_add(arg) > u64::from(op_count) {
                     return None;
                 }
                 for _ in 0..arg {

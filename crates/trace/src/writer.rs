@@ -9,8 +9,8 @@ use workloads::tracegen::Op;
 
 use crate::error::TraceError;
 use crate::format::{
-    crc32, put_varint, zigzag, DEFAULT_CHUNK_OPS, MAGIC, TAG_COMPUTE_RUN, TAG_LOAD, TAG_STORE,
-    TRAILER_SENTINEL, VERSION,
+    crc32, put_varint, zigzag, DEFAULT_CHUNK_OPS, MAGIC, MAX_CHUNK_OPS, TAG_COMPUTE_RUN, TAG_LOAD,
+    TAG_STORE, TRAILER_SENTINEL, VERSION,
 };
 
 /// Encodes an [`Op`] stream into any [`Write`] sink, one chunk at a time.
@@ -74,9 +74,17 @@ impl<W: Write> TraceWriter<W> {
 
     /// Overrides the ops-per-chunk capacity (builder style). Tiny values
     /// are how the tests force multi-chunk streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cap` is in `1..=MAX_CHUNK_OPS`, the most a reader
+    /// accepts in one chunk.
     #[must_use]
     pub fn chunk_ops(mut self, cap: u32) -> Self {
-        assert!(cap > 0, "chunk capacity must be positive");
+        assert!(
+            (1..=MAX_CHUNK_OPS).contains(&cap),
+            "chunk capacity must be in 1..={MAX_CHUNK_OPS}"
+        );
         self.chunk_cap_ops = cap;
         self
     }

@@ -1,6 +1,9 @@
 //! Codec round-trip and corruption tests for the trace format.
 
 use pagetable::addr::VirtAddr;
+use trace::format::{
+    crc32, put_varint, MAGIC, MAX_CHUNK_OPS, TAG_COMPUTE_RUN, TAG_LOAD, TRAILER_SENTINEL, VERSION,
+};
 use trace::{TraceError, TraceReader, TraceWriter};
 use workloads::profiles::ALL_WORKLOADS;
 use workloads::tracegen::{Op, TraceGenerator};
@@ -174,6 +177,61 @@ fn truncation_is_typed_at_every_cut_point() {
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn a_chunk_declaring_too_many_ops_is_corrupt() {
+    // 50 bytes: a valid header, one chunk whose 2-byte payload (a one-op
+    // compute run) carries a correct CRC-32 but whose op count is
+    // 0xFFFF_FFFE, then the trailer sentinel. The count must be rejected
+    // before anything is sized from it.
+    let payload = [TAG_COMPUTE_RUN, 1];
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend(VERSION.to_le_bytes());
+    bytes.push("synthetic".len() as u8);
+    bytes.extend(b"synthetic");
+    bytes.extend(0x5eed_u64.to_le_bytes());
+    bytes.extend(1u64.to_le_bytes());
+    bytes.extend((payload.len() as u32).to_le_bytes());
+    bytes.extend(0xFFFF_FFFE_u32.to_le_bytes());
+    bytes.extend(payload);
+    bytes.extend(crc32(&payload).to_le_bytes());
+    bytes.extend(TRAILER_SENTINEL.to_le_bytes());
+    assert_eq!(bytes.len(), 50);
+    match decode(bytes) {
+        Err(TraceError::Corrupt(why)) => assert!(why.contains("4294967294"), "{why}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_compute_run_past_the_chunk_count_is_corrupt() {
+    // One load, then a compute run of u64::MAX: the run must be checked
+    // against the chunk's count without wrapping.
+    let mut payload = vec![TAG_LOAD, 0, TAG_COMPUTE_RUN];
+    put_varint(&mut payload, u64::MAX);
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend(VERSION.to_le_bytes());
+    bytes.push(1);
+    bytes.push(b'p');
+    bytes.extend(0u64.to_le_bytes());
+    bytes.extend(2u64.to_le_bytes());
+    bytes.extend((payload.len() as u32).to_le_bytes());
+    bytes.extend(2u32.to_le_bytes());
+    bytes.extend(&payload);
+    bytes.extend(crc32(&payload).to_le_bytes());
+    match decode(bytes) {
+        Err(TraceError::Corrupt(_)) => {}
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+#[should_panic(expected = "chunk capacity")]
+fn writer_refuses_a_chunk_capacity_the_reader_would_reject() {
+    let _ = TraceWriter::new(Vec::new(), "p", 1, 0)
+        .unwrap()
+        .chunk_ops(MAX_CHUNK_OPS + 1);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`ptguard`] — the paper's mechanism (pattern match, MAC, CTB,
 //!   optimizations, correction, security model, re-keying, baselines).
-//! * [`qarma`] — the QARMA-64/128 cipher family and pointer authentication.
+//! * [`qarma`] — the QARMA-128 cipher, the MAC's primitive.
 //! * [`pagetable`] — x86_64/ARMv8 PTEs, radix tables, walker, OS model.
 //! * [`dram`] — DRAM device with the Rowhammer disturbance model.
 //! * [`rowhammer`] — attacks, prior mitigations, the exploit.

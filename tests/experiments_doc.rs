@@ -1,0 +1,238 @@
+//! EXPERIMENTS.md's paper-vs-measured tables quote `experiments_quick.txt`.
+//! Every bold measured cell of the Figure 6–9 and §VII-C tables must carry
+//! the numbers of the artefact line it summarizes, so regenerating an
+//! artefact without its summary fails here.
+
+const DOC: &str = include_str!("../EXPERIMENTS.md");
+const QUICK: &str = include_str!("../experiments_quick.txt");
+
+/// The `===== name =====` section of `experiments_quick.txt`.
+fn artefact(name: &str) -> &'static str {
+    let head = format!("===== {name} =====\n");
+    let start = QUICK.find(&head).expect("artefact section") + head.len();
+    let len = QUICK[start..]
+        .find("\n===== ")
+        .unwrap_or(QUICK.len() - start);
+    &QUICK[start..start + len]
+}
+
+/// The trimmed cells of a `| a | b |` table line.
+fn cells(line: &str) -> Vec<&str> {
+    let inner = line.trim().trim_start_matches('|').trim_end_matches('|');
+    inner.split('|').map(str::trim).collect()
+}
+
+/// The cells of the artefact table row whose leading cells are `keys`.
+fn artefact_row(section: &str, keys: &[&str]) -> Vec<&'static str> {
+    let section: &'static str = artefact(section);
+    section
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .map(cells)
+        .find(|c| c.starts_with(keys))
+        .unwrap_or_else(|| panic!("no row {keys:?} in {section}"))
+}
+
+/// The word after `marker` in `section`, without trailing punctuation.
+fn after(section: &str, marker: &str) -> String {
+    let rest = &section[section.find(marker).expect(marker) + marker.len()..];
+    let word = rest
+        .split_whitespace()
+        .next()
+        .expect("a word after the marker");
+    word.trim_end_matches(|c: char| !c.is_ascii_alphanumeric())
+        .to_string()
+}
+
+/// The EXPERIMENTS.md section under the heading that starts with `heading`.
+fn doc_section(heading: &str) -> &'static str {
+    let start = DOC.find(&format!("\n{heading}")).expect(heading) + 1;
+    let len = DOC[start + 1..]
+        .find("\n## ")
+        .map_or(DOC.len() - start, |n| n + 1);
+    &DOC[start..start + len]
+}
+
+/// The one bold span of the table row labelled `label` in `heading`'s
+/// section.
+fn doc_bold(heading: &str, label: &str) -> String {
+    let row = doc_section(heading)
+        .lines()
+        .find(|l| l.starts_with('|') && cells(l)[0] == label)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md {heading}: no row {label:?}"));
+    let spans: Vec<&str> = row.split("**").skip(1).step_by(2).collect();
+    assert_eq!(spans.len(), 1, "{heading} row {label:?}: {row}");
+    spans[0].to_string()
+}
+
+/// The numbers of `text` as written (thousands commas dropped).
+fn numbers(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(i) = rest.find(|c: char| c.is_ascii_digit()) {
+        let tail = &rest[i..];
+        let end = tail
+            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == ','))
+            .unwrap_or(tail.len());
+        out.push(tail[..end].trim_end_matches(['.', ',']).replace(',', ""));
+        rest = &tail[end..];
+    }
+    out
+}
+
+/// `[min, max]` of `values`, printed at `decimals` places as the artefact
+/// prints them.
+fn span(values: impl Iterator<Item = f64>, decimals: usize) -> [String; 2] {
+    let (lo, hi) = values.fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    [format!("{lo:.decimals$}"), format!("{hi:.decimals$}")]
+}
+
+fn pct(cell: &str) -> String {
+    cell.trim_end_matches('%').to_string()
+}
+
+#[test]
+fn figure_6_table_quotes_the_artefact() {
+    let h = "## Figure 6";
+    let fig6 = artefact("fig6");
+    assert_eq!(
+        numbers(&doc_bold(h, "mean slowdown (GMEAN)")),
+        [after(fig6, "(slowdown ")]
+    );
+    let worst = after(fig6, "worst: ");
+    let bold = doc_bold(h, "worst workload");
+    assert!(bold.starts_with(&worst), "{bold} vs worst {worst}");
+    assert_eq!(
+        numbers(&bold),
+        [
+            after(fig6, &format!("worst: {worst} at ")),
+            artefact_row("fig6", &[&worst])[3].to_string(),
+        ]
+    );
+    let low_mpki = fig6
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .map(cells)
+        .filter_map(|row| Some((row[2].strip_suffix('%')?, row[3].parse::<f64>().ok()?)))
+        .filter(|&(_, mpki)| mpki < 5.0)
+        .map(|(slowdown, _)| slowdown.parse::<f64>().unwrap());
+    assert_eq!(
+        numbers(&doc_bold(h, "low-MPKI workloads (<5)")),
+        span(low_mpki, 2)
+    );
+}
+
+#[test]
+fn figure_7_table_quotes_the_artefact() {
+    let h = "## Figure 7";
+    let cell = |design: &str, lat: &str, col: usize| pct(artefact_row("fig7", &[design, lat])[col]);
+    assert_eq!(
+        numbers(&doc_bold(h, "PT-Guard avg")),
+        [cell("PT-Guard", "5", 2), cell("PT-Guard", "20", 2)]
+    );
+    let opt_avg = numbers(&doc_bold(h, "Optimized avg"));
+    for lat in ["5", "10", "15", "20"] {
+        assert_eq!(
+            opt_avg,
+            [cell("Optimized PT-Guard", lat, 2)],
+            "{lat} cycles"
+        );
+    }
+    assert_eq!(
+        numbers(&doc_bold(h, "Optimized worst")),
+        [cell("Optimized PT-Guard", "10", 3), "10".to_string()]
+    );
+}
+
+#[test]
+fn figure_8_table_quotes_the_artefact() {
+    let h = "## Figure 8";
+    let fig8 = artefact("fig8");
+    for (label, marker) in [
+        ("zero PTEs", "zero = "),
+        ("contiguous PFNs", "contiguous = "),
+        ("non-contiguous", "non-contiguous = "),
+        (
+            "per-flag line uniformity",
+            "flag uniformity across lines = ",
+        ),
+    ] {
+        assert_eq!(
+            numbers(&doc_bold(h, label)),
+            [after(fig8, marker)],
+            "{label}"
+        );
+    }
+    let deciles: Vec<Vec<&str>> = fig8
+        .lines()
+        .filter(|l| l.starts_with("| P"))
+        .map(cells)
+        .collect();
+    assert_eq!(deciles.len(), 11);
+    let column = |c: usize| {
+        deciles
+            .iter()
+            .map(move |row| row[c].parse::<f64>().unwrap())
+    };
+    let [contiguous, zero] = [span(column(2), 1), span(column(1), 1)];
+    assert_eq!(
+        numbers(&doc_bold(h, "per-process spread")),
+        [contiguous, zero].concat()
+    );
+}
+
+#[test]
+fn figure_9_table_quotes_the_artefact() {
+    let h = "## Figure 9";
+    let average = artefact_row("fig9", &["average"]);
+    for (label, col) in [
+        ("1/1024", 1),
+        ("1/512 (DDR4 worst case)", 2),
+        ("1/256", 3),
+        ("1/128 (LPDDR4 worst case)", 4),
+    ] {
+        assert_eq!(numbers(&doc_bold(h, label)), [pct(average[col])], "{label}");
+    }
+    let fig9 = artefact("fig9");
+    let coverage = doc_section(h)
+        .lines()
+        .find(|l| l.contains("erroneous lines:"))
+        .expect("the detection-coverage line");
+    assert_eq!(
+        numbers(coverage),
+        [
+            after(fig9, "detection coverage: "),
+            after(fig9, "lines, "),
+            after(fig9, "undetected, "),
+        ]
+    );
+}
+
+#[test]
+fn section_vii_c_table_quotes_the_artefact() {
+    let h = "## §VII-C";
+    let multicore = artefact("multicore");
+    assert_eq!(
+        numbers(&doc_bold(h, "average slowdown")),
+        [after(multicore, "average = ")]
+    );
+    let worst = after(multicore, "worst = ");
+    let bundle = after(multicore, &format!("worst = {worst}% ("));
+    let bold = doc_bold(h, "worst bundle");
+    assert!(bold.contains(&format!("({bundle})")), "{bold} vs {bundle}");
+    assert_eq!(numbers(&bold), [worst]);
+    let cross = multicore
+        .split("cross-check")
+        .nth(1)
+        .expect("the cross-check lines")
+        .lines()
+        .filter_map(|l| l.split(": ").nth(1))
+        .map(|v| v.trim().trim_end_matches('%').parse::<f64>().unwrap());
+    assert_eq!(
+        numbers(&doc_bold(
+            h,
+            "cross-check (derived-contention shared-LLC model)"
+        )),
+        span(cross, 2)
+    );
+}
