@@ -2,7 +2,7 @@
 //! workload isolates.
 //!
 //! ```text
-//! bench qarma|mac|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]
+//! bench qarma|mac|serve|arena|all [--out FILE] [--fast] [--check FILE]
 //! ```
 //!
 //! The simulator's end-to-end host cost is `perfbench`'s job (paired
@@ -12,8 +12,7 @@
 //!
 //! * `qarma`/`mac`/`all` → `BENCH_qarma.json` — ns/op (median, fastest
 //!   and slowest sample) for QARMA-128 encrypt and decrypt, the PTE-line
-//!   MAC (scalar and batch) and verification, plus the MAC oracle's
-//!   pair-sweep wall time serial vs. parallel.
+//!   MAC (scalar and batch) and verification.
 //! * `serve` → `BENCH_serve.json` — full latency *distribution* (p50/p99/
 //!   p999 from the same [`serve::hist::Log2Hist`] the load generator
 //!   reports with) of the coalescing core's drain at batch sizes 1/2/4/8,
@@ -41,7 +40,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use orchestrator::json::Value;
-use orchestrator::pool::ThreadPool;
 use pagetable::addr::PhysAddr;
 use ptguard::mac::PteMac;
 use ptguard::PtGuardConfig;
@@ -51,12 +49,10 @@ use qarma::{LineKernel, Qarma128, Sbox};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench qarma|mac|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]\n\
+        "usage: bench qarma|mac|serve|arena|all [--out FILE] [--fast] [--check FILE]\n\
          \x20 --out FILE    write the JSON report (default BENCH_qarma.json;\n\
          \x20               BENCH_serve.json / BENCH_arena.json for those targets)\n\
          \x20 --fast        ~10x shorter samples (smoke mode)\n\
-         \x20 --jobs N      workers for the parallel pair-sweep timing (default: all cores;\n\
-         \x20               with fewer than 2 the pair_sweep row is omitted)\n\
          \x20 --check FILE  regression gate: fail if the report's anchor number regressed\n\
          \x20               more than 2x (dispatches on the file's schema field)"
     );
@@ -155,50 +151,8 @@ fn bench_mac(rows: &mut Vec<Row>, fast: bool) {
     );
 }
 
-/// Times the MAC oracle's pair sweep serial and on a `jobs`-wide pool.
-/// Determinism means the two runs do identical work, so the ratio is a
-/// pure scaling measurement — which needs at least two workers: with one,
-/// the row is omitted and stderr says why.
-fn bench_sweep(jobs: usize, fast: bool) -> Option<Value> {
-    let pool = ThreadPool::new(jobs);
-    if pool.size() < 2 {
-        eprintln!(
-            "pair_sweep: omitted, the pool has {} worker (a parallel speedup needs at least 2; pass --jobs 2)",
-            pool.size()
-        );
-        return None;
-    }
-    let cfg = PtGuardConfig::default();
-    let (lines, budget) = if fast { (2, 2_000) } else { (4, 20_000) };
-    let seed = 0xbe0c_5eed;
-
-    let t = Instant::now();
-    let serial = ::oracle::macoracle::sweep(&cfg, seed, lines, budget);
-    let serial_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let t = Instant::now();
-    let parallel = ::oracle::macoracle::sweep_with_pool(&cfg, seed, lines, budget, Some(&pool));
-    let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    assert_eq!(serial, parallel, "parallel sweep diverged from serial");
-    println!(
-        "pair_sweep ({lines} lines, {budget} pairs/line): serial {serial_ms:.1} ms, \
-         {} workers {parallel_ms:.1} ms ({:.2}x)",
-        pool.size(),
-        serial_ms / parallel_ms.max(1e-9),
-    );
-    Some(Value::obj(vec![
-        ("lines", Value::U64(lines as u64)),
-        ("pair_budget_per_line", Value::U64(budget as u64)),
-        ("serial_ms", Value::F64(serial_ms)),
-        ("parallel_ms", Value::F64(parallel_ms)),
-        ("jobs", Value::U64(pool.size() as u64)),
-        ("speedup", Value::F64(serial_ms / parallel_ms.max(1e-9))),
-    ]))
-}
-
 /// Schema tags of the three reports `bench` writes.
-const QARMA_SCHEMA: &str = "ptguard-bench-qarma/v5";
+const QARMA_SCHEMA: &str = "ptguard-bench-qarma/v6";
 const SERVE_SCHEMA: &str = "ptguard-bench-serve/v2";
 const ARENA_SCHEMA: &str = "ptguard-bench-arena/v2";
 
@@ -224,7 +178,7 @@ fn check_kernel(committed: &Value, fresh: LineKernel) -> Result<(), String> {
     Ok(())
 }
 
-fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
+fn render_report(rows: &[Row], fast: bool) -> Value {
     let results = Value::Obj(
         rows.iter()
             .map(|r| {
@@ -239,16 +193,12 @@ fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
             })
             .collect(),
     );
-    let mut pairs = vec![
+    Value::obj(vec![
         ("schema", Value::Str(QARMA_SCHEMA.to_string())),
         ("fast", Value::Bool(fast)),
         ("line_kernel", Value::Str(line_kernel().name().to_string())),
         ("results", results),
-    ];
-    if let Some(s) = sweep {
-        pairs.push(("pair_sweep", s));
-    }
-    Value::obj(pairs)
+    ])
 }
 
 /// Batch sizes the serve target measures the coalescer drain at.
@@ -487,9 +437,8 @@ fn check_arena(committed: &Value, fast: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// The MAC arm of the `--check` gate: a committed `pair_sweep` row must
-/// have had a second worker, and a fresh single-thread `mac_compute` must
-/// be within 2× of the committed ns/op.
+/// The MAC arm of the `--check` gate: a fresh `mac_compute` must be
+/// within 2× of the committed ns/op.
 fn check_mac(committed: &Value, fast: bool) -> Result<(), String> {
     let committed_ns = committed
         .get("results")
@@ -497,20 +446,6 @@ fn check_mac(committed: &Value, fast: bool) -> Result<(), String> {
         .and_then(|m| m.get("ns_per_op"))
         .and_then(Value::as_f64)
         .ok_or_else(|| "committed report lacks results.mac_compute.ns_per_op".to_string())?;
-    // The pair-sweep row is optional (omitted on a one-worker pool), but a
-    // committed one must have had a second worker to measure any scaling.
-    if let Some(sweep) = committed.get("pair_sweep") {
-        let jobs = sweep
-            .get("jobs")
-            .and_then(Value::as_u64)
-            .ok_or("committed pair_sweep lacks jobs")?;
-        if jobs < 2 {
-            return Err(format!(
-                "committed pair_sweep was measured with {jobs} worker and measures no speedup"
-            ));
-        }
-    }
-
     let mac = PteMac::from_config(&PtGuardConfig::default());
     check_kernel(committed, mac.line_kernel())?;
     let line = sample_pte_line();
@@ -548,10 +483,6 @@ fn check(committed: &Value, fast: bool) -> Result<(), String> {
 fn run(mut args: Vec<String>) -> Result<(), String> {
     let out_flag = take_flag(&mut args, "--out")?.map(PathBuf::from);
     let fast = take_switch(&mut args, "--fast");
-    let jobs = match take_flag(&mut args, "--jobs")? {
-        Some(s) => s.parse().map_err(|_| format!("bad --jobs: {s}"))?,
-        None => 0,
-    };
     let check_path = take_flag(&mut args, "--check")?.map(PathBuf::from);
 
     if let Some(path) = check_path {
@@ -580,18 +511,16 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     let report = match what.as_str() {
         "qarma" => {
             bench_qarma(&mut rows, fast);
-            render_report(&rows, None, fast)
+            render_report(&rows, fast)
         }
         "mac" => {
             bench_mac(&mut rows, fast);
-            let sweep = bench_sweep(jobs, fast);
-            render_report(&rows, sweep, fast)
+            render_report(&rows, fast)
         }
         "all" => {
             bench_qarma(&mut rows, fast);
             bench_mac(&mut rows, fast);
-            let sweep = bench_sweep(jobs, fast);
-            render_report(&rows, sweep, fast)
+            render_report(&rows, fast)
         }
         "serve" => bench_serve(fast),
         "arena" => bench_arena(fast),
@@ -634,6 +563,7 @@ mod tests {
             "ptguard-bench-qarma/v2",
             "ptguard-bench-qarma/v3",
             "ptguard-bench-qarma/v4",
+            "ptguard-bench-qarma/v5",
             "ptguard-bench-serve/v1",
             "ptguard-bench-arena/v1",
             "no-such-report/v9",

@@ -5,30 +5,53 @@
 //! in DRAM. A dirty line that leaves the last level therefore re-enters the
 //! PT-Guard write path at the memory controller.
 
+use std::hint::select_unpredictable;
+
 use pagetable::addr::PhysAddr;
 use ptguard::line::Line;
 
 use crate::config::CacheConfig;
 
-/// One cache block: a way's tag, state and data, kept together so a set
-/// is one contiguous run of blocks.
-#[derive(Debug, Clone, Copy)]
-struct Block {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-    data: Line,
-}
+/// The tag of an empty way. No real tag reaches it: a cache tag is a
+/// physical address shifted right by at least 6 bits, an MMU-cache key one
+/// shifted right by 3.
+pub(crate) const EMPTY: u64 = u64::MAX;
 
-impl Block {
-    const EMPTY: Block = Block {
-        tag: 0,
-        valid: false,
-        dirty: false,
-        lru: 0,
-        data: Line::ZERO,
-    };
+/// The one search of a set, shared by [`Cache`] and
+/// [`MmuCache`](crate::mmucache::MmuCache): `Ok(i)` if way `i` holds `tag`,
+/// else `Err(i)` for the way a fill takes — the first empty way, or else
+/// the least recently used one.
+///
+/// `tags` and `stamps` are the set's ways. An empty way has tag [`EMPTY`]
+/// and stamp 0; a resident way's stamp is the clock value of its last use,
+/// which the clock ticks before storing, so it is at least 1 and unique.
+/// One running minimum with a strict `<` therefore finds the first empty
+/// way when there is one, else the unique LRU way. A tag is resident at
+/// most once per set, so the hit is unique too. Both scans keep their
+/// result with selects, not a branch per way, since which way matches
+/// follows no pattern the host could predict.
+#[inline]
+pub(crate) fn search_set(tags: &[u64], stamps: &[u64], tag: u64) -> Result<usize, usize> {
+    debug_assert!(
+        tags.iter()
+            .zip(stamps)
+            .all(|(&t, &s)| (t == EMPTY) == (s == 0)),
+        "a way is empty exactly when its stamp is 0"
+    );
+    let mut hit = usize::MAX;
+    for (i, &t) in tags.iter().enumerate() {
+        hit = select_unpredictable(t == tag, i, hit);
+    }
+    if hit != usize::MAX {
+        return Ok(hit);
+    }
+    let (mut victim, mut oldest) = (0, u64::MAX);
+    for (i, &s) in stamps.iter().enumerate() {
+        let older = s < oldest;
+        victim = select_unpredictable(older, i, victim);
+        oldest = select_unpredictable(older, s, oldest);
+    }
+    Err(victim)
 }
 
 /// A way of one set, as found by [`Cache::probe`]: the resident way on a
@@ -83,15 +106,20 @@ impl CacheStats {
 
 /// A set-associative cache holding 64-byte lines with data.
 ///
-/// Every operation finds its block with one scan of the set, which
-/// yields the resident way or, failing that, the way a fill would take. A demand access that misses keeps that
-/// victim ([`Cache::probe`]) and installs the refill there
-/// ([`Cache::fill_way`]) without scanning again.
+/// Each way's tag, LRU stamp, dirty bit and line sit in four arrays, set
+/// after set, so a set search reads only its tags and stamps
+/// (`search_set`). Every operation finds its way with one search, which
+/// yields the resident way or, failing that, the way a fill would take. A
+/// demand access that misses keeps that victim ([`Cache::probe`]) and
+/// installs the refill there ([`Cache::fill_way`]) without searching again.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
     ways: usize,
-    storage: Vec<Block>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
     /// Access latency in CPU cycles (exposed for the hierarchy).
@@ -111,10 +139,14 @@ impl Cache {
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        let n = sets * cfg.ways;
         Self {
             sets,
             ways: cfg.ways,
-            storage: vec![Block::EMPTY; sets * cfg.ways],
+            tags: vec![EMPTY; n],
+            stamps: vec![0; n],
+            dirty: vec![false; n],
+            lines: vec![Line::ZERO; n],
             clock: 0,
             stats: CacheStats::default(),
             latency_cycles: cfg.latency_cycles,
@@ -129,30 +161,13 @@ impl Cache {
         )
     }
 
-    /// The one scan of a set: `Ok(i)` if the block at storage index `i`
-    /// holds `tag`, else `Err(i)` for the way a fill takes — the first
-    /// invalid way, or else the least recently used one.
-    ///
-    /// An invalid way ranks as age 0, below every valid way (a valid way's
-    /// `lru` is a clock value, and the clock ticks before it is stored), so
-    /// one running minimum with a strict `<` finds the first invalid way
-    /// when there is one. Valid ways hold distinct clock values, so the LRU
-    /// way is unique. The minimum is kept with selects, not a branch per
-    /// way, since its outcome follows no pattern the host could predict.
+    /// [`search_set`] of `set`, as indices into the way arrays.
     fn search(&self, set: usize, tag: u64) -> Result<usize, usize> {
         let base = set * self.ways;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (i, b) in self.storage[base..base + self.ways].iter().enumerate() {
-            if b.valid && b.tag == tag {
-                return Ok(base + i);
-            }
-            let age = if b.valid { b.lru } else { 0 };
-            let older = age < oldest;
-            victim = if older { i } else { victim };
-            oldest = if older { age } else { oldest };
-        }
-        Err(base + victim)
+        let ways = base..base + self.ways;
+        search_set(&self.tags[ways.clone()], &self.stamps[ways], tag)
+            .map(|i| base + i)
+            .map_err(|i| base + i)
     }
 
     /// The address of the line with `tag` in `set`.
@@ -172,10 +187,9 @@ impl Cache {
         let (set, tag) = self.index(addr);
         match self.search(set, tag) {
             Ok(i) => {
-                let b = &mut self.storage[i];
-                b.lru = self.clock;
+                self.stamps[i] = self.clock;
                 self.stats.hits += 1;
-                Ok((Way(i), b.data))
+                Ok((Way(i), self.lines[i]))
             }
             Err(i) => {
                 self.stats.misses += 1;
@@ -201,7 +215,7 @@ impl Cache {
     #[must_use]
     pub fn peek(&self, addr: PhysAddr) -> Option<Line> {
         let (set, tag) = self.index(addr);
-        self.search(set, tag).ok().map(|i| self.storage[i].data)
+        self.search(set, tag).ok().map(|i| self.lines[i])
     }
 
     /// Installs `data` for `addr`, evicting the LRU way if needed.
@@ -219,10 +233,9 @@ impl Cache {
         match self.search(set, tag) {
             // Refill over a resident (possibly stale) copy.
             Ok(i) => {
-                let b = &mut self.storage[i];
-                b.data = data;
-                b.dirty |= dirty;
-                b.lru = self.clock;
+                self.lines[i] = data;
+                self.dirty[i] |= dirty;
+                self.stamps[i] = self.clock;
                 None
             }
             Err(victim) => self.install(victim, set, tag, data, dirty),
@@ -230,7 +243,7 @@ impl Cache {
     }
 
     /// [`Cache::fill`] of a line that [`Cache::probe`] just missed, into the
-    /// victim way that probe returned: the same result, without scanning
+    /// victim way that probe returned: the same result, without searching
     /// the set again. The set must not have changed since the probe.
     pub fn fill_way(
         &mut self,
@@ -250,8 +263,8 @@ impl Cache {
         self.install(way.0, set, tag, data, dirty)
     }
 
-    /// Puts `tag` into block `i` of `set`, returning the block's line if
-    /// it was valid and dirty (a writeback).
+    /// Puts `tag` into way `i` of `set`, returning the way's line if it
+    /// was dirty (a writeback; an empty way is never dirty).
     fn install(
         &mut self,
         i: usize,
@@ -260,18 +273,14 @@ impl Cache {
         data: Line,
         dirty: bool,
     ) -> Option<(PhysAddr, Line)> {
-        let old = self.storage[i];
-        let evicted = (old.valid && old.dirty).then(|| (self.line_addr(set, old.tag), old.data));
+        let evicted = self.dirty[i].then(|| (self.line_addr(set, self.tags[i]), self.lines[i]));
         if evicted.is_some() {
             self.stats.writebacks += 1;
         }
-        self.storage[i] = Block {
-            tag,
-            valid: true,
-            dirty,
-            lru: self.clock,
-            data,
-        };
+        self.tags[i] = tag;
+        self.stamps[i] = self.clock;
+        self.dirty[i] = dirty;
+        self.lines[i] = data;
         evicted
     }
 
@@ -279,8 +288,8 @@ impl Cache {
     /// whose data is about to change. Touches neither LRU nor statistics,
     /// like [`Cache::update`].
     pub fn set_dirty(&mut self, way: Way) {
-        debug_assert!(self.storage[way.0].valid, "set_dirty: way not resident");
-        self.storage[way.0].dirty = true;
+        debug_assert_ne!(self.tags[way.0], EMPTY, "set_dirty: way not resident");
+        self.dirty[way.0] = true;
     }
 
     /// Updates the data of a resident line (no-op if absent). Marks dirty
@@ -288,9 +297,8 @@ impl Cache {
     pub fn update(&mut self, addr: PhysAddr, data: Line, dirty: bool) {
         let (set, tag) = self.index(addr);
         if let Ok(i) = self.search(set, tag) {
-            let b = &mut self.storage[i];
-            b.data = data;
-            b.dirty |= dirty;
+            self.lines[i] = data;
+            self.dirty[i] |= dirty;
         }
     }
 
@@ -298,22 +306,17 @@ impl Cache {
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<(PhysAddr, Line)> {
         let (set, tag) = self.index(addr);
         let i = self.search(set, tag).ok()?;
-        let b = &mut self.storage[i];
-        b.valid = false;
-        let (dirty, data) = (b.dirty, b.data);
-        dirty.then(|| (self.line_addr(set, tag), data))
+        self.tags[i] = EMPTY;
+        self.stamps[i] = 0;
+        std::mem::take(&mut self.dirty[i]).then(|| (self.line_addr(set, tag), self.lines[i]))
     }
 
     /// Drains every dirty line (e.g. at a flush point), returning them.
     pub fn drain_dirty(&mut self) -> Vec<(PhysAddr, Line)> {
         let mut out = Vec::new();
-        for set in 0..self.sets {
-            for i in set * self.ways..(set + 1) * self.ways {
-                let b = self.storage[i];
-                if b.valid && b.dirty {
-                    out.push((self.line_addr(set, b.tag), b.data));
-                    self.storage[i].dirty = false;
-                }
+        for i in 0..self.dirty.len() {
+            if std::mem::take(&mut self.dirty[i]) {
+                out.push((self.line_addr(i / self.ways, self.tags[i]), self.lines[i]));
             }
         }
         self.stats.writebacks += out.len() as u64;

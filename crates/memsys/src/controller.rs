@@ -301,12 +301,6 @@ impl MemoryController {
         !self.queue.is_empty()
     }
 
-    /// Number of reads waiting in the read queue.
-    #[must_use]
-    pub fn queued_reads(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Services every queued read and appends `(request id, result)` pairs
     /// to `out` in deterministic completion order. The caller's buffer (and
     /// the controller's internal scratch) keep their capacity across calls,

@@ -8,13 +8,7 @@
 use pagetable::addr::PhysAddr;
 use pagetable::x86_64::Pte;
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: u64,
-    pte: Pte,
-    valid: bool,
-    lru: u64,
-}
+use crate::cache::{search_set, EMPTY};
 
 /// MMU-cache statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,11 +20,17 @@ pub struct MmuCacheStats {
 }
 
 /// A set-associative cache of 8-byte page-table entries.
+///
+/// Keys (entry addresses in 8-byte units), LRU stamps and entries sit in
+/// three arrays, set after set, searched by the data caches' one set
+/// search (`cache::search_set`).
 #[derive(Debug, Clone)]
 pub struct MmuCache {
     sets: usize,
     ways: usize,
-    slots: Vec<Slot>,
+    keys: Vec<u64>,
+    stamps: Vec<u64>,
+    ptes: Vec<Pte>,
     clock: u64,
     stats: MmuCacheStats,
     /// Hit latency in CPU cycles.
@@ -62,74 +62,51 @@ impl MmuCache {
         Self {
             sets,
             ways,
-            slots: vec![
-                Slot {
-                    key: 0,
-                    pte: Pte::ZERO,
-                    valid: false,
-                    lru: 0
-                };
-                entries
-            ],
+            keys: vec![EMPTY; entries],
+            stamps: vec![0; entries],
+            ptes: vec![Pte::ZERO; entries],
             clock: 0,
             stats: MmuCacheStats::default(),
             latency_cycles,
         }
     }
 
-    fn index(&self, entry_addr: PhysAddr) -> (usize, u64) {
+    /// The entry's set and key, and the set's search: `Ok` with the
+    /// resident slot, else `Err` with the slot a fill takes.
+    fn search(&self, entry_addr: PhysAddr) -> (u64, Result<usize, usize>) {
         let key = entry_addr.as_u64() >> 3; // 8-byte entries
-        ((key as usize) & (self.sets - 1), key)
+        let base = ((key as usize) & (self.sets - 1)) * self.ways;
+        let ways = base..base + self.ways;
+        let found = search_set(&self.keys[ways.clone()], &self.stamps[ways], key);
+        (key, found.map(|i| base + i).map_err(|i| base + i))
     }
 
     /// Looks up the entry at `entry_addr`.
     pub fn lookup(&mut self, entry_addr: PhysAddr) -> Option<Pte> {
         self.clock += 1;
-        let (set, key) = self.index(entry_addr);
-        let base = set * self.ways;
-        for s in &mut self.slots[base..base + self.ways] {
-            if s.valid && s.key == key {
-                s.lru = self.clock;
-                self.stats.hits += 1;
-                return Some(s.pte);
-            }
+        if let (_, Ok(i)) = self.search(entry_addr) {
+            self.stamps[i] = self.clock;
+            self.stats.hits += 1;
+            return Some(self.ptes[i]);
         }
         self.stats.misses += 1;
         None
     }
 
-    /// Installs an upper-level entry.
+    /// Installs an upper-level entry: over its resident copy, else into
+    /// the first empty slot of its set, else over the set's LRU entry.
     pub fn insert(&mut self, entry_addr: PhysAddr, pte: Pte) {
         self.clock += 1;
-        let (set, key) = self.index(entry_addr);
-        let base = set * self.ways;
-        if let Some(s) = self.slots[base..base + self.ways]
-            .iter_mut()
-            .find(|s| s.valid && s.key == key)
-        {
-            s.pte = pte;
-            s.lru = self.clock;
-            return;
-        }
-        let victim = self.slots[base..base + self.ways]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| (s.valid, s.lru))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        self.slots[base + victim] = Slot {
-            key,
-            pte,
-            valid: true,
-            lru: self.clock,
-        };
+        let (key, Ok(i) | Err(i)) = self.search(entry_addr);
+        self.keys[i] = key;
+        self.stamps[i] = self.clock;
+        self.ptes[i] = pte;
     }
 
     /// Invalidates everything (TLB-shootdown companion).
     pub fn flush(&mut self) {
-        for s in &mut self.slots {
-            s.valid = false;
-        }
+        self.keys.fill(EMPTY);
+        self.stamps.fill(0);
     }
 
     /// Statistics.

@@ -338,21 +338,6 @@ impl MemorySystem {
         self.channel_mut(c)
     }
 
-    /// Whether any channel has queued reads.
-    fn any_queued_reads(&self) -> bool {
-        self.controllers
-            .iter()
-            .any(MemoryController::has_queued_reads)
-    }
-
-    /// Total reads queued across all channels (flush diagnostics).
-    fn queued_reads_total(&self) -> usize {
-        self.controllers
-            .iter()
-            .map(MemoryController::queued_reads)
-            .sum()
-    }
-
     /// The system's configuration.
     #[must_use]
     pub fn config(&self) -> &MemSysConfig {
@@ -594,21 +579,17 @@ impl MemorySystem {
     /// MSHR file must complete — not drop — the pending misses, or their
     /// fills (and any dirty lines they produce) would be lost.
     pub fn flush_caches(&mut self) {
-        // Drain through the event engine, not a blind step loop: if reads
-        // are queued but no event can fire, stepping again would spin
-        // forever — fail loudly with the stuck state instead.
-        while self.any_queued_reads() {
-            let progressed = self.advance_to_next_event();
-            assert!(
-                progressed,
-                "flush deadlock: {} reads queued across {} channels but no event is scheduled \
-                 ({} pending ops, {} MSHR entries)",
-                self.queued_reads_total(),
-                self.channels(),
-                self.pending.len(),
-                self.mshr.len(),
-            );
+        // Every read an op queued has its channel's drain armed. A read
+        // queued through `channel_mut` has none, so arm it here; its
+        // completion finds no MSHR entry and retires without effect.
+        for ch in 0..self.channels() {
+            if self.controllers[ch].has_queued_reads() && !self.armed[ch] {
+                // One arm per channel: `(ps, channel)` orders the arms, so
+                // the id decides nothing.
+                self.arm(ch, 0);
+            }
         }
+        while self.advance_to_next_event() {}
         debug_assert!(
             self.pending.is_empty(),
             "every pending op waits on a queued read"
@@ -968,26 +949,30 @@ impl MemorySystem {
                 merged: Vec::new(),
             });
             self.stats.mshr_hwm = self.stats.mshr_hwm.max(self.mshr.len() as u64);
-            // First outstanding read on this channel: arm its drain at the
-            // channel device's current time (clamped to the scheduler's
-            // frontier if this channel lags).
+            // First outstanding read on this channel: arm its drain.
             if !self.armed[ch] {
-                self.armed[ch] = true;
-                let ps = self.channel(ch).device().now_ps();
-                self.wheel.post(
-                    EventKey {
-                        ps,
-                        channel: u32::try_from(ch).expect("channel index"),
-                        id: req_id,
-                    },
-                    (),
-                );
-                // One arm per channel bounds the scheduler, which is what
-                // lets it be a flat list.
-                debug_assert!(self.wheel.len() <= self.channels());
+                self.arm(ch, req_id);
             }
         }
         self.pending.push(PendingOp { op, awaits });
+    }
+
+    /// Arms channel `ch`'s drain at its device's current time (clamped to
+    /// the scheduler's frontier if this channel lags).
+    fn arm(&mut self, ch: usize, id: u64) {
+        self.armed[ch] = true;
+        let ps = self.channel(ch).device().now_ps();
+        self.wheel.post(
+            EventKey {
+                ps,
+                channel: u32::try_from(ch).expect("channel index"),
+                id,
+            },
+            (),
+        );
+        // One arm per channel bounds the scheduler, which is what lets it
+        // be a flat list.
+        debug_assert!(self.wheel.len() <= self.channels());
     }
 
     /// Resumes a suspended op with its DRAM read. The primary waiter
@@ -1358,6 +1343,23 @@ mod tests {
         }
         assert!(sys.stats().mshr_hwm >= 1);
         assert!(sys.channel(0).stats().queue_occupancy_hwm >= 1);
+    }
+
+    #[test]
+    fn flush_services_a_read_queued_behind_the_systems_back() {
+        // Regression: a read queued through `channel_mut` had no drain
+        // armed, and `flush_caches` asserted "flush deadlock".
+        let mut sys = system(true);
+        let (_space, base) = setup(&mut sys, 4);
+        sys.channel_mut(0)
+            .enqueue_read(PhysAddr::new(0x10_0000), false);
+        sys.flush_caches();
+        assert!(!sys.channel(0).has_queued_reads());
+        assert_eq!(sys.pipe_pending(), 0);
+        assert!(
+            sys.load(VirtAddr::new(base)).is_ok(),
+            "the system keeps working after the stray read retires"
+        );
     }
 
     #[test]

@@ -6,14 +6,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use pagetable::addr::Frame;
 use pagetable::x86_64::Pte;
 
-/// A TLB entry: cached leaf translation.
-#[derive(Debug, Clone, Copy)]
-struct TlbEntry {
-    vpn: u64,
-    pte: Pte,
-    lru: u64,
-}
-
 /// TLB statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TlbStats {
@@ -36,7 +28,7 @@ impl TlbStats {
     }
 }
 
-/// Multiplicative hash of a virtual page number for the TLB's index.
+/// Multiplicative hash of a virtual page number for the TLB's map.
 ///
 /// The keys are simulated VPNs and at most `capacity` of them are resident,
 /// so keys crafted to collide (a replayed trace can choose its addresses)
@@ -65,15 +57,13 @@ impl Hasher for VpnHasher {
 
 /// A fully-associative, LRU TLB.
 ///
-/// Entries sit in a dense `Vec`; an exact index maps each resident VPN to
-/// its position, so a lookup, insert or invalidate finds its entry without
-/// scanning. Only choosing an eviction victim scans, for the least
-/// recently used entry, and the newcomer overwrites it in place.
+/// One map holds every resident translation: VPN → (leaf PTE, the clock
+/// value of its last use). A lookup, insert or invalidate is one map
+/// operation. Only choosing an eviction victim scans the map, for the
+/// least recently used entry.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: Vec<TlbEntry>,
-    /// VPN → position in `entries`, for every resident entry.
-    index: HashMap<u64, usize, BuildHasherDefault<VpnHasher>>,
+    entries: HashMap<u64, (Pte, u64), BuildHasherDefault<VpnHasher>>,
     capacity: usize,
     clock: u64,
     stats: TlbStats,
@@ -85,13 +75,12 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics if `capacity` is zero: a zero-capacity TLB would make every
-    /// `insert` hunt for a victim in an empty entry list.
+    /// `insert` hunt for a victim in an empty map.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be at least one entry");
         Self {
-            entries: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
+            entries: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             capacity,
             clock: 0,
             stats: TlbStats::default(),
@@ -101,11 +90,10 @@ impl Tlb {
     /// Looks up a virtual page number; returns the cached leaf PTE.
     pub fn lookup(&mut self, vpn: u64) -> Option<Pte> {
         self.clock += 1;
-        if let Some(&i) = self.index.get(&vpn) {
-            let e = &mut self.entries[i];
-            e.lru = self.clock;
+        if let Some((pte, stamp)) = self.entries.get_mut(&vpn) {
+            *stamp = self.clock;
             self.stats.hits += 1;
-            return Some(e.pte);
+            return Some(*pte);
         }
         self.stats.misses += 1;
         None
@@ -114,55 +102,34 @@ impl Tlb {
     /// Installs a translation (after a successful page walk).
     pub fn insert(&mut self, vpn: u64, pte: Pte) {
         self.clock += 1;
-        let entry = TlbEntry {
-            vpn,
-            pte,
-            lru: self.clock,
-        };
-        if let Some(&i) = self.index.get(&vpn) {
-            self.entries[i] = entry;
-            return;
+        if self.entries.len() == self.capacity && !self.entries.contains_key(&vpn) {
+            // Every stamp is a distinct clock value, so the victim is
+            // unique and the map's iteration order decides nothing.
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, &(_, stamp))| stamp)
+                .map(|(&v, _)| v)
+                .expect("a full TLB has entries");
+            self.entries.remove(&victim);
         }
-        if self.entries.len() < self.capacity {
-            self.index.insert(vpn, self.entries.len());
-            self.entries.push(entry);
-            return;
-        }
-        // Every entry's `lru` is a distinct clock value, so the victim is
-        // unique and its position in `entries` decides nothing.
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.lru)
-            .map(|(i, _)| i)
-            .expect("a full TLB has entries");
-        self.index.remove(&self.entries[victim].vpn);
-        self.index.insert(vpn, victim);
-        self.entries[victim] = entry;
+        self.entries.insert(vpn, (pte, self.clock));
     }
 
     /// Invalidates one page (e.g. on unmap).
     pub fn invalidate(&mut self, vpn: u64) {
-        let Some(i) = self.index.remove(&vpn) else {
-            return;
-        };
-        self.entries.swap_remove(i);
-        if let Some(moved) = self.entries.get(i) {
-            self.index.insert(moved.vpn, i);
-        }
+        self.entries.remove(&vpn);
     }
 
     /// Full TLB shootdown.
     pub fn flush(&mut self) {
         self.entries.clear();
-        self.index.clear();
     }
 
     /// The frame a cached translation maps to, if present (test helper).
     #[must_use]
     pub fn peek_frame(&self, vpn: u64) -> Option<Frame> {
-        self.index.get(&vpn).map(|&i| self.entries[i].pte.frame())
+        self.entries.get(&vpn).map(|(pte, _)| pte.frame())
     }
 
     /// Statistics.

@@ -113,6 +113,8 @@ pub fn shrink_ops<T: Clone>(ops: &[T], fails: impl Fn(&[T]) -> bool) -> Vec<T> {
 pub trait CacheModel {
     /// Demand lookup.
     fn lookup(&mut self, addr: PhysAddr) -> Option<ptguard::Line>;
+    /// Functional read: no recency or statistics effect.
+    fn peek(&self, addr: PhysAddr) -> Option<ptguard::Line>;
     /// Install a line; returns a displaced dirty line.
     fn fill(
         &mut self,
@@ -133,6 +135,9 @@ pub trait CacheModel {
 impl CacheModel for Cache {
     fn lookup(&mut self, addr: PhysAddr) -> Option<ptguard::Line> {
         Cache::lookup(self, addr)
+    }
+    fn peek(&self, addr: PhysAddr) -> Option<ptguard::Line> {
+        Cache::peek(self, addr)
     }
     fn fill(
         &mut self,
@@ -212,7 +217,8 @@ pub fn run_probe_ops(
 }
 
 /// Steps `fast` and a fresh [`RefCache`] through `ops` with `apply`,
-/// comparing their statistics after every op.
+/// comparing after every op their statistics and what a `peek` of the
+/// op's address returns.
 fn run_against_ref<C: CacheModel>(
     fast: &mut C,
     size_bytes: usize,
@@ -224,6 +230,12 @@ fn run_against_ref<C: CacheModel>(
     for (i, op) in ops.iter().enumerate() {
         if let Some(m) = apply(fast, &mut reference, *op) {
             return Some(format!("op {i} {op:?}: {m}"));
+        }
+        if let Some(a) = op.addr() {
+            let addr = PhysAddr::new(a);
+            if let Some(m) = diff_value(fast.peek(addr), reference.peek(addr)) {
+                return Some(format!("op {i} {op:?}: peek diverged, {m}"));
+            }
         }
         if fast.stats() != reference.stats() {
             return Some(format!(
@@ -279,11 +291,13 @@ fn diff_value<T: PartialEq + std::fmt::Debug>(fast: T, reference: T) -> Option<S
     (fast != reference).then(|| format!("fast {fast:?} vs ref {reference:?}"))
 }
 
-/// Cache differential: seeded stream against the real [`Cache`]. Returns a
-/// shrunk [`Divergence`] on mismatch.
+/// Cache differential: a seeded stream over twice the cache's capacity
+/// against the real [`Cache`], so every set meets more lines than it has
+/// ways and fills evict. Returns a shrunk [`Divergence`] on mismatch.
 #[must_use]
 pub fn diff_cache(seed: u64, n_ops: usize, cfg: CacheConfig) -> Option<Divergence> {
-    let ops = gen_cache_ops(&mut SplitMix64::new(seed), n_ops, cfg.sets() as u64 * 3);
+    let footprint = (cfg.sets() * cfg.ways) as u64 * 2;
+    let ops = gen_cache_ops(&mut SplitMix64::new(seed), n_ops, footprint);
     let make = || Cache::new(cfg);
     diff_cache_impl("cache", seed, cfg, &ops, make)
 }
@@ -664,23 +678,36 @@ mod tests {
 
     #[test]
     fn cache_differential_finds_no_divergence() {
-        for seed in [1u64, 2, 3] {
-            let d = diff_cache(seed, 4000, small_cfg());
-            assert!(d.is_none(), "unexpected divergence: {d:?}");
+        // 4 KB from direct-mapped to 16-way: 64 sets down to 4.
+        for ways in [1, 2, 4, 8, 16] {
+            let cfg = CacheConfig {
+                ways,
+                ..small_cfg()
+            };
+            for seed in [1u64, 2, 3] {
+                let d = diff_cache(seed, 4000, cfg);
+                assert!(d.is_none(), "{ways}-way: unexpected divergence: {d:?}");
+            }
         }
     }
 
     #[test]
     fn probe_then_fill_way_matches_the_reference_at_table_iii_geometry() {
-        // Table III's L1D (32 KB, 8-way) and L2 (256 KB, 16-way).
-        for (size_bytes, ways) in [(32 << 10, 8), (256 << 10, 16)] {
+        // Table III's L1D (32 KB, 8-way), L2 (256 KB, 16-way) and LLC
+        // (2 MB, 16-way). The LLC stream is long enough that its 2,048
+        // sets fill and evict.
+        for (size_bytes, ways, n_ops) in [
+            (32 << 10, 8, 30_000),
+            (256 << 10, 16, 30_000),
+            (2 << 20, 16, 200_000),
+        ] {
             let cfg = CacheConfig {
                 size_bytes,
                 ways,
                 latency_cycles: 1,
             };
             for seed in [13u64, 14] {
-                let d = diff_cache_probe(seed, 30_000, cfg);
+                let d = diff_cache_probe(seed, n_ops, cfg);
                 assert!(d.is_none(), "unexpected divergence: {d:?}");
             }
         }
@@ -688,8 +715,8 @@ mod tests {
 
     #[test]
     fn tlb_differential_finds_no_divergence() {
-        // 16 entries, and Table III's 64: inserts evict, invalidates move
-        // entries and flushes clear the index at both sizes.
+        // 16 entries, and Table III's 64: inserts evict, invalidates remove
+        // entries and flushes clear the map at both sizes.
         for capacity in [16, 64] {
             for seed in [4u64, 5, 6] {
                 let d = diff_tlb(seed, 4000, capacity);
@@ -700,9 +727,13 @@ mod tests {
 
     #[test]
     fn mmu_differential_finds_no_divergence() {
-        for seed in [7u64, 8, 9] {
-            let d = diff_mmu(seed, 4000, 64, 4);
-            assert!(d.is_none(), "unexpected divergence: {d:?}");
+        // 64 × 4, and Table III's 1,024 entries × 4 ways, with streams
+        // long enough that the sets fill and evict between flushes.
+        for (entries, n_ops) in [(64, 4000), (1024, 20_000)] {
+            for seed in [7u64, 8, 9] {
+                let d = diff_mmu(seed, n_ops, entries, 4);
+                assert!(d.is_none(), "unexpected divergence: {d:?}");
+            }
         }
     }
 
@@ -760,6 +791,9 @@ mod tests {
                 self.inner.update(addr, line, true);
             }
             hit
+        }
+        fn peek(&self, addr: PhysAddr) -> Option<ptguard::Line> {
+            self.inner.peek(addr)
         }
         fn fill(
             &mut self,

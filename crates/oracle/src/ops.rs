@@ -31,6 +31,20 @@ pub enum CacheOp {
     Drain,
 }
 
+impl CacheOp {
+    /// The address the op names; `None` for [`CacheOp::Drain`].
+    #[must_use]
+    pub fn addr(self) -> Option<u64> {
+        match self {
+            CacheOp::Lookup(a)
+            | CacheOp::Fill(a, ..)
+            | CacheOp::Update(a, ..)
+            | CacheOp::Invalidate(a) => Some(a),
+            CacheOp::Drain => None,
+        }
+    }
+}
+
 /// One operation against a TLB model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbOp {
@@ -284,6 +298,13 @@ pub fn gen_cache_ops(rng: &mut SplitMix64, n: usize, footprint_lines: u64) -> Ve
     ops
 }
 
+/// Whether the next op is a full flush: one op in `4 × footprint` on
+/// average, so a structure over twice its capacity fills and evicts
+/// between two flushes at any size.
+fn flush_due(rng: &mut SplitMix64, footprint: u64) -> bool {
+    rng.gen_range_u64(0, 4 * footprint) == 0
+}
+
 /// Generates a TLB op stream over `footprint_pages` virtual page numbers.
 #[must_use]
 pub fn gen_tlb_ops(rng: &mut SplitMix64, n: usize, footprint_pages: u64) -> Vec<TlbOp> {
@@ -291,11 +312,14 @@ pub fn gen_tlb_ops(rng: &mut SplitMix64, n: usize, footprint_pages: u64) -> Vec<
     for _ in 0..n {
         let vpn = rng.gen_range_u64(0, footprint_pages);
         let frame = rng.gen_range_u64(1, 1 << 20);
-        ops.push(match rng.gen_range_u64(0, 100) {
-            0..=49 => TlbOp::Lookup(vpn),
-            50..=89 => TlbOp::Insert(vpn, frame),
-            90..=97 => TlbOp::Invalidate(vpn),
-            _ => TlbOp::Flush,
+        ops.push(if flush_due(rng, footprint_pages) {
+            TlbOp::Flush
+        } else {
+            match rng.gen_range_u64(0, 98) {
+                0..=49 => TlbOp::Lookup(vpn),
+                50..=89 => TlbOp::Insert(vpn, frame),
+                _ => TlbOp::Invalidate(vpn),
+            }
         });
     }
     ops
@@ -309,10 +333,12 @@ pub fn gen_mmu_ops(rng: &mut SplitMix64, n: usize, footprint_entries: u64) -> Ve
     for _ in 0..n {
         let entry_addr = rng.gen_range_u64(0, footprint_entries) * 8;
         let frame = rng.gen_range_u64(1, 1 << 20);
-        ops.push(match rng.gen_range_u64(0, 100) {
-            0..=54 => MmuOp::Lookup(entry_addr),
-            55..=97 => MmuOp::Insert(entry_addr, frame),
-            _ => MmuOp::Flush,
+        ops.push(if flush_due(rng, footprint_entries) {
+            MmuOp::Flush
+        } else if rng.gen_range_u64(0, 98) < 55 {
+            MmuOp::Lookup(entry_addr)
+        } else {
+            MmuOp::Insert(entry_addr, frame)
         });
     }
     ops

@@ -21,6 +21,7 @@ pub trait OpSource {
 }
 
 impl OpSource for TraceGenerator {
+    #[inline]
     fn next_op(&mut self) -> Op {
         TraceGenerator::next_op(self)
     }

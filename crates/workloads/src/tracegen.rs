@@ -81,6 +81,7 @@ impl TraceGenerator {
         )
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let mut x = self.rng;
         x ^= x >> 12;
@@ -91,6 +92,7 @@ impl TraceGenerator {
     }
 
     /// Generates the next instruction.
+    #[inline]
     pub fn next_op(&mut self) -> Op {
         let r = self.next_u64();
         if (r & 0xffff_ffff) >= self.mem_threshold_fp {
