@@ -6,9 +6,6 @@ use pagetable::addr::PhysAddr;
 use pagetable::memory::PhysMem;
 
 use crate::geometry::{DramGeometry, RowId};
-
-/// Granularity of sparse backing-store allocation.
-const STORE_PAGE: usize = 4096;
 use crate::rowhammer::{weak_cells_for_row, RowhammerConfig, WeakCell};
 use crate::timing::DramTiming;
 
@@ -86,7 +83,7 @@ pub struct ServiceTiming {
 /// Functional reads and writes go through [`PhysMem`] and are untimed. The
 /// store is line-granular: a line or an aligned word is written with one
 /// row lookup, which re-arms the weak cells under the written bytes, and
-/// one lookup into the sparse page store, never byte by byte.
+/// one lookup into the sparse line store, never byte by byte.
 /// [`DramDevice::access_ps`] and [`DramDevice::service_at`] additionally
 /// model bank timing, advance the device clock, apply disturbance, and
 /// handle refresh-window expiry.
@@ -99,9 +96,10 @@ pub struct DramDevice {
     geometry: DramGeometry,
     timing: DramTiming,
     rh: RowhammerConfig,
-    /// Sparse backing store: 4 KB pages allocated on first write/flip,
-    /// written a line or an aligned word at a time.
-    store: HashMap<u64, Box<[u8; STORE_PAGE]>>,
+    /// Sparse backing store: line number (`addr >> 6`) → the line's 64
+    /// bytes, allocated on the line's first write or flip. A line never
+    /// written reads as zeros.
+    store: HashMap<u64, [u8; 64]>,
     capacity: u64,
     open_row: Vec<Option<u32>>,
     /// Per-bank time (integer ps) at which the bank finishes its last
@@ -462,42 +460,40 @@ impl DramDevice {
     /// Stores one byte without re-arming weak cells: the disturbance path
     /// writes flipped values through here.
     fn store_u8(&mut self, addr: u64, value: u8) {
-        let (page, off) = self.page_mut(addr);
-        page[off] = value;
+        self.line_mut(addr)[(addr % 64) as usize] = value;
     }
 
-    /// The store page holding `addr` (allocated on first write) and the
-    /// offset of `addr` in it.
-    fn page_mut(&mut self, addr: u64) -> (&mut [u8; STORE_PAGE], usize) {
+    /// The stored line holding `addr`, allocated as zeros on first write.
+    fn line_mut(&mut self, addr: u64) -> &mut [u8; 64] {
         debug_assert!(addr < self.capacity, "address {addr:#x} beyond capacity");
-        let page = self
-            .store
-            .entry(addr / STORE_PAGE as u64)
-            .or_insert_with(|| Box::new([0u8; STORE_PAGE]));
-        (page, (addr % STORE_PAGE as u64) as usize)
+        self.store.entry(addr >> 6).or_insert([0; 64])
     }
 
     /// Copies `N` bytes out of the store starting at `addr`. The range must
-    /// lie inside one store page (true of any aligned line or word).
+    /// lie inside one line (true of any aligned line or word, or a byte).
     fn load_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
         debug_assert!(
             addr + N as u64 <= self.capacity,
             "address {addr:#x} beyond capacity"
         );
+        let off = (addr % 64) as usize;
+        debug_assert!(off + N <= 64, "read at {addr:#x} crosses a line");
         let mut out = [0u8; N];
-        if let Some(page) = self.store.get(&(addr / STORE_PAGE as u64)) {
-            let off = (addr % STORE_PAGE as u64) as usize;
-            out.copy_from_slice(&page[off..off + N]);
+        if let Some(line) = self.store.get(&(addr >> 6)) {
+            out.copy_from_slice(&line[off..off + N]);
         }
         out
     }
 
-    /// A write of `bytes` at `addr`, with one row lookup and one page
+    /// A write of `bytes` at `addr`, with one row lookup and one line
     /// lookup. A write restores full charge to the cells it covers, so
     /// every weak cell of the row whose byte lies in the written range is
-    /// re-armed. The range must lie inside one row and one store page (true
-    /// of any aligned line or word: `new` asserts rows are whole lines).
+    /// re-armed. The range must lie inside one line, and so inside one row
+    /// (true of any aligned line or word, or a byte: `new` asserts rows are
+    /// whole lines).
     fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        let off = (addr % 64) as usize;
+        debug_assert!(off + bytes.len() <= 64, "write at {addr:#x} crosses a line");
         let at = PhysAddr::new(addr);
         if let Some(cells) = self.weak_cells.get_mut(&self.geometry.row_of(at)) {
             let first = u64::from(self.geometry.column_of(at));
@@ -508,8 +504,7 @@ impl DramDevice {
                 }
             }
         }
-        let (page, off) = self.page_mut(addr);
-        page[off..off + bytes.len()].copy_from_slice(bytes);
+        self.line_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
     }
 }
 
@@ -794,10 +789,11 @@ mod tests {
         assert!(cells.iter().any(|c| c.flipped), "no cell discharged");
         assert!(cells.iter().any(|c| !c.flipped), "every cell discharged");
 
-        // The lines ending a store page and the row, plus the line and the
-        // word holding each weak cell, every other one rewritten.
+        // The lines ending the row's first 4 KB page and the row, plus the
+        // line and the word holding each weak cell, every other one
+        // rewritten.
         let row_end = base + u64::from(fast.geometry().row_bytes) - 64;
-        let mut lines = vec![base + STORE_PAGE as u64 - 64, row_end];
+        let mut lines = vec![base + 4096 - 64, row_end];
         lines.extend(cells.iter().step_by(2).map(|c| base + c.bit / 8));
         let words: Vec<u64> = cells
             .iter()
@@ -839,6 +835,69 @@ mod tests {
             "no re-armed cell flipped"
         );
         same(&fast, &bytes, "after hammering again");
+    }
+
+    /// Bytes of simulated memory the store holds.
+    fn held_bytes(d: &DramDevice) -> usize {
+        d.store.values().map(|v| v.len()).sum()
+    }
+
+    #[test]
+    fn one_line_in_each_of_100_pages_holds_100_lines() {
+        let mut d = DramDevice::ddr4_4gb(RowhammerConfig::immune());
+        for page in 0..100u64 {
+            d.write_line(PhysAddr::new(page * 4096 + 0x40), &[0xa5; 64]);
+        }
+        assert_eq!(held_bytes(&d), 100 * 64);
+    }
+
+    #[test]
+    fn one_channels_quarter_of_each_page_holds_16_lines_per_page() {
+        // Four channels interleave by line, so each channel's device sees
+        // 16 of a page's 64 lines.
+        let four = crate::geometry::ChannelInterleave::new(4);
+        let mut d = DramDevice::ddr4_4gb(RowhammerConfig::immune());
+        for page in 0..8u64 {
+            let mine: Vec<PhysAddr> = (0..64)
+                .map(|l| PhysAddr::new(page * 4096 + l * 64))
+                .filter(|&a| four.channel_of(a) == 0)
+                .collect();
+            assert_eq!(mine.len(), 16, "page {page}");
+            for a in mine {
+                d.write_line(a, &[0x5a; 64]);
+            }
+        }
+        assert_eq!(held_bytes(&d), 8 * 16 * 64);
+    }
+
+    #[test]
+    fn a_flip_into_an_unwritten_line_stores_only_that_line() {
+        // Nothing is written, so only anti cells (0 -> 1) can flip.
+        let mut d = vulnerable_device();
+        d.hammer(RowId { bank: 0, row: 500 }, 3000);
+        assert!(d.stats().total_flips > 0, "no anti cell flipped");
+        let lines: std::collections::HashSet<u64> =
+            d.flips().iter().map(|f| f.addr.as_u64() >> 6).collect();
+        assert_eq!(held_bytes(&d), 64 * lines.len());
+        for f in d.flips() {
+            assert!(!f.from, "a true cell flipped in an unwritten line");
+            assert_ne!(d.read_u8(f.addr) & (1 << f.bit_in_byte), 0);
+        }
+    }
+
+    #[test]
+    fn reads_of_unwritten_lines_store_nothing() {
+        let mut d = DramDevice::ddr4_4gb(RowhammerConfig::immune());
+        assert_eq!(d.read_line(PhysAddr::new(0x4000)), [0; 64]);
+        assert_eq!(d.read_u64(PhysAddr::new(0x8008)), 0);
+        assert_eq!(d.read_u8(PhysAddr::new(0xc003)), 0);
+        assert_eq!(held_bytes(&d), 0);
+        // Unwritten lines of a written page.
+        d.write_line(PhysAddr::new(0x4000), &[7; 64]);
+        assert_eq!(d.read_line(PhysAddr::new(0x4040)), [0; 64]);
+        assert_eq!(d.read_u64(PhysAddr::new(0x4fc0)), 0);
+        assert_eq!(d.read_u8(PhysAddr::new(0x4abc)), 0);
+        assert_eq!(held_bytes(&d), 64);
     }
 
     #[test]

@@ -14,13 +14,14 @@ use crate::config::CacheConfig;
 
 /// The tag of an empty way. No real tag reaches it: a cache tag is a
 /// physical address shifted right by at least 6 bits, an MMU-cache key one
-/// shifted right by 3.
+/// shifted right by 3, and a TLB key a virtual address shifted right by 12.
 pub(crate) const EMPTY: u64 = u64::MAX;
 
-/// The one search of a set, shared by [`Cache`] and
-/// [`MmuCache`](crate::mmucache::MmuCache): `Ok(i)` if way `i` holds `tag`,
-/// else `Err(i)` for the way a fill takes — the first empty way, or else
-/// the least recently used one.
+/// The one search of a set, shared by [`Cache`],
+/// [`MmuCache`](crate::mmucache::MmuCache) and [`Tlb`](crate::tlb::Tlb)
+/// (its slots form one set): `Ok(i)` if way `i` holds `tag`, else `Err(i)`
+/// for the way a fill takes — the first empty way, or else the least
+/// recently used one.
 ///
 /// `tags` and `stamps` are the set's ways. An empty way has tag [`EMPTY`]
 /// and stamp 0; a resident way's stamp is the clock value of its last use,

@@ -6,6 +6,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use pagetable::addr::Frame;
 use pagetable::x86_64::Pte;
 
+use crate::cache::{search_set, EMPTY};
+
 /// TLB statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TlbStats {
@@ -57,14 +59,16 @@ impl Hasher for VpnHasher {
 
 /// A fully-associative, LRU TLB.
 ///
-/// One map holds every resident translation: VPN → (leaf PTE, the clock
-/// value of its last use). A lookup, insert or invalidate is one map
-/// operation. Only choosing an eviction victim scans the map, for the
-/// least recently used entry.
+/// A map finds every resident translation: VPN → (leaf PTE, slot). Each
+/// slot's VPN and LRU stamp sit in two arrays, and an insert picks its
+/// slot with the caches' set search (`cache::search_set`) over the whole
+/// TLB as one set: the resident slot, else the first free one, else the
+/// least recently used one. A free slot has VPN `EMPTY` and stamp 0.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: HashMap<u64, (Pte, u64), BuildHasherDefault<VpnHasher>>,
-    capacity: usize,
+    entries: HashMap<u64, (Pte, usize), BuildHasherDefault<VpnHasher>>,
+    vpns: Vec<u64>,
+    stamps: Vec<u64>,
     clock: u64,
     stats: TlbStats,
 }
@@ -74,14 +78,15 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero: a zero-capacity TLB would make every
-    /// `insert` hunt for a victim in an empty map.
+    /// Panics if `capacity` is zero: a zero-capacity TLB has no slot for
+    /// `insert` to fill.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be at least one entry");
         Self {
             entries: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-            capacity,
+            vpns: vec![EMPTY; capacity],
+            stamps: vec![0; capacity],
             clock: 0,
             stats: TlbStats::default(),
         }
@@ -90,10 +95,10 @@ impl Tlb {
     /// Looks up a virtual page number; returns the cached leaf PTE.
     pub fn lookup(&mut self, vpn: u64) -> Option<Pte> {
         self.clock += 1;
-        if let Some((pte, stamp)) = self.entries.get_mut(&vpn) {
-            *stamp = self.clock;
+        if let Some(&(pte, slot)) = self.entries.get(&vpn) {
+            self.stamps[slot] = self.clock;
             self.stats.hits += 1;
-            return Some(*pte);
+            return Some(pte);
         }
         self.stats.misses += 1;
         None
@@ -102,28 +107,33 @@ impl Tlb {
     /// Installs a translation (after a successful page walk).
     pub fn insert(&mut self, vpn: u64, pte: Pte) {
         self.clock += 1;
-        if self.entries.len() == self.capacity && !self.entries.contains_key(&vpn) {
-            // Every stamp is a distinct clock value, so the victim is
-            // unique and the map's iteration order decides nothing.
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, &(_, stamp))| stamp)
-                .map(|(&v, _)| v)
-                .expect("a full TLB has entries");
-            self.entries.remove(&victim);
-        }
-        self.entries.insert(vpn, (pte, self.clock));
+        let slot = match search_set(&self.vpns, &self.stamps, vpn) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                let victim = std::mem::replace(&mut self.vpns[slot], vpn);
+                if victim != EMPTY {
+                    self.entries.remove(&victim);
+                }
+                slot
+            }
+        };
+        self.stamps[slot] = self.clock;
+        self.entries.insert(vpn, (pte, slot));
     }
 
     /// Invalidates one page (e.g. on unmap).
     pub fn invalidate(&mut self, vpn: u64) {
-        self.entries.remove(&vpn);
+        if let Some((_, slot)) = self.entries.remove(&vpn) {
+            self.vpns[slot] = EMPTY;
+            self.stamps[slot] = 0;
+        }
     }
 
     /// Full TLB shootdown.
     pub fn flush(&mut self) {
         self.entries.clear();
+        self.vpns.fill(EMPTY);
+        self.stamps.fill(0);
     }
 
     /// The frame a cached translation maps to, if present (test helper).
