@@ -3,7 +3,9 @@
 //! Lines carry their data because PT-Guard's transparency contract is about
 //! *content*: lines live MAC-stripped inside the hierarchy and MAC-embedded
 //! in DRAM. A dirty line that leaves the last level therefore re-enters the
-//! PT-Guard write path at the memory controller.
+//! PT-Guard write path at the memory controller. A cache stores a line's
+//! bytes only while the line has a non-zero byte; every all-zero line
+//! shares one entry.
 
 use std::hint::select_unpredictable;
 
@@ -107,12 +109,19 @@ impl CacheStats {
 
 /// A set-associative cache holding 64-byte lines with data.
 ///
-/// Each way's tag, LRU stamp, dirty bit and line sit in four arrays, set
-/// after set, so a set search reads only its tags and stamps
+/// Each way's tag, LRU stamp, dirty bit and line handle sit in four arrays,
+/// set after set, so a set search reads only its tags and stamps
 /// (`search_set`). Every operation finds its way with one search, which
 /// yields the resident way or, failing that, the way a fill would take. A
 /// demand access that misses keeps that victim ([`Cache::probe`]) and
 /// installs the refill there ([`Cache::fill_way`]) without searching again.
+///
+/// A way's bytes live in `held`, a pool of the lines that have a non-zero
+/// byte, at the entry its handle names. Handle 0 names `held[0]`, the
+/// all-zero line, which every way without a non-zero byte shares, so a
+/// line read is one indirection with no branch. Only `set_line` writes a
+/// way's bytes: it takes an entry when a non-zero line arrives and returns
+/// it to `free` when a zero line replaces it or the way is invalidated.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
@@ -120,7 +129,9 @@ pub struct Cache {
     tags: Vec<u64>,
     stamps: Vec<u64>,
     dirty: Vec<bool>,
-    lines: Vec<Line>,
+    handles: Vec<u32>,
+    held: Vec<Line>,
+    free: Vec<u32>,
     clock: u64,
     stats: CacheStats,
     /// Access latency in CPU cycles (exposed for the hierarchy).
@@ -136,18 +147,22 @@ impl Cache {
     /// 64-byte line, or a non-power-of-two set count (see
     /// [`CacheConfig::sets`]). `index()` relies on `sets` being a power of
     /// two for its mask/shift arithmetic, so bad geometry must be rejected
-    /// here rather than silently mis-indexing later.
+    /// here rather than silently mis-indexing later. Panics too on more
+    /// ways than a `u32` handle can name.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         let n = sets * cfg.ways;
+        assert!(n < u32::MAX as usize, "cache has more ways than handles");
         Self {
             sets,
             ways: cfg.ways,
             tags: vec![EMPTY; n],
             stamps: vec![0; n],
             dirty: vec![false; n],
-            lines: vec![Line::ZERO; n],
+            handles: vec![0; n],
+            held: vec![Line::ZERO],
+            free: Vec::new(),
             clock: 0,
             stats: CacheStats::default(),
             latency_cycles: cfg.latency_cycles,
@@ -177,6 +192,33 @@ impl Cache {
         PhysAddr::new(line_no << 6)
     }
 
+    /// The bytes of way `i`.
+    fn line(&self, i: usize) -> Line {
+        self.held[self.handles[i] as usize]
+    }
+
+    /// Sets the bytes of way `i`. A non-zero line goes into the way's own
+    /// pool entry, else a free one, else a new one; a zero line returns
+    /// the way's entry, if it has one, to the free list.
+    fn set_line(&mut self, i: usize, data: Line) {
+        let h = self.handles[i];
+        if data.is_zero() {
+            if h != 0 {
+                self.free.push(h);
+                self.handles[i] = 0;
+            }
+        } else if h != 0 {
+            self.held[h as usize] = data;
+        } else {
+            let h = self.free.pop().unwrap_or_else(|| {
+                self.held.push(Line::ZERO);
+                (self.held.len() - 1) as u32
+            });
+            self.held[h as usize] = data;
+            self.handles[i] = h;
+        }
+    }
+
     /// A demand lookup of `addr` that keeps what it found: on a hit, the
     /// resident way and its data (LRU updated); on a miss, the way a fill
     /// of `addr` would take, for [`Cache::fill_way`].
@@ -190,7 +232,7 @@ impl Cache {
             Ok(i) => {
                 self.stamps[i] = self.clock;
                 self.stats.hits += 1;
-                Ok((Way(i), self.lines[i]))
+                Ok((Way(i), self.line(i)))
             }
             Err(i) => {
                 self.stats.misses += 1;
@@ -216,7 +258,7 @@ impl Cache {
     #[must_use]
     pub fn peek(&self, addr: PhysAddr) -> Option<Line> {
         let (set, tag) = self.index(addr);
-        self.search(set, tag).ok().map(|i| self.lines[i])
+        self.search(set, tag).ok().map(|i| self.line(i))
     }
 
     /// Installs `data` for `addr`, evicting the LRU way if needed.
@@ -234,7 +276,7 @@ impl Cache {
         match self.search(set, tag) {
             // Refill over a resident (possibly stale) copy.
             Ok(i) => {
-                self.lines[i] = data;
+                self.set_line(i, data);
                 self.dirty[i] |= dirty;
                 self.stamps[i] = self.clock;
                 None
@@ -274,14 +316,14 @@ impl Cache {
         data: Line,
         dirty: bool,
     ) -> Option<(PhysAddr, Line)> {
-        let evicted = self.dirty[i].then(|| (self.line_addr(set, self.tags[i]), self.lines[i]));
+        let evicted = self.dirty[i].then(|| (self.line_addr(set, self.tags[i]), self.line(i)));
         if evicted.is_some() {
             self.stats.writebacks += 1;
         }
         self.tags[i] = tag;
         self.stamps[i] = self.clock;
         self.dirty[i] = dirty;
-        self.lines[i] = data;
+        self.set_line(i, data);
         evicted
     }
 
@@ -298,7 +340,7 @@ impl Cache {
     pub fn update(&mut self, addr: PhysAddr, data: Line, dirty: bool) {
         let (set, tag) = self.index(addr);
         if let Ok(i) = self.search(set, tag) {
-            self.lines[i] = data;
+            self.set_line(i, data);
             self.dirty[i] |= dirty;
         }
     }
@@ -309,7 +351,10 @@ impl Cache {
         let i = self.search(set, tag).ok()?;
         self.tags[i] = EMPTY;
         self.stamps[i] = 0;
-        std::mem::take(&mut self.dirty[i]).then(|| (self.line_addr(set, tag), self.lines[i]))
+        let evicted =
+            std::mem::take(&mut self.dirty[i]).then(|| (self.line_addr(set, tag), self.line(i)));
+        self.set_line(i, Line::ZERO);
+        evicted
     }
 
     /// Drains every dirty line (e.g. at a flush point), returning them.
@@ -317,7 +362,7 @@ impl Cache {
         let mut out = Vec::new();
         for i in 0..self.dirty.len() {
             if std::mem::take(&mut self.dirty[i]) {
-                out.push((self.line_addr(i / self.ways, self.tags[i]), self.lines[i]));
+                out.push((self.line_addr(i / self.ways, self.tags[i]), self.line(i)));
             }
         }
         self.stats.writebacks += out.len() as u64;
@@ -445,6 +490,88 @@ mod tests {
         // LRU clock still advanced on each fill: a later same-set fill
         // sees `a` as MRU.
         assert_eq!(c.lookup(a), Some(line(3)));
+    }
+
+    /// Pool entries that hold a way's non-zero line.
+    fn entries_in_use(c: &Cache) -> usize {
+        c.held.len() - 1 - c.free.len()
+    }
+
+    #[test]
+    fn zero_lines_hold_no_pool_entry() {
+        // Table III's L1D: 64 sets × 8 ways. 512 consecutive lines fill
+        // every way, every other one dirty.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 32 << 10,
+            ways: 8,
+            latency_cycles: 4,
+        });
+        for n in 0..512u64 {
+            let evicted = c.fill(PhysAddr::new(n * 64), Line::ZERO, n % 2 == 1);
+            assert!(evicted.is_none());
+        }
+        assert!((0..512u64).all(|n| c.peek(PhysAddr::new(n * 64)) == Some(Line::ZERO)));
+        assert_eq!(c.held.len(), 1, "only the shared zero entry");
+        assert_eq!(entries_in_use(&c), 0);
+        let drained = c.drain_dirty();
+        assert_eq!(drained.len(), 256);
+        assert!(drained.iter().all(|&(_, line)| line == Line::ZERO));
+        assert_eq!(c.held.len(), 1);
+    }
+
+    #[test]
+    fn a_way_turned_zero_releases_its_entry_for_the_next_line() {
+        let (a, b) = (PhysAddr::new(0x40), PhysAddr::new(0x80));
+        let to_zero: [fn(&mut Cache); 4] = [
+            |c| assert!(c.fill(PhysAddr::new(0x40), Line::ZERO, false).is_none()),
+            |c| c.update(PhysAddr::new(0x40), Line::ZERO, true),
+            |c| assert_eq!(c.invalidate(PhysAddr::new(0x40)), None),
+            // Two zero lines of `a`'s set evict it, the LRU way.
+            |c| {
+                assert!(c.fill(PhysAddr::new(0x140), Line::ZERO, false).is_none());
+                assert!(c.fill(PhysAddr::new(0x240), Line::ZERO, false).is_none());
+                assert_eq!(c.peek(PhysAddr::new(0x40)), None);
+            },
+        ];
+        for (k, release) in to_zero.into_iter().enumerate() {
+            let mut c = small();
+            c.fill(a, line(1), false);
+            assert_eq!((entries_in_use(&c), c.held.len()), (1, 2), "case {k}");
+            release(&mut c);
+            assert_eq!((entries_in_use(&c), c.held.len()), (0, 2), "case {k}");
+            c.fill(b, line(2), false);
+            assert_eq!((entries_in_use(&c), c.held.len()), (1, 2), "case {k}");
+            assert_eq!(c.peek(b), Some(line(2)), "case {k}");
+        }
+    }
+
+    #[test]
+    fn one_way_cycles_between_zero_and_non_zero_lines() {
+        // Direct-mapped, 4 sets: `a` and `b` take turns in set 1's way.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 256,
+            ways: 1,
+            latency_cycles: 1,
+        });
+        let addrs = [PhysAddr::new(0x40), PhysAddr::new(0x140)];
+        let last_word = Line::from_words([0, 0, 0, 0, 0, 0, 0, 2]);
+        let mut resident = None;
+        for (k, data) in [Line::ZERO, line(1), Line::ZERO, last_word]
+            .into_iter()
+            .enumerate()
+        {
+            let addr = addrs[k % 2];
+            assert_eq!(c.fill(addr, data, true), resident, "step {k}: eviction");
+            assert_eq!(entries_in_use(&c), usize::from(!data.is_zero()));
+            assert_eq!(c.peek(addr), Some(data), "step {k}: peek");
+            assert_eq!(c.drain_dirty(), vec![(addr, data)], "step {k}: drain");
+            let (way, probed) = c.probe(addr).expect("resident");
+            assert_eq!(probed, data, "step {k}: probe");
+            c.set_dirty(way);
+            resident = Some((addr, data));
+        }
+        assert_eq!(c.fill(addrs[0], Line::ZERO, false), resident);
+        assert_eq!((entries_in_use(&c), c.held.len()), (0, 2));
     }
 
     #[test]

@@ -77,14 +77,20 @@ pub struct WalkProbe(
     pub u64,
 );
 
-/// Expands a stored data seed into a full pseudorandom line, so op streams
-/// stay compact while exercising every line byte.
+/// Expands a stored data seed into a line, so op streams stay compact while
+/// exercising every line byte. A quarter of the seeds give the all-zero
+/// line and another quarter a line with one non-zero word, at a
+/// seed-chosen position; the rest give eight pseudorandom words. A stream
+/// thus turns ways from zero to non-zero content and back, which is what a
+/// cache that holds only non-zero lines' bytes must get right.
 #[must_use]
 pub fn line_from_seed(seed: u64) -> Line {
     let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut words = [0u64; 8];
-    for w in &mut words {
-        *w = rng.next_u64();
+    match rng.gen_range_u64(0, 4) {
+        0 => {}
+        1 => words[rng.gen_range_usize(0, 8)] = rng.next_u64().max(1),
+        _ => words.fill_with(|| rng.next_u64()),
     }
     Line::from_words(words)
 }

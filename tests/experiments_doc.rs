@@ -1,7 +1,8 @@
 //! EXPERIMENTS.md's paper-vs-measured tables quote `experiments_quick.txt`.
-//! Every bold measured cell of the Figure 6–9 and §VII-C tables must carry
-//! the numbers of the artefact line it summarizes, so regenerating an
-//! artefact without its summary fails here.
+//! Every bold measured cell of the Figure 6–9 and §VII-C tables, and every
+//! measured cell of the §VI-E, §VII-A and §I/VIII-D tables, must carry the
+//! numbers of the artefact line it summarizes, so regenerating an artefact
+//! without its summary fails here.
 
 const DOC: &str = include_str!("../EXPERIMENTS.md");
 const QUICK: &str = include_str!("../experiments_quick.txt");
@@ -53,13 +54,18 @@ fn doc_section(heading: &str) -> &'static str {
     &DOC[start..start + len]
 }
 
+/// The table row labelled `label` in `heading`'s section.
+fn doc_row(heading: &str, label: &str) -> &'static str {
+    doc_section(heading)
+        .lines()
+        .find(|l| l.starts_with('|') && cells(l)[0] == label)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md {heading}: no row {label:?}"))
+}
+
 /// The one bold span of the table row labelled `label` in `heading`'s
 /// section.
 fn doc_bold(heading: &str, label: &str) -> String {
-    let row = doc_section(heading)
-        .lines()
-        .find(|l| l.starts_with('|') && cells(l)[0] == label)
-        .unwrap_or_else(|| panic!("EXPERIMENTS.md {heading}: no row {label:?}"));
+    let row = doc_row(heading, label);
     let spans: Vec<&str> = row.split("**").skip(1).step_by(2).collect();
     assert_eq!(spans.len(), 1, "{heading} row {label:?}: {row}");
     spans[0].to_string()
@@ -89,6 +95,17 @@ fn span(values: impl Iterator<Item = f64>, decimals: usize) -> [String; 2] {
 
 fn pct(cell: &str) -> String {
     cell.trim_end_matches('%').to_string()
+}
+
+/// A document's `m×10ⁿ` as the artefact prints it, `men`.
+fn sci(text: &str) -> String {
+    let (mantissa, power) = text.split_once("×10").expect("a power of ten");
+    let exponent: String = power
+        .chars()
+        .map_while(|c| "⁰¹²³⁴⁵⁶⁷⁸⁹".chars().position(|d| d == c))
+        .map(|d| char::from(b'0' + d as u8))
+        .collect();
+    format!("{}e{exponent}", mantissa.trim())
 }
 
 #[test]
@@ -235,4 +252,98 @@ fn section_vii_c_table_quotes_the_artefact() {
         )),
         span(cross, 2)
     );
+}
+
+#[test]
+fn section_vi_e_table_quotes_the_artefact() {
+    let h = "## §VI-E";
+    let security = artefact("security");
+    for (label, marker) in [
+        ("selected k at p_flip = 1 %", "selected k at p_flip=1%: "),
+        ("p_uncorrectable at k = 4, p = 1 %", "p_uncorrectable = "),
+        ("effective MAC bits (k = 4, G_max = 372)", "-> n_eff = "),
+    ] {
+        assert_eq!(
+            numbers(&doc_bold(h, label)),
+            [after(security, marker)],
+            "{label}"
+        );
+    }
+    let raw = security
+        .lines()
+        .find(|l| l.starts_with("without correction"))
+        .expect("the raw-MAC line");
+    for (label, years) in [
+        (
+            "attack time (corrected design)",
+            after(security, "%, attack time "),
+        ),
+        ("attack time (raw 96-bit MAC)", after(raw, "bits, ")),
+    ] {
+        assert_eq!(sci(&doc_bold(h, label)), years, "{label}");
+    }
+}
+
+#[test]
+fn section_vii_a_table_quotes_the_artefact() {
+    let h = "## §VII-A";
+    let ablation = artefact("ablation");
+    let sampled = ablation[ablation.find('[').expect("the sampled workloads")..]
+        .split(']')
+        .next()
+        .unwrap()
+        .split(',')
+        .count();
+    let header = doc_row(h, "design");
+    assert!(
+        header.contains(&format!("({sampled} workloads)")),
+        "{header} vs {sampled} sampled workloads"
+    );
+    for (label, design) in [
+        (
+            "96-bit + correction (paper)",
+            "96-bit MAC + correction (paper)",
+        ),
+        ("96-bit detection-only", "96-bit MAC, detection only"),
+        (
+            "64-bit detection-only @7cy",
+            "64-bit MAC, detection only (7cy)",
+        ),
+    ] {
+        let doc = cells(doc_row(h, label));
+        let art = artefact_row("ablation", &[design]);
+        assert_eq!(doc[1], art[3], "{label}: n_eff");
+        assert_eq!(sci(doc[2]), art[4], "{label}: attack years");
+        for col in [3, 4] {
+            assert_eq!(numbers(doc[col]), [pct(art[col + 2])], "{label}: {col}");
+        }
+    }
+}
+
+#[test]
+fn sections_i_viii_d_table_quotes_the_artefact() {
+    let h = "## Sections I / VIII-D";
+    let workloads = artefact("fullmem")
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .map(cells)
+        .filter(|row| !["workload", "average"].contains(&row[0]))
+        .count();
+    for label in [
+        "xalancbmk",
+        "lbm (streaming)",
+        "sssp (pointer-chase)",
+        &format!("average ({workloads} workloads)"),
+    ] {
+        let doc = cells(doc_row(h, label));
+        let key = label.split(' ').next().unwrap();
+        let art = artefact_row("fullmem", &[key]);
+        for col in 1..=3 {
+            assert_eq!(
+                numbers(doc[col]).first(),
+                Some(&pct(art[col + 1])),
+                "{label}: column {col}"
+            );
+        }
+    }
 }
