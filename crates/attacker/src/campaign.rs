@@ -184,19 +184,11 @@ impl CampaignResult {
 
 const GRID_CELLS: usize = 128;
 
-/// Runs the campaign, sharding cells over `pool` when one is provided.
-/// The output is byte-identical for any pool size.
+/// Runs the campaign, sharding cells over `pool`. The output is
+/// byte-identical for any pool size.
 #[must_use]
-pub fn run_with_pool(cfg: &CampaignConfig, pool: Option<&ThreadPool>) -> CampaignResult {
-    let n = GRID_CELLS + 1;
-    let cells = match pool {
-        Some(pool) if pool.size() > 1 => {
-            let cfg = cfg.clone();
-            pool.map_indexed(n, move |i| run_cell(&cfg, i))
-        }
-        _ => (0..n).map(|i| run_cell(cfg, i)).collect(),
-    };
-    let mut cells = cells;
+pub fn run_with_pool(cfg: &CampaignConfig, pool: &ThreadPool) -> CampaignResult {
+    let mut cells = pool.map_indexed(GRID_CELLS + 1, |i| run_cell(cfg, i));
     let throttling = cells.pop().expect("sidebar cell");
     CampaignResult {
         cfg: cfg.clone(),
@@ -518,7 +510,7 @@ mod tests {
 
     #[test]
     fn grid_covers_the_full_cross_product() {
-        let r = run_with_pool(&tiny(), None);
+        let r = run_with_pool(&tiny(), &ThreadPool::new(1));
         assert_eq!(r.cells.len(), 128);
         for a in &ALLOCATORS {
             for h in &HAMMERERS {
@@ -543,15 +535,14 @@ mod tests {
     #[test]
     fn campaign_is_byte_identical_across_pool_sizes() {
         let cfg = tiny();
-        let serial = render(&run_with_pool(&cfg, None));
-        let pool = ThreadPool::new(8);
-        let sharded = render(&run_with_pool(&cfg, Some(&pool)));
+        let serial = render(&run_with_pool(&cfg, &ThreadPool::new(1)));
+        let sharded = render(&run_with_pool(&cfg, &ThreadPool::new(8)));
         assert_eq!(serial, sharded);
     }
 
     #[test]
     fn section_vi_invariants_hold() {
-        let r = run_with_pool(&tiny(), None);
+        let r = run_with_pool(&tiny(), &ThreadPool::new(1));
         for c in r.cells.iter().chain(std::iter::once(&r.throttling)) {
             assert_eq!(c.benign_faults, 0, "benign false positive in {c:?}");
             assert!(c.max_guesses <= GUESS_BUDGET, "guess budget blown in {c:?}");

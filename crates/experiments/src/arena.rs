@@ -261,26 +261,16 @@ pub fn run_seeded_jobs(scale: Scale, seed: u64, jobs: usize) -> ArenaResult {
     let grid = specs.len() * 16; // 4 allocators × 4 hammerers per defence
     let n = ALL_WORKLOADS.len() + grid;
 
-    let run_unit = {
-        let cfg = cfg.clone();
-        let specs = specs.clone();
-        move |i: usize| -> Unit {
-            if i < ALL_WORKLOADS.len() {
-                Unit::Perf(Box::new(run_perf_unit(&cfg, instructions, i)))
-            } else {
-                let idx = i - ALL_WORKLOADS.len();
-                let spec = &specs[idx / 16];
-                let (alloc, ham) = ((idx / 4) % 4, idx % 4);
-                Unit::Cell(Box::new(run_defense_cell(&cfg, spec, alloc, ham, i)))
-            }
+    let units = ThreadPool::new(jobs).map_indexed(n, |i| {
+        if i < ALL_WORKLOADS.len() {
+            Unit::Perf(Box::new(run_perf_unit(&cfg, instructions, i)))
+        } else {
+            let idx = i - ALL_WORKLOADS.len();
+            let spec = &specs[idx / 16];
+            let (alloc, ham) = ((idx / 4) % 4, idx % 4);
+            Unit::Cell(Box::new(run_defense_cell(&cfg, spec, alloc, ham, i)))
         }
-    };
-    let units = if jobs > 1 {
-        let pool = ThreadPool::new(jobs);
-        pool.map_indexed(n, run_unit)
-    } else {
-        (0..n).map(run_unit).collect()
-    };
+    });
 
     let mut perf = Vec::new();
     let mut cells = Vec::new();

@@ -46,13 +46,7 @@ pub fn run(scale: Scale) -> CampaignResult {
 /// byte-identical for every `jobs` value.
 #[must_use]
 pub fn run_seeded_jobs(scale: Scale, seed: u64, jobs: usize) -> CampaignResult {
-    let cfg = config(scale, seed);
-    if jobs == 1 {
-        campaign::run_with_pool(&cfg, None)
-    } else {
-        let pool = ThreadPool::new(jobs);
-        campaign::run_with_pool(&cfg, Some(&pool))
-    }
+    campaign::run_with_pool(&config(scale, seed), &ThreadPool::new(jobs))
 }
 
 /// Renders the campaign report.

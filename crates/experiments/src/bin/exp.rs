@@ -13,13 +13,13 @@
 //! exp --list
 //! ```
 //!
-//! Artefact runs execute as a job DAG across a work-stealing thread pool
-//! (`--jobs`, default = available cores). Results are memoized in a
-//! content-addressed cache (`--cache-dir`, default `.exp-cache`), so
-//! re-runs and interrupted runs resume instantly; each run also writes
-//! `runs/<id>/manifest.json` plus an `events.jsonl` job log. stdout carries
-//! only artefact output — byte-identical for any `--jobs` value —
-//! orchestration chatter goes to stderr.
+//! Artefact runs execute as a job DAG, one dependency level at a time, on
+//! a scoped worker pool (`--jobs`, default = available cores). Results are
+//! memoized in a content-addressed cache (`--cache-dir`, default
+//! `.exp-cache`), so re-runs and interrupted runs resume instantly; each
+//! run also writes `runs/<id>/manifest.json` plus an `events.jsonl` job
+//! log. stdout carries only artefact output — byte-identical for any
+//! `--jobs` value — orchestration chatter goes to stderr.
 
 use std::env;
 use std::path::PathBuf;

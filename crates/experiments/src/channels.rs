@@ -175,11 +175,7 @@ fn sweep_rows(scale: Scale, sweep_seed: u64, jobs: usize, workloads: &[usize]) -
             idle_skip_mean_ps,
         }
     };
-    if jobs == 1 {
-        (0..n).map(cell).collect()
-    } else {
-        ThreadPool::new(jobs).map_indexed(n, cell)
-    }
+    ThreadPool::new(jobs).map_indexed(n, cell)
 }
 
 /// The MAC-verification bandwidth-contention scenario: four cores running

@@ -129,11 +129,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> OracleResult {
 #[must_use]
 pub fn run_with_seed_jobs(scale: Scale, seed: u64, jobs: usize) -> OracleResult {
     let k = knobs(scale, seed);
-    let pool = if jobs == 1 {
-        None
-    } else {
-        Some(ThreadPool::new(jobs))
-    };
+    let pool = ThreadPool::new(jobs);
     let mut divergences = Vec::new();
     let mut diff_runs = 0u64;
     let mut diff_ops = 0u64;
@@ -153,9 +149,9 @@ pub fn run_with_seed_jobs(scale: Scale, seed: u64, jobs: usize) -> OracleResult 
         salted(0x006d_6163, seed),
         k.mac_lines,
         k.mac_pair_budget,
-        pool.as_ref(),
+        &pool,
     );
-    let campaign = campaign::run_with_pool(&k.campaign, pool.as_ref());
+    let campaign = campaign::run_with_pool(&k.campaign, &pool);
 
     OracleResult {
         diff_runs,

@@ -94,9 +94,9 @@ pub fn run_artefact(name: &str, scale: Scale, seed: u64) -> Result<JobOutput, St
     run_artefact_jobs(name, scale, seed, 1)
 }
 
-/// [`run_artefact`] with an inner worker count for artefacts that fan out
-/// internally (currently only `oracle`, whose MAC pair sweep and fault
-/// campaign shard across a dedicated pool). `jobs` never enters the cache
+/// [`run_artefact`] with an inner worker count for the artefacts that fan
+/// out internally (`arena`, `attack`, `channels`, `oracle` and `serve`,
+/// each through `ThreadPool::map_indexed`). `jobs` never enters the cache
 /// key: every worker count produces byte-identical output, so a cached
 /// serial result is a valid answer for a parallel request and vice versa.
 ///

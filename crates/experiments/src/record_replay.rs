@@ -4,7 +4,7 @@
 //! measured region, i.e. 2 × the scale's instruction budget) into the
 //! binary trace format of the [`trace`] crate. `replay` rebuilds the same
 //! machine from the trace header and executes the recorded stream through
-//! the prefetching [`TraceReader`]; because the machine build is
+//! the streaming [`TraceReader`]; because the machine build is
 //! seed-independent and the stream is byte-exact, the replayed
 //! [`RunResult`] is bit-identical to the live run the trace was recorded
 //! from. `trace-stats` summarizes a trace without simulating it.

@@ -53,10 +53,9 @@ pub struct MemSysConfig {
     pub l2: CacheConfig,
     /// Last-level cache.
     pub llc: CacheConfig,
-    /// TLB entries (fully associative).
+    /// TLB entries (fully associative). A TLB hit costs no cycle: it is
+    /// folded into the pipeline.
     pub tlb_entries: usize,
-    /// TLB hit latency in cycles (folded into the pipeline; typically 0).
-    pub tlb_latency_cycles: u64,
     /// MMU (page-walk) cache capacity in 8-byte entries.
     pub mmu_cache_entries: usize,
     /// MMU cache associativity.
@@ -99,7 +98,6 @@ impl Default for MemSysConfig {
                 latency_cycles: 38,
             },
             tlb_entries: 64,
-            tlb_latency_cycles: 0,
             mmu_cache_entries: (8 << 10) / 8,
             mmu_cache_ways: 4,
             mmu_cache_latency_cycles: 2,

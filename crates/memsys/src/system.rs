@@ -688,7 +688,7 @@ impl MemorySystem {
             match self.probe_caches(pa, write, false) {
                 Ok((_, c)) => {
                     return IssueOutcome::Done(AccessOutcome::Ok {
-                        cycles: self.cfg.tlb_latency_cycles + c,
+                        cycles: c,
                         llc_miss: false,
                     });
                 }
@@ -699,7 +699,7 @@ impl MemorySystem {
                         id,
                         va,
                         write,
-                        cycles: self.cfg.tlb_latency_cycles + c,
+                        cycles: c,
                     };
                     self.suspend(op, Await::Data { pa });
                     return IssueOutcome::Pending(id);
@@ -713,7 +713,7 @@ impl MemorySystem {
             id,
             va,
             write,
-            cycles: self.cfg.tlb_latency_cycles,
+            cycles: 0,
         };
         self.drive(
             op,

@@ -321,16 +321,16 @@ fn trial_seed(salt: u64, phase: u64, idx: u64) -> u64 {
 /// Runs the campaign serially. See [`run_with_pool`].
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> CampaignResult {
-    run_with_pool(cfg, None)
+    run_with_pool(cfg, &ThreadPool::new(1))
 }
 
-/// Runs the campaign, optionally fanning the targeted and stochastic
-/// phases out over `pool`. Trials are grouped into fixed-size chunks (each
-/// with its own freshly built rig — trials are rig-independent because
-/// every injection starts from a reset rig); chunk results are merged in
-/// trial order, so the result is **byte-identical for any worker count**.
+/// Runs the campaign, fanning the targeted and stochastic phases out over
+/// `pool`. Trials are grouped into fixed-size chunks (each with its own
+/// freshly built rig — trials are rig-independent because every injection
+/// starts from a reset rig); chunk results are merged in trial order, so
+/// the result is **byte-identical for any worker count**.
 #[must_use]
-pub fn run_with_pool(cfg: &CampaignConfig, pool: Option<&ThreadPool>) -> CampaignResult {
+pub fn run_with_pool(cfg: &CampaignConfig, pool: &ThreadPool) -> CampaignResult {
     let salt = cfg.seed ^ 0x6361_6d70_6169_676e;
     let mut result = CampaignResult::default();
 
@@ -366,12 +366,12 @@ pub fn run_with_pool(cfg: &CampaignConfig, pool: Option<&ThreadPool>) -> Campaig
     // Phase 2: targeted classes, each aimed at one correction strategy.
     let rounds = cfg.trials_per_class;
     let n_chunks = rounds.div_ceil(TARGETED_CHUNK_ROUNDS);
-    let targeted = move |c: usize| {
+    let targeted = pool.map_indexed(n_chunks, |c| {
         let lo = c * TARGETED_CHUNK_ROUNDS;
         let hi = rounds.min(lo + TARGETED_CHUNK_ROUNDS);
         run_targeted_rounds(salt, lo..hi, protected_mask)
-    };
-    for (part, faults) in run_chunks(pool, n_chunks, targeted) {
+    });
+    for (part, faults) in targeted {
         result.merge(&part);
         total_faults += faults;
     }
@@ -380,12 +380,12 @@ pub fn run_with_pool(cfg: &CampaignConfig, pool: Option<&ThreadPool>) -> Campaig
     // (Table: 1/128 LPDDR4, 1/512 DDR4), full 64-byte line exposure.
     let trials = cfg.stochastic_trials;
     let n_chunks = trials.div_ceil(STOCHASTIC_CHUNK);
-    let stochastic = move |c: usize| {
+    let stochastic = pool.map_indexed(n_chunks, |c| {
         let lo = c * STOCHASTIC_CHUNK;
         let hi = trials.min(lo + STOCHASTIC_CHUNK);
         run_stochastic_trials(salt, lo..hi)
-    };
-    for (part, faults) in run_chunks(pool, n_chunks, stochastic) {
+    });
+    for (part, faults) in stochastic {
         result.merge(&part);
         total_faults += faults;
     }
@@ -406,18 +406,6 @@ pub fn run_with_pool(cfg: &CampaignConfig, pool: Option<&ThreadPool>) -> Campaig
         ));
     }
     result
-}
-
-/// Runs `n` chunk closures — on `pool` when one is supplied (and useful),
-/// serially otherwise — returning the per-chunk results in chunk order.
-fn run_chunks<F>(pool: Option<&ThreadPool>, n: usize, f: F) -> Vec<(CampaignResult, u64)>
-where
-    F: Fn(usize) -> (CampaignResult, u64) + Send + Sync + 'static,
-{
-    match pool {
-        Some(pool) if pool.size() > 1 && n > 1 => pool.map_indexed(n, f),
-        _ => (0..n).map(f).collect(),
-    }
 }
 
 /// Runs targeted rounds `rounds` on a fresh rig. Returns the partial
@@ -643,8 +631,7 @@ mod tests {
         // exercises real chunk merging, not a degenerate single-chunk run.
         let serial = run(&quick());
         for jobs in [2usize, 4] {
-            let pool = ThreadPool::new(jobs);
-            let par = run_with_pool(&quick(), Some(&pool));
+            let par = run_with_pool(&quick(), &ThreadPool::new(jobs));
             assert_eq!(par, serial, "jobs {jobs}");
         }
     }

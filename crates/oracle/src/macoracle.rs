@@ -10,8 +10,6 @@
 //! chunk-swap aliasing that formula admits — the deviation documented in
 //! `ptguard::mac` and DESIGN.md.
 
-use std::sync::Arc;
-
 use orchestrator::pool::ThreadPool;
 use pagetable::addr::PhysAddr;
 use ptguard::line::Line;
@@ -231,20 +229,20 @@ struct SweepCtx {
 /// probes. Serial entry point; see [`sweep_with_pool`].
 #[must_use]
 pub fn sweep(cfg: &PtGuardConfig, seed: u64, lines: usize, pair_budget: usize) -> MacSweepReport {
-    sweep_with_pool(cfg, seed, lines, pair_budget, None)
+    sweep_with_pool(cfg, seed, lines, pair_budget, &ThreadPool::new(1))
 }
 
-/// [`sweep`], optionally fanned out over `pool`. Each line draws its seed
-/// from the master stream up front and runs independently; per-line reports
-/// are merged in line order, so the result is **byte-identical for any
-/// worker count** (including `None`).
+/// [`sweep`], fanned out over `pool`. Each line draws its seed from the
+/// master stream up front and runs independently; per-line reports are
+/// merged in line order, so the result is **byte-identical for any worker
+/// count**.
 #[must_use]
 pub fn sweep_with_pool(
     cfg: &PtGuardConfig,
     seed: u64,
     lines: usize,
     pair_budget: usize,
-    pool: Option<&ThreadPool>,
+    pool: &ThreadPool,
 ) -> MacSweepReport {
     let oracle = RefMac::from_config(cfg);
     let positions = protected_positions(oracle.protected_mask());
@@ -257,23 +255,8 @@ pub fn sweep_with_pool(
     let line_seeds: Vec<u64> = (0..lines).map(|_| master.next_u64()).collect();
 
     let mut report = MacSweepReport::default();
-    match pool {
-        Some(pool) if pool.size() > 1 && lines > 1 => {
-            let ctx = Arc::new(ctx);
-            let seeds = Arc::new(line_seeds);
-            let per_line = {
-                let ctx = Arc::clone(&ctx);
-                pool.map_indexed(lines, move |i| sweep_line(&ctx, seeds[i], pair_budget))
-            };
-            for r in &per_line {
-                report.merge(r);
-            }
-        }
-        _ => {
-            for &s in &line_seeds {
-                report.merge(&sweep_line(&ctx, s, pair_budget));
-            }
-        }
+    for r in &pool.map_indexed(lines, |i| sweep_line(&ctx, line_seeds[i], pair_budget)) {
+        report.merge(r);
     }
     report
 }
@@ -477,8 +460,7 @@ mod tests {
         for seed in [3u64, 0xdead_beef, 0x5eed_5eed] {
             let serial = sweep(&cfg, seed, 6, 300);
             for jobs in [2usize, 5] {
-                let pool = ThreadPool::new(jobs);
-                let par = sweep_with_pool(&cfg, seed, 6, 300, Some(&pool));
+                let par = sweep_with_pool(&cfg, seed, 6, 300, &ThreadPool::new(jobs));
                 assert_eq!(par, serial, "seed {seed:#x} jobs {jobs}");
             }
         }

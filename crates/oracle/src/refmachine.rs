@@ -91,7 +91,7 @@ impl RefMachine {
     /// A demand load (`write = false`) or store to `va`, serviced to
     /// completion.
     pub fn access(&mut self, va: VirtAddr, write: bool) -> AccessOutcome {
-        let mut cycles = self.cfg.tlb_latency_cycles;
+        let mut cycles = 0;
         let leaf = match self.tlb.lookup(va.vpn()) {
             Some(leaf) => leaf,
             None => match self.walk(va, &mut cycles) {

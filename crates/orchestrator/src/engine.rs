@@ -1,9 +1,14 @@
-//! The DAG engine: schedules a topologically-ordered job list across the
-//! work-stealing pool, memoizes outputs in the disk cache, and streams
-//! events to the run's JSONL log.
+//! The DAG engine: runs a topologically-ordered job list one dependency
+//! level at a time on a [`ThreadPool`], memoizes outputs in the disk
+//! cache, and streams events to the run's JSONL log.
 //!
 //! Execution model:
 //!
+//! * A job's **level** is one more than the deepest level among its
+//!   dependencies, and 0 for a job without any. Each level is one
+//!   [`ThreadPool::map_indexed`] call, so a level starts once the level
+//!   before it has ended. Only sweep aggregates sit above level 0, and
+//!   they are trivial reductions.
 //! * Every job's **final cache key** is the stable hash of its own key
 //!   material plus the final keys of its dependencies, so editing any
 //!   upstream input transitively invalidates downstream entries.
@@ -12,11 +17,11 @@
 //! * A failing (or panicking) job marks the run failed; its dependents are
 //!   skipped, but every independent job still runs to completion — and
 //!   keeps its cache entry — so a resumed run only re-executes what is
-//!   actually missing.
+//!   actually missing. The run's error is that of its first failing job
+//!   in job order, whatever order the jobs finished in.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::cache::DiskCache;
@@ -88,41 +93,12 @@ pub struct RunReport {
     pub run_dir: Option<PathBuf>,
 }
 
-impl RunReport {
-    /// All outputs, in order, when the run fully succeeded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job failed — check [`RunReport::error`] first.
-    #[must_use]
-    pub fn unwrap_outputs(&self) -> Vec<&JobOutput> {
-        self.outputs
-            .iter()
-            .map(|o| o.as_ref().expect("job failed; check RunReport::error"))
-            .collect()
-    }
-}
-
-struct State {
-    outputs: Vec<Option<JobOutput>>,
-    reports: Vec<Option<JobReport>>,
-    /// Unmet dependency count per job.
-    pending: Vec<usize>,
-    /// Jobs whose dependencies are all met, not yet submitted.
-    ready: Vec<usize>,
-    /// Jobs not yet concluded.
-    remaining: usize,
-    error: Option<String>,
-}
-
+/// What every job of a run reads.
 struct Ctx {
     specs: Vec<JobSpec>,
     keys: Vec<String>,
-    dependents: Vec<Vec<usize>>,
     cache: Option<DiskCache>,
     log: EventLog,
-    state: Mutex<State>,
-    progress: Condvar,
 }
 
 /// Executes the DAG. `specs` must be in topological order: every
@@ -161,13 +137,11 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
         keys.push(stable_key(&material));
     }
 
-    let mut dependents = vec![Vec::new(); n];
-    let mut pending = vec![0usize; n];
-    for (j, spec) in specs.iter().enumerate() {
-        pending[j] = spec.deps.len();
-        for &d in &spec.deps {
-            dependents[d].push(j);
-        }
+    // A job's level: one more than its deepest dependency's.
+    let mut levels: Vec<usize> = Vec::with_capacity(n);
+    for spec in &specs {
+        let level = spec.deps.iter().map(|&d| levels[d] + 1).max().unwrap_or(0);
+        levels.push(level);
     }
 
     // Run logging.
@@ -200,47 +174,39 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
         ],
     );
 
-    let ready: Vec<usize> = (0..n).filter(|&j| pending[j] == 0).collect();
-    let ctx = Arc::new(Ctx {
+    let ctx = Ctx {
         specs,
         keys,
-        dependents,
         cache: opts.cache,
         log,
-        state: Mutex::new(State {
-            outputs: (0..n).map(|_| None).collect(),
-            reports: (0..n).map(|_| None).collect(),
-            pending,
-            ready,
-            remaining: n,
-            error: None,
-        }),
-        progress: Condvar::new(),
-    });
-
-    // Scheduling loop: drain the ready list into the pool, wait for
-    // progress, repeat until every job has concluded.
-    {
-        let mut guard = ctx.state.lock().expect("engine lock");
-        loop {
-            for j in std::mem::take(&mut guard.ready) {
-                let ctx = Arc::clone(&ctx);
-                pool.spawn(move || execute_job(&ctx, j));
-            }
-            if guard.remaining == 0 {
-                break;
-            }
-            guard = ctx.progress.wait(guard).expect("engine lock");
+    };
+    let mut outputs: Vec<Option<JobOutput>> = vec![None; n];
+    let mut reports: Vec<Option<JobReport>> = vec![None; n];
+    let mut errors: Vec<Option<String>> = vec![None; n];
+    for level in 0..=levels.iter().copied().max().unwrap_or(0) {
+        let members: Vec<usize> = (0..n).filter(|&j| levels[j] == level).collect();
+        let ended = pool.map_indexed(members.len(), |k| {
+            let j = members[k];
+            // A missing dependency output means an upstream failure.
+            let deps = ctx.specs[j]
+                .deps
+                .iter()
+                .map(|&d| outputs[d].clone())
+                .collect();
+            execute_job(&ctx, j, deps)
+        });
+        for (&j, (output, report, error)) in members.iter().zip(ended) {
+            outputs[j] = output;
+            reports[j] = Some(report);
+            errors[j] = error;
         }
     }
-    drop(pool); // joins the workers
-
-    let state = ctx.state.lock().expect("engine lock");
-    let jobs: Vec<JobReport> = state
-        .reports
-        .iter()
-        .map(|r| r.clone().expect("every job concluded"))
+    let jobs: Vec<JobReport> = reports
+        .into_iter()
+        .map(|r| r.expect("every level ran"))
         .collect();
+    // The first failing job in job order names the run's error.
+    let error = errors.into_iter().flatten().next();
     let executed = jobs
         .iter()
         .filter(|r| r.outcome == JobOutcome::Executed)
@@ -265,8 +231,7 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
             ("peak_ops_per_sec", Value::F64(peak_ops_per_sec)),
             (
                 "error",
-                state
-                    .error
+                error
                     .as_ref()
                     .map_or(Value::Null, |e| Value::Str(e.clone())),
             ),
@@ -280,7 +245,7 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
                 "orchestrator_version",
                 Value::Str(env!("CARGO_PKG_VERSION").to_string()),
             ),
-            ("workers", Value::U64(pool_size_for_manifest(opts.jobs))),
+            ("workers", Value::U64(pool.size() as u64)),
             ("jobs", Value::U64(n as u64)),
             ("executed", Value::U64(executed as u64)),
             ("cache_hits", Value::U64(cache_hits as u64)),
@@ -294,8 +259,7 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
             ),
             (
                 "error",
-                state
-                    .error
+                error
                     .as_ref()
                     .map_or(Value::Null, |e| Value::Str(e.clone())),
             ),
@@ -322,22 +286,14 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
     }
 
     RunReport {
-        outputs: state.outputs.clone(),
+        outputs,
         jobs,
         executed,
         cache_hits,
-        error: state.error.clone(),
+        error,
         wall_ms,
         peak_ops_per_sec,
         run_dir,
-    }
-}
-
-fn pool_size_for_manifest(jobs: usize) -> u64 {
-    if jobs == 0 {
-        crate::pool::default_jobs() as u64
-    } else {
-        jobs as u64
     }
 }
 
@@ -346,24 +302,29 @@ fn ops_per_sec(sim_ops: u64, wall_ms: u64) -> f64 {
     sim_ops as f64 / (wall_ms.max(1) as f64 / 1000.0)
 }
 
-/// Runs (or serves from cache) job `j` on a worker thread.
-fn execute_job(ctx: &Arc<Ctx>, j: usize) {
+/// Runs job `j`, serves it from the cache, or skips it when `deps` (its
+/// dependencies' outputs) is `None` because one of them failed. Returns
+/// the job's output, its report and, when it failed, the run error it
+/// names.
+fn execute_job(
+    ctx: &Ctx,
+    j: usize,
+    deps: Option<Vec<JobOutput>>,
+) -> (Option<JobOutput>, JobReport, Option<String>) {
     let spec = &ctx.specs[j];
     let key = &ctx.keys[j];
-
-    // Gather dependency outputs; a missing one means an upstream failure.
-    let dep_outputs: Option<Vec<JobOutput>> = {
-        let state = ctx.state.lock().expect("engine lock");
-        spec.deps
-            .iter()
-            .map(|&d| state.outputs[d].clone())
-            .collect()
+    let report = |outcome, wall_ms, sim_ops| JobReport {
+        id: spec.id.clone(),
+        key: key.clone(),
+        outcome,
+        wall_ms,
+        sim_ops,
     };
-    let Some(dep_outputs) = dep_outputs else {
+
+    let Some(deps) = deps else {
         ctx.log
             .emit("job_skipped", vec![("job", Value::Str(spec.id.clone()))]);
-        conclude(ctx, j, None, JobOutcome::Skipped, 0, 0);
-        return;
+        return (None, report(JobOutcome::Skipped, 0, 0), None);
     };
 
     // Memoization.
@@ -376,9 +337,8 @@ fn execute_job(ctx: &Arc<Ctx>, j: usize) {
                     ("key", Value::Str(key.clone())),
                 ],
             );
-            let sim_ops = out.sim_ops;
-            conclude(ctx, j, Some(out), JobOutcome::CacheHit, 0, sim_ops);
-            return;
+            let report = report(JobOutcome::CacheHit, 0, out.sim_ops);
+            return (Some(out), report, None);
         }
     }
 
@@ -390,7 +350,7 @@ fn execute_job(ctx: &Arc<Ctx>, j: usize) {
         ],
     );
     let t = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| (spec.run)(&dep_outputs))).unwrap_or_else(|p| {
+    let result = catch_unwind(AssertUnwindSafe(|| (spec.run)(&deps))).unwrap_or_else(|p| {
         let msg = p
             .downcast_ref::<&str>()
             .map(ToString::to_string)
@@ -422,8 +382,8 @@ fn execute_job(ctx: &Arc<Ctx>, j: usize) {
                     ("ops_per_sec", Value::F64(ops_per_sec(out.sim_ops, wall_ms))),
                 ],
             );
-            let sim_ops = out.sim_ops;
-            conclude(ctx, j, Some(out), JobOutcome::Executed, wall_ms, sim_ops);
+            let report = report(JobOutcome::Executed, wall_ms, out.sim_ops);
+            (Some(out), report, None)
         }
         Err(e) => {
             ctx.log.emit(
@@ -433,41 +393,8 @@ fn execute_job(ctx: &Arc<Ctx>, j: usize) {
                     ("error", Value::Str(e.clone())),
                 ],
             );
-            let mut state = ctx.state.lock().expect("engine lock");
-            if state.error.is_none() {
-                state.error = Some(format!("{}: {e}", spec.id));
-            }
-            drop(state);
-            conclude(ctx, j, None, JobOutcome::Failed, wall_ms, 0);
+            let error = format!("{}: {e}", spec.id);
+            (None, report(JobOutcome::Failed, wall_ms, 0), Some(error))
         }
     }
-}
-
-/// Records job `j`'s conclusion and releases any newly-ready dependents.
-fn conclude(
-    ctx: &Arc<Ctx>,
-    j: usize,
-    output: Option<JobOutput>,
-    outcome: JobOutcome,
-    wall_ms: u64,
-    sim_ops: u64,
-) {
-    let mut state = ctx.state.lock().expect("engine lock");
-    state.outputs[j] = output;
-    state.reports[j] = Some(JobReport {
-        id: ctx.specs[j].id.clone(),
-        key: ctx.keys[j].clone(),
-        outcome,
-        wall_ms,
-        sim_ops,
-    });
-    for &dep in &ctx.dependents[j] {
-        state.pending[dep] -= 1;
-        if state.pending[dep] == 0 {
-            state.ready.push(dep);
-        }
-    }
-    state.remaining -= 1;
-    drop(state);
-    ctx.progress.notify_all();
 }

@@ -1,10 +1,10 @@
 //! # Experiment orchestration engine
 //!
 //! A std-only, dependency-free job engine that models an experiment matrix
-//! (artefact × scale × seed) as a DAG of pure jobs and executes it across a
-//! work-stealing thread pool, memoizing each job's output in an on-disk
-//! content-addressed cache so re-runs and interrupted runs resume from
-//! completed jobs instead of recomputing.
+//! (artefact × scale × seed) as a DAG of pure jobs and executes it one
+//! dependency level at a time on a worker pool, memoizing each job's output
+//! in an on-disk content-addressed cache so re-runs and interrupted runs
+//! resume from completed jobs instead of recomputing.
 //!
 //! The pieces, bottom up:
 //!
@@ -14,14 +14,17 @@
 //!   and entry checksums.
 //! * [`cache`] — [`cache::DiskCache`], one file per cache key, checksummed;
 //!   corrupted or unreadable entries degrade to cache misses.
-//! * [`pool`] — [`pool::ThreadPool`], a work-stealing thread pool with one
-//!   deque per worker plus cross-worker stealing.
+//! * [`pool`] — [`pool::ThreadPool`], a worker count whose
+//!   [`map_indexed`](pool::ThreadPool::map_indexed) runs tasks on scoped
+//!   threads, the caller among them, that take indices from one shared
+//!   counter. It is the crate's only parallel mechanism.
 //! * [`job`] — [`job::JobSpec`] (id, key material, dependencies, work
 //!   closure) and [`job::JobOutput`] (rendered text + named metrics + a
 //!   deterministic simulated-op count for throughput accounting).
 //! * [`events`] — the JSON-lines event log (`job_start` / `job_finish` /
 //!   `cache_hit` / …) and the run manifest writer.
-//! * [`engine`] — [`engine::run_dag`], which ties it all together.
+//! * [`engine`] — [`engine::run_dag`], which ties it all together: each
+//!   dependency level of the DAG is one `map_indexed` call.
 //!
 //! The engine guarantees that job *outputs* are independent of the worker
 //! count and of the cache state: a cached entry stores exactly the bytes

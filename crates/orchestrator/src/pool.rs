@@ -1,61 +1,30 @@
-//! A std-only work-stealing thread pool.
+//! The worker pool: a worker count and one scoped fan-out.
 //!
-//! Each worker owns a deque; submitted tasks are distributed round-robin
-//! across the deques. A worker services its own deque from the front and,
-//! when empty, steals from the *back* of its siblings' deques, so long jobs
-//! queued on one worker migrate to idle workers instead of serializing.
-//! An idle worker parks on a condvar with a timeout backstop, making a
-//! missed wakeup cost bounded latency rather than a hang.
+//! The traffic is small and coarse. [`crate::run_dag`] runs `exp all`'s 24
+//! artefact jobs (each 0–10 s at `--quick`), and the artefacts that fan
+//! out internally hand [`ThreadPool::map_indexed`] at most about 150 tasks
+//! per call, each lasting milliseconds to seconds. For tasks that coarse,
+//! one shared next-index counter balances the load: a worker that
+//! finishes early simply takes the next index.
+//!
+//! [`ThreadPool::map_indexed`] starts its helpers with
+//! [`std::thread::scope`] for the length of one call, so tasks may borrow
+//! the caller's data and may fan out again on the same pool. The calling
+//! thread is one of the workers, and with one worker (or one task)
+//! everything runs inline. Working on the caller costs one thread fewer
+//! per call, and with it the high-water heap glibc keeps for every new
+//! thread's malloc arena: on a 2-vCPU host, `exp all --quick --jobs 2`
+//! peaked at 25.3–26.2 MiB of RSS when each call started all of its
+//! workers, and at 18.9–20.5 MiB when the caller worked (three
+//! alternating runs each).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-struct Shared {
-    /// One deque per worker.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Guards the shutdown flag; pairs with `wake`.
-    shutdown: Mutex<bool>,
-    wake: Condvar,
-    /// Round-robin submission cursor.
-    next: AtomicUsize,
-}
-
-impl Shared {
-    /// Grabs a task: own queue first (front), then steal from siblings
-    /// (back).
-    fn find_task(&self, me: usize) -> Option<Task> {
-        if let Some(t) = self.queues[me].lock().expect("pool lock").pop_front() {
-            return Some(t);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (me + off) % n;
-            if let Some(t) = self.queues[victim].lock().expect("pool lock").pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
-/// The pool. Dropping it signals shutdown and joins every worker; queued
-/// tasks are drained before the workers exit.
+/// A worker count for [`ThreadPool::map_indexed`]. It holds no thread:
+/// each call starts its helpers and joins them before it returns.
+#[derive(Debug)]
 pub struct ThreadPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
+    workers: usize,
 }
 
 /// The default worker count: every available core.
@@ -65,173 +34,66 @@ pub fn default_jobs() -> usize {
 }
 
 impl ThreadPool {
-    /// Spawns a pool of `jobs` workers (`0` means [`default_jobs`]).
+    /// A pool of `jobs` workers (`0` means [`default_jobs`]).
     #[must_use]
     pub fn new(jobs: usize) -> ThreadPool {
-        let jobs = if jobs == 0 { default_jobs() } else { jobs };
-        let shared = Arc::new(Shared {
-            queues: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-            shutdown: Mutex::new(false),
-            wake: Condvar::new(),
-            next: AtomicUsize::new(0),
-        });
-        let workers = (0..jobs)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("orch-worker-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
-                    .expect("spawn worker")
-            })
-            .collect();
-        ThreadPool { shared, workers }
+        let workers = if jobs == 0 { default_jobs() } else { jobs };
+        ThreadPool { workers }
     }
 
     /// The worker count.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
-    /// Runs `f(0..n)` on the pool and returns the results **in index
-    /// order**, blocking until all complete. The ordering guarantee is what
-    /// lets parallel sweeps merge worker output byte-identically to a serial
-    /// run: results land in their slot regardless of completion order.
-    ///
-    /// Must not be called from a task already running on this pool (the
-    /// caller blocks on a condvar, not by servicing the queue).
+    /// Runs `f(0..n)` on up to [`size`](Self::size) workers, the calling
+    /// thread among them, and returns the results **in index order**. The
+    /// ordering is what lets a parallel sweep merge its results
+    /// byte-identically to a serial run, whatever order the tasks finish
+    /// in.
     ///
     /// # Panics
     ///
-    /// If a task panics, the panic is resumed on the caller.
+    /// If a task panics, the panic is resumed on the caller once every
+    /// worker has stopped.
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
-        R: Send + 'static,
-        F: Fn(usize) -> R + Send + Sync + 'static,
+        R: Send,
+        F: Fn(usize) -> R + Sync,
     {
-        let f = Arc::new(f);
-        let slots: Arc<Mutex<Vec<Option<std::thread::Result<R>>>>> =
-            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-        let done = Arc::new((Mutex::new(0usize), Condvar::new()));
-        for i in 0..n {
-            let (f, slots, done) = (Arc::clone(&f), Arc::clone(&slots), Arc::clone(&done));
-            self.spawn(move || {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)));
-                slots.lock().expect("pool lock")[i] = Some(r);
-                let (count, cv) = &*done;
-                *count.lock().expect("pool lock") += 1;
-                cv.notify_all();
-            });
-        }
-        let (count, cv) = &*done;
-        let mut finished = count.lock().expect("pool lock");
-        while *finished < n {
-            finished = cv.wait(finished).expect("pool lock");
-        }
-        drop(finished);
-        let mut slots = slots.lock().expect("pool lock");
-        slots
-            .iter_mut()
-            .map(|s| match s.take().expect("slot filled") {
-                Ok(r) => r,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    }
-
-    /// Submits a task.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        let idx = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.workers.len();
-        self.shared.queues[idx]
-            .lock()
-            .expect("pool lock")
-            .push_back(Box::new(task));
-        // Touch the shutdown mutex so a worker between its queue check and
-        // its `wait` cannot miss this notification entirely.
-        drop(self.shared.shutdown.lock().expect("pool lock"));
-        self.shared.wake.notify_one();
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        *self.shared.shutdown.lock().expect("pool lock") = true;
-        self.shared.wake.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        if let Some(task) = shared.find_task(me) {
-            task();
-            continue;
-        }
-        let guard = shared.shutdown.lock().expect("pool lock");
-        if *guard {
-            return;
-        }
-        // Timeout backstop: a wakeup lost to the race window above only
-        // delays the worker, it cannot strand a task.
-        let _unused = shared
-            .wake
-            .wait_timeout(guard, Duration::from_millis(20))
-            .expect("pool lock");
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return done;
+                }
+                done.push((i, f(i)));
+            }
+        };
+        let helpers = self.workers.min(n).saturating_sub(1);
+        let mut done = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for h in handles {
+                match h.join() {
+                    Ok(part) => done.extend(part),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn runs_every_task_once() {
-        let pool = ThreadPool::new(4);
-        let sum = Arc::new(AtomicU64::new(0));
-        let done = Arc::new(AtomicUsize::new(0));
-        for i in 1..=1000u64 {
-            let (sum, done) = (Arc::clone(&sum), Arc::clone(&done));
-            pool.spawn(move || {
-                sum.fetch_add(i, Ordering::Relaxed);
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        while done.load(Ordering::Relaxed) < 1000 {
-            std::thread::yield_now();
-        }
-        assert_eq!(sum.load(Ordering::Relaxed), 500_500);
-    }
-
-    #[test]
-    fn long_tasks_migrate_to_idle_workers() {
-        // 8 slow tasks round-robin onto 4 workers; stealing must let all 4
-        // run concurrently, so the batch finishes in ~2 rounds, not 8.
-        let pool = ThreadPool::new(4);
-        let peak = Arc::new(AtomicUsize::new(0));
-        let live = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let (peak, live, done) = (Arc::clone(&peak), Arc::clone(&live), Arc::clone(&done));
-            pool.spawn(move || {
-                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(30));
-                live.fetch_sub(1, Ordering::SeqCst);
-                done.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        while done.load(Ordering::SeqCst) < 8 {
-            std::thread::yield_now();
-        }
-        assert!(
-            peak.load(Ordering::SeqCst) >= 3,
-            "stealing should keep several workers busy (peak {})",
-            peak.load(Ordering::SeqCst)
-        );
-    }
+    use std::time::Duration;
 
     #[test]
     fn map_indexed_returns_results_in_index_order() {
@@ -257,17 +119,38 @@ mod tests {
     }
 
     #[test]
-    fn drop_drains_queued_tasks() {
-        let done = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(1);
-            for _ in 0..50 {
-                let done = Arc::clone(&done);
-                pool.spawn(move || {
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        } // drop joins
-        assert_eq!(done.load(Ordering::Relaxed), 50);
+    fn tasks_borrow_the_callers_data() {
+        let words: Vec<String> = ["tlb", "mmu", "llc"].map(String::from).to_vec();
+        let lens = ThreadPool::new(3).map_indexed(words.len(), |i| words[i].len());
+        assert_eq!(lens, vec![3, 3, 3]);
+    }
+
+    #[test]
+    fn one_worker_runs_every_task_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = ThreadPool::new(1).map_indexed(16, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn a_task_may_fan_out_on_its_own_pool() {
+        let pool = ThreadPool::new(2);
+        let sums = pool.map_indexed(4, |i| pool.map_indexed(i + 1, |k| k).iter().sum::<usize>());
+        assert_eq!(sums, vec![0, 1, 3, 6]);
+    }
+
+    #[test]
+    fn coarse_tasks_keep_every_worker_busy() {
+        // 8 tasks of 30 ms on 4 workers: a shared counter must keep
+        // several of them running at once.
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        ThreadPool::new(4).map_indexed(8, |_| {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(30));
+            live.fetch_sub(1, Ordering::SeqCst);
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak >= 3, "several workers should overlap (peak {peak})");
     }
 }

@@ -123,6 +123,29 @@ fn failed_dependency_skips_dependents_but_not_siblings() {
 }
 
 #[test]
+fn the_run_error_names_the_first_failing_job_for_any_worker_count() {
+    for jobs in [1, 2, 4] {
+        let specs = vec![
+            JobSpec::new("slow", vec!["slow".to_string()], |_| {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                Err("late".to_string())
+            }),
+            JobSpec::new("fast", vec!["fast".to_string()], |_| {
+                Err("early".to_string())
+            }),
+        ];
+        let report = run_dag(
+            specs,
+            RunOptions {
+                jobs,
+                ..RunOptions::default()
+            },
+        );
+        assert_eq!(report.error.as_deref(), Some("slow: late"), "jobs={jobs}");
+    }
+}
+
+#[test]
 fn panicking_job_is_a_failure_not_an_abort() {
     let specs = vec![JobSpec::new("panics", vec!["p".to_string()], |_| {
         panic!("deliberate test panic")

@@ -47,12 +47,10 @@ pub fn census_corpus(
 ) -> Vec<CorpusEntry> {
     let shards = SHARDS.min(n.max(1));
     let per = n.div_ceil(shards);
-    let cfg = *cfg;
-    let engine = engine.clone();
-    let parts = pool.map_indexed(shards, move |s| {
+    let parts = pool.map_indexed(shards, |s| {
         let lo = s * per;
         let hi = ((s + 1) * per).min(n);
-        corpus_slice(&cfg, lo, hi.max(lo), &engine)
+        corpus_slice(cfg, lo, hi.max(lo), engine)
     });
     let mut out = Vec::with_capacity(n);
     for part in parts {

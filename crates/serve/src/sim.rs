@@ -171,18 +171,10 @@ pub fn simulate_rate(
         batch_hist[b.len - 1] += 1;
     }
 
-    // Shard the MAC work by contiguous batch ranges. The closure must be
-    // 'static for the pool, so it owns Arc'd copies of the plan inputs.
+    // Shard the MAC work by contiguous batch ranges.
     let shards = 16usize.min(batches.len().max(1));
     let per = batches.len().div_ceil(shards.max(1)).max(1);
-    let batches = std::sync::Arc::new(batches);
-    let shared_corpus: std::sync::Arc<Vec<CorpusEntry>> = std::sync::Arc::new(corpus.to_vec());
-    let shard_engine = engine.clone();
-    let plan = std::sync::Arc::clone(&batches);
-    let results = pool.map_indexed(shards, move |s| {
-        let batches = &plan;
-        let corpus = &shared_corpus[..];
-        let engine = &shard_engine;
+    let results = pool.map_indexed(shards, |s| {
         let lo = (s * per).min(batches.len());
         let hi = ((s + 1) * per).min(batches.len());
         let mut coalescer = Coalescer::new();

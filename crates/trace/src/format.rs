@@ -17,7 +17,7 @@ pub const TAG_LOAD: u8 = 1;
 pub const TAG_STORE: u8 = 2;
 
 /// Default ops per chunk (≈ tens of KB encoded; small enough that the
-/// reader's two-chunk prefetch window stays cache-friendly).
+/// reader's one decoded chunk stays cache-friendly).
 pub const DEFAULT_CHUNK_OPS: u32 = 16 * 1024;
 
 /// Most ops one chunk may hold (64× the default). The writer refuses a

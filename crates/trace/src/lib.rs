@@ -2,7 +2,7 @@
 //!
 //! A compact, self-describing on-disk format for the instruction streams
 //! the simulator consumes ([`workloads::tracegen::Op`]), plus a streaming
-//! writer and a prefetching reader. Recording a workload once and replaying
+//! writer and a streaming reader. Recording a workload once and replaying
 //! it removes the generator from the measured loop and pins the exact op
 //! stream an experiment saw — replayed runs are bit-identical to live ones.
 //!
@@ -26,9 +26,8 @@
 //!
 //! * [`TraceWriter`] — push ops (or drain any iterator) into any
 //!   [`std::io::Write`] sink, buffering one chunk at a time.
-//! * [`TraceReader`] — decodes chunks on a background thread with a
-//!   two-chunk prefetch window, so replay overlaps disk+decode with
-//!   simulation.
+//! * [`TraceReader`] — reads and decodes one chunk at a time on the
+//!   caller's thread, as the ops are consumed.
 //! * [`TraceStats`] — one-pass op mix / footprint / hot-cold summary.
 
 #![warn(missing_docs)]

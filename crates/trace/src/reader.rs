@@ -1,16 +1,12 @@
-//! Prefetching trace decoder.
+//! Trace decoder.
 //!
-//! The header is parsed synchronously by [`TraceReader::open`] so format
-//! errors surface immediately; chunk decoding then moves to a background
-//! thread that keeps up to two decoded chunks in flight
-//! ([`std::sync::mpsc::sync_channel`] with bound 2), so disk reads and
-//! varint decoding overlap with the simulation consuming the ops.
+//! The header is parsed by [`TraceReader::open`] so format errors surface
+//! immediately; [`TraceReader::try_next`] then reads and decodes one chunk
+//! at a time on the caller's thread, as the ops are consumed.
 
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::thread::JoinHandle;
 
 use pagetable::addr::VirtAddr;
 use workloads::tracegen::Op;
@@ -34,22 +30,32 @@ pub struct TraceHeader {
     pub op_count: u64,
 }
 
-/// Number of decoded chunks the background thread keeps ready.
-const PREFETCH_CHUNKS: usize = 2;
-
 /// Streaming reader over a trace produced by [`crate::TraceWriter`].
-#[derive(Debug)]
 pub struct TraceReader {
     header: TraceHeader,
-    rx: Receiver<Result<Vec<Op>, TraceError>>,
+    input: Box<dyn Read + Send>,
     current: std::vec::IntoIter<Op>,
-    /// Set once the channel reports a clean end or an error was returned.
+    /// Chunks decoded so far.
+    chunks: u64,
+    /// Ops decoded so far, checked against the trailer's count.
+    decoded: u64,
+    /// Set once the trailer's count checked out or an error was returned.
     finished: bool,
-    handle: Option<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for TraceReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceReader")
+            .field("header", &self.header)
+            .field("chunks", &self.chunks)
+            .field("decoded", &self.decoded)
+            .field("finished", &self.finished)
+            .finish_non_exhaustive()
+    }
 }
 
 impl TraceReader {
-    /// Opens `path`, parses the header, and starts the decode thread.
+    /// Opens `path` and parses the header.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         let file = File::open(path).map_err(TraceError::Io)?;
         Self::new(BufReader::new(file))
@@ -58,50 +64,13 @@ impl TraceReader {
     /// Like [`open`](Self::open) over any [`Read`] stream.
     pub fn new<R: Read + Send + 'static>(mut input: R) -> Result<Self, TraceError> {
         let header = read_header(&mut input)?;
-        let expected = header.op_count;
-        let (tx, rx) = sync_channel(PREFETCH_CHUNKS);
-        let handle = std::thread::spawn(move || {
-            let mut decoded = 0u64;
-            let mut chunk_index = 0u64;
-            loop {
-                match read_chunk(&mut input, chunk_index) {
-                    Ok(Some(ops)) => {
-                        decoded += ops.len() as u64;
-                        chunk_index += 1;
-                        if tx.send(Ok(ops)).is_err() {
-                            return; // reader dropped mid-stream
-                        }
-                    }
-                    Ok(None) => {
-                        // Trailer reached: cross-check the counts.
-                        match read_trailer_count(&mut input) {
-                            Ok(total) if total == decoded && total == expected => {}
-                            Ok(total) => {
-                                let actual = if total == decoded { decoded } else { total };
-                                let _ = tx.send(Err(TraceError::CountMismatch {
-                                    declared: expected,
-                                    actual,
-                                }));
-                            }
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                            }
-                        }
-                        return; // clean end: dropping tx closes the channel
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                }
-            }
-        });
         Ok(Self {
             header,
-            rx,
+            input: Box::new(input),
             current: Vec::new().into_iter(),
+            chunks: 0,
+            decoded: 0,
             finished: false,
-            handle: Some(handle),
         })
     }
 
@@ -122,19 +91,36 @@ impl TraceReader {
             if self.finished {
                 return Ok(None);
             }
-            match self.rx.recv() {
-                Ok(Ok(ops)) => self.current = ops.into_iter(),
-                Ok(Err(e)) => {
-                    self.finished = true;
-                    return Err(e);
-                }
-                Err(_) => {
-                    // Sender dropped without an error: clean end of stream.
+            match self.next_chunk() {
+                Ok(Some(ops)) => self.current = ops.into_iter(),
+                Ok(None) => {
                     self.finished = true;
                     return Ok(None);
                 }
+                Err(e) => {
+                    self.finished = true;
+                    return Err(e);
+                }
             }
         }
+    }
+
+    /// Reads and decodes the next chunk; `Ok(None)` once the trailer is
+    /// reached and its count matches both the header and the ops decoded.
+    fn next_chunk(&mut self) -> Result<Option<Vec<Op>>, TraceError> {
+        let Some(ops) = read_chunk(&mut self.input, self.chunks)? else {
+            let total = read_trailer_count(&mut self.input)?;
+            if total == self.decoded && total == self.header.op_count {
+                return Ok(None);
+            }
+            return Err(TraceError::CountMismatch {
+                declared: self.header.op_count,
+                actual: total,
+            });
+        };
+        self.chunks += 1;
+        self.decoded += ops.len() as u64;
+        Ok(Some(ops))
     }
 }
 
@@ -143,18 +129,6 @@ impl Iterator for TraceReader {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.try_next().transpose()
-    }
-}
-
-impl Drop for TraceReader {
-    fn drop(&mut self) {
-        // Unblock the decoder (it may be parked on the bounded channel),
-        // then reap it.
-        while self.rx.try_recv().is_ok() {}
-        drop(std::mem::replace(&mut self.rx, sync_channel(1).1));
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

@@ -261,8 +261,8 @@ fn trailer_count_tamper_is_detected() {
 
 #[test]
 fn early_drop_does_not_hang() {
-    // The background decoder parks on the bounded channel when the reader
-    // stops consuming; dropping the reader must reap it promptly.
+    // A reader dropped mid-stream, with chunks left unread, must return
+    // promptly.
     let ops = mixed_ops(200_000);
     let bytes = encode(&ops, 1024);
     let mut reader = TraceReader::new(std::io::Cursor::new(bytes)).unwrap();

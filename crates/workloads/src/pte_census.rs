@@ -364,11 +364,10 @@ pub const CENSUS_SHARDS: usize = 64;
 pub fn run_census_streamed(cfg: &CensusConfig, pool: &ThreadPool) -> CensusTally {
     let shards = CENSUS_SHARDS.min(cfg.processes.max(1));
     let per = cfg.processes.div_ceil(shards);
-    let cfg = *cfg;
-    let tallies = pool.map_indexed(shards, move |s| {
+    let tallies = pool.map_indexed(shards, |s| {
         let lo = s * per;
         let hi = ((s + 1) * per).min(cfg.processes);
-        tally_processes(&cfg, lo, hi.max(lo))
+        tally_processes(cfg, lo, hi.max(lo))
     });
     let mut total = CensusTally::default();
     for t in &tallies {

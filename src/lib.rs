@@ -13,13 +13,13 @@
 //!   whole-memory-MAC baseline).
 //! * [`workloads`] — calibrated SPEC/GAP-like models and the PTE census.
 //! * [`trace`] — binary memory-trace record/replay (chunked, checksummed,
-//!   prefetched).
+//!   streamed).
 //! * [`simx`] — single-core and multi-core timing simulation, generic over
 //!   live-generated or replayed op streams.
 //! * [`experiments`] — one regenerator per paper table/figure, plus the
 //!   `exp record`/`replay`/`trace-stats` pipeline.
 //! * [`orchestrator`] — the parallel, cached, resumable job engine behind
-//!   `exp all` / `exp sweep` (work-stealing pool, content-addressed disk
+//!   `exp all` / `exp sweep` (scoped worker pool, content-addressed disk
 //!   cache, JSONL event logs and run manifests).
 //! * [`rng`] — the std-only deterministic RNG the models share.
 //!
