@@ -12,7 +12,7 @@
 
 use ptguard::security::{attack_years, effective_mac_bits, p_escape};
 use ptguard::PtGuardConfig;
-use simx::simulate_workload;
+use simx::{simulate_workload, Protection};
 use workloads::profiles::by_name;
 
 use crate::report::{pct, Table};
@@ -49,9 +49,9 @@ fn measure(cfgs: &[PtGuardConfig], scale: Scale, sweep_seed: u64) -> Vec<(f64, f
     for (i, name) in SAMPLED.iter().enumerate() {
         let p = by_name(name).expect("profile");
         let seed = crate::salted(0xab1a + i as u64, sweep_seed);
-        let base = simulate_workload(p, None, instrs, seed);
+        let base = simulate_workload(p, Protection::None, instrs, seed);
         for (slowdowns, &cfg) in slowdowns.iter_mut().zip(cfgs) {
-            let guarded = simulate_workload(p, Some(cfg), instrs, seed);
+            let guarded = simulate_workload(p, Protection::PtGuard(cfg), instrs, seed);
             slowdowns.push(1.0 - guarded.ipc() / base.ipc());
         }
     }

@@ -29,7 +29,7 @@ use dram::{ActivationKind, DramDevice, RowhammerConfig};
 use memsys::config::{clock, MemSysConfig};
 use orchestrator::ThreadPool;
 use rowhammer::{Blockhammer, Catt, Dapper, Graphene, NoMitigation, Para, SoftTrr, Trr};
-use simx::{build_machine, run};
+use simx::{build_machine, run, Protection};
 use workloads::ALL_WORKLOADS;
 
 use crate::report::{gmean, pct, Table};
@@ -182,7 +182,7 @@ fn run_perf_unit(cfg: &CampaignConfig, instructions: u64, widx: usize) -> PerfUn
     let profile = ALL_WORKLOADS[widx];
     let seed = salted(0x000A_2E7A + widx as u64, cfg.seed);
 
-    let mut machine = build_machine(profile, None, seed, 4);
+    let mut machine = build_machine(profile, Protection::None, seed, 4);
     let _ = run(&mut machine, instructions); // warm-up, untapped
     machine
         .sys
@@ -226,8 +226,12 @@ fn run_perf_unit(cfg: &CampaignConfig, instructions: u64, widx: usize) -> PerfUn
         overheads.push((defense.refreshes_issued(), defense.delay_injected_ps()));
     }
 
-    let mut guarded_machine =
-        build_machine(profile, Some(ptguard::PtGuardConfig::default()), seed, 4);
+    let mut guarded_machine = build_machine(
+        profile,
+        Protection::PtGuard(ptguard::PtGuardConfig::default()),
+        seed,
+        4,
+    );
     let _ = run(&mut guarded_machine, instructions);
     let guarded = run(&mut guarded_machine, instructions);
 

@@ -36,14 +36,8 @@ pub fn config(scale: Scale, seed: u64) -> CampaignConfig {
     }
 }
 
-/// Runs the campaign artefact serially at `scale`.
-#[must_use]
-pub fn run(scale: Scale) -> CampaignResult {
-    run_seeded_jobs(scale, 0, 1)
-}
-
-/// [`run`] with a sweep seed and an inner worker count. Output is
-/// byte-identical for every `jobs` value.
+/// Runs the campaign artefact at `scale` with a sweep seed and an inner
+/// worker count. Output is byte-identical for every `jobs` value.
 #[must_use]
 pub fn run_seeded_jobs(scale: Scale, seed: u64, jobs: usize) -> CampaignResult {
     campaign::run_with_pool(&config(scale, seed), &ThreadPool::new(jobs))

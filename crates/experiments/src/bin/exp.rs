@@ -1,15 +1,11 @@
 //! `exp` — regenerate any table or figure of the PT-Guard paper through the
-//! parallel, cached, resumable orchestration engine, and record/replay
-//! binary workload traces.
+//! parallel, cached, resumable orchestration engine.
 //!
 //! ```text
 //! exp <artefact>|all [--trial|--quick|--full] [--jobs N] [--seed N]
 //!                    [--cache-dir DIR] [--no-cache] [--runs-dir DIR]
 //!                    [--format text|json]
 //! exp sweep <artefact>|all [--seeds N|a,b,c] [same flags]
-//! exp record <profile> [--out FILE] [--seed N] [--trial|--quick|--full]
-//! exp replay FILE [--protection none|ptguard|optimized|fullmem]
-//! exp trace-stats FILE
 //! exp --list
 //! ```
 //!
@@ -26,19 +22,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use experiments::orchestrate::{self, Plan, Section, ARTEFACTS};
-use experiments::{record_replay, Scale};
+use experiments::Scale;
 use orchestrator::{run_dag, DiskCache, RunOptions};
-use ptguard::PtGuardConfig;
-use simx::runner::Protection;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: exp <artefact>|all [--trial|--quick|--full] [--jobs N] [--seed N]\n\
          \x20          [--cache-dir DIR] [--no-cache] [--runs-dir DIR] [--format text|json]\n\
          \x20      exp sweep <artefact>|all [--seeds N|a,b,c] [same flags]\n\
-         \x20      exp record <profile> [--out FILE] [--seed N] [--trial|--quick|--full]\n\
-         \x20      exp replay FILE [--protection none|ptguard|optimized|fullmem]\n\
-         \x20      exp trace-stats FILE\n\
          \x20      exp --list\n\
          artefacts: {}",
         ARTEFACTS.join(" ")
@@ -269,50 +260,6 @@ fn cmd_sweep(mut args: Vec<String>, scale: Scale) -> Result<(), String> {
     execute(plan, &flags, scale, label)
 }
 
-fn cmd_record(mut args: Vec<String>, scale: Scale) -> Result<(), String> {
-    let out = take_flag(&mut args, "--out")?;
-    let seed = match take_flag(&mut args, "--seed")? {
-        Some(s) => parse_u64(&s)?,
-        None => 0x7ace,
-    };
-    let [profile] = &args[..] else {
-        return Err("record needs exactly one profile name (see `exp --list`)".to_string());
-    };
-    let path = out.map_or_else(
-        || PathBuf::from(format!("{profile}.pttrace")),
-        PathBuf::from,
-    );
-    print!(
-        "{}",
-        record_replay::record(profile, scale.instructions(), seed, &path)?
-    );
-    Ok(())
-}
-
-fn cmd_replay(mut args: Vec<String>) -> Result<(), String> {
-    let protection = match take_flag(&mut args, "--protection")?.as_deref() {
-        None | Some("none") => Protection::None,
-        Some("ptguard") => Protection::PtGuard(PtGuardConfig::default()),
-        Some("optimized") => Protection::PtGuard(PtGuardConfig::optimized()),
-        Some("fullmem") => Protection::FullMemoryMac,
-        Some(other) => return Err(format!("unknown protection: {other}")),
-    };
-    let [path] = &args[..] else {
-        return Err("replay needs exactly one trace file".to_string());
-    };
-    let result = record_replay::replay(path.as_ref(), protection)?;
-    print!("{}", record_replay::render_result(path, &result));
-    Ok(())
-}
-
-fn cmd_trace_stats(args: Vec<String>) -> Result<(), String> {
-    let [path] = &args[..] else {
-        return Err("trace-stats needs exactly one trace file".to_string());
-    };
-    print!("{}", record_replay::render_stats(path.as_ref())?);
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let (mut args, scale) = split_scale(env::args().skip(1).collect());
     let Some(first) = (!args.is_empty()).then(|| args.remove(0)) else {
@@ -325,9 +272,6 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        "record" => cmd_record(args, scale),
-        "replay" => cmd_replay(args),
-        "trace-stats" => cmd_trace_stats(args),
         "sweep" => cmd_sweep(args, scale),
         artefact => cmd_artefacts(artefact, args, scale),
     };

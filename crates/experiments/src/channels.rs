@@ -91,13 +91,7 @@ impl ChannelsResult {
     }
 }
 
-/// Runs the sweep at seed 0.
-#[must_use]
-pub fn run_sweep(scale: Scale) -> ChannelsResult {
-    run_seeded_jobs(scale, 0, 1)
-}
-
-/// [`run_sweep`] with a sweep seed and an inner worker count. Output is
+/// Runs the sweep with a sweep seed and an inner worker count. Output is
 /// byte-identical for every `jobs` value: each `(workload, window)` cell is
 /// an independent deterministic job and results merge in index order.
 #[must_use]

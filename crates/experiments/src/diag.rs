@@ -4,7 +4,7 @@
 
 use memsys::system::MemorySystem;
 use ptguard::PtGuardConfig;
-use simx::runner::{build_machine, run};
+use simx::runner::{build_machine, run, Protection};
 use workloads::profiles::by_name;
 
 use crate::report::{pct, Table};
@@ -35,8 +35,8 @@ pub struct DiagReport {
 
 /// Runs one workload with the given configuration and snapshots everything.
 #[must_use]
-pub fn diagnose(name: &str, guard: Option<PtGuardConfig>, scale: Scale) -> DiagReport {
-    diagnose_seeded(name, guard, scale, 0)
+pub fn diagnose(name: &str, protection: Protection, scale: Scale) -> DiagReport {
+    diagnose_seeded(name, protection, scale, 0)
 }
 
 /// [`diagnose`], with a sweep seed mixed into the machine's RNG stream
@@ -44,12 +44,12 @@ pub fn diagnose(name: &str, guard: Option<PtGuardConfig>, scale: Scale) -> DiagR
 #[must_use]
 pub fn diagnose_seeded(
     name: &str,
-    guard: Option<PtGuardConfig>,
+    protection: Protection,
     scale: Scale,
     sweep_seed: u64,
 ) -> DiagReport {
     let profile = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-    let mut machine = build_machine(profile, guard, crate::salted(0xd1a6, sweep_seed), 4);
+    let mut machine = build_machine(profile, protection, crate::salted(0xd1a6, sweep_seed), 4);
     let _ = run(&mut machine, scale.instructions()); // warm-up
     let before = Counters::read(&machine.sys);
     let result = run(&mut machine, scale.instructions());
@@ -129,14 +129,8 @@ fn rate(hits: u64, misses: u64) -> String {
 }
 
 /// Runs and renders diagnostics for a representative workload triple under
-/// baseline, PT-Guard, and Optimized PT-Guard.
-#[must_use]
-pub fn run_default(scale: Scale) -> String {
-    run_default_seeded(scale, 0)
-}
-
-/// [`run_default`], with a sweep seed threaded into every diagnostic run
-/// (seed 0 reproduces [`run_default`] exactly).
+/// baseline, PT-Guard, and Optimized PT-Guard, with a sweep seed threaded
+/// into every diagnostic run.
 #[must_use]
 pub fn run_default_seeded(scale: Scale, sweep_seed: u64) -> String {
     let mut out = String::from("Diagnostics (gem5-style stats dump)\n");
@@ -155,12 +149,12 @@ pub fn run_default_seeded(scale: Scale, sweep_seed: u64) -> String {
             "id skips",
             "MAC-zero",
         ]);
-        for (label, guard) in [
-            ("baseline", None),
-            ("ptguard", Some(PtGuardConfig::default())),
-            ("optimized", Some(PtGuardConfig::optimized())),
+        for (label, protection) in [
+            ("baseline", Protection::None),
+            ("ptguard", Protection::PtGuard(PtGuardConfig::default())),
+            ("optimized", Protection::PtGuard(PtGuardConfig::optimized())),
         ] {
-            let d = diagnose_seeded(name, guard, scale, sweep_seed);
+            let d = diagnose_seeded(name, protection, scale, sweep_seed);
             let (macs, skips, zeros) = d
                 .engine
                 .map(|(_, m, s, z, _)| (m.to_string(), s.to_string(), z.to_string()))
@@ -191,7 +185,11 @@ mod tests {
 
     #[test]
     fn diagnostics_are_internally_consistent() {
-        let d = diagnose("xalancbmk", Some(PtGuardConfig::optimized()), Scale::Trial);
+        let d = diagnose(
+            "xalancbmk",
+            Protection::PtGuard(PtGuardConfig::optimized()),
+            Scale::Trial,
+        );
         // A memory-hungry workload shows misses at every level.
         assert!(d.mpki > 10.0, "mpki = {}", d.mpki);
         for (i, (h, m)) in d.cache.iter().enumerate() {
@@ -214,12 +212,12 @@ mod tests {
         // The dump's engine counters must be the region's, like its IPC and
         // MPKI: the same run through `simulate_workload` (same seed, same
         // warm-up) reports the region's read MACs.
-        let guard = PtGuardConfig::default();
-        let d = diagnose("xalancbmk", Some(guard), Scale::Trial);
+        let guard = Protection::PtGuard(PtGuardConfig::default());
+        let d = diagnose("xalancbmk", guard, Scale::Trial);
         let profile = by_name("xalancbmk").expect("profile");
         let region = simx::runner::simulate_workload(
             profile,
-            Some(guard),
+            guard,
             Scale::Trial.instructions(),
             crate::salted(0xd1a6, 0),
         );

@@ -2,7 +2,7 @@
 //! workload LLC-MPKI, over the 25 SPEC/GAP workloads.
 
 use ptguard::PtGuardConfig;
-use simx::simulate_workload;
+use simx::{simulate_workload, Protection};
 use workloads::ALL_WORKLOADS;
 
 use crate::report::{amean, gmean, pct, Table};
@@ -72,9 +72,9 @@ pub fn run_designs(scale: Scale, guards: &[PtGuardConfig], sweep_seed: u64) -> V
     let mut rows = vec![Vec::with_capacity(ALL_WORKLOADS.len()); guards.len()];
     for (i, w) in ALL_WORKLOADS.iter().enumerate() {
         let seed = salted(0x600d + i as u64, sweep_seed);
-        let base = simulate_workload(*w, None, instrs, seed);
+        let base = simulate_workload(*w, Protection::None, instrs, seed);
         for (rows, &guard) in rows.iter_mut().zip(guards) {
-            let guarded = simulate_workload(*w, Some(guard), instrs, seed);
+            let guarded = simulate_workload(*w, Protection::PtGuard(guard), instrs, seed);
             rows.push(Fig6Row {
                 name: w.name.to_string(),
                 normalized_ipc: guarded.ipc() / base.ipc(),

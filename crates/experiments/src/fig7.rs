@@ -40,15 +40,8 @@ impl Fig7Result {
 /// MAC latencies the paper sweeps.
 pub const LATENCIES: [u32; 4] = [5, 10, 15, 20];
 
-/// Runs the sweep.
-#[must_use]
-pub fn run(scale: Scale) -> Fig7Result {
-    run_seeded(scale, 0)
-}
-
-/// [`run`], with a sweep seed threaded into the underlying Figure 6 runs
-/// (seed 0 reproduces [`run`] exactly). Every point shares one baseline
-/// run per workload.
+/// Runs the sweep, with a sweep seed threaded into the underlying Figure 6
+/// runs. Every point shares one baseline run per workload.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Fig7Result {
     let mut keys = Vec::new();

@@ -135,14 +135,8 @@ pub fn evaluate_cell(name: &str, p_flip: f64, lines: usize, seed: u64) -> Correc
     cell
 }
 
-/// Runs the full grid.
-#[must_use]
-pub fn run(scale: Scale) -> Fig9Result {
-    run_seeded(scale, 0)
-}
-
-/// [`run`], with a sweep seed mixed into every cell's RNG stream (seed 0
-/// reproduces [`run`] exactly).
+/// Runs the full grid, with a sweep seed mixed into every cell's RNG
+/// stream.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Fig9Result {
     let lines = scale.correction_lines();

@@ -8,7 +8,7 @@
 //! storage and a fixed small latency.
 
 use ptguard::PtGuardConfig;
-use simx::runner::{simulate_workload_with, Protection};
+use simx::runner::{simulate_workload, Protection};
 use workloads::profiles::by_name;
 
 use crate::report::{pct, Table};
@@ -49,20 +49,20 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<FullMemRow> {
         .map(|(i, name)| {
             let p = by_name(name).expect("profile");
             let seed = crate::salted(0xf11 + i as u64, sweep_seed);
-            let base = simulate_workload_with(p, Protection::None, instrs, seed);
-            let guard = simulate_workload_with(
+            let base = simulate_workload(p, Protection::None, instrs, seed);
+            let guard = simulate_workload(
                 p,
                 Protection::PtGuard(PtGuardConfig::default()),
                 instrs,
                 seed,
             );
-            let opt = simulate_workload_with(
+            let opt = simulate_workload(
                 p,
                 Protection::PtGuard(PtGuardConfig::optimized()),
                 instrs,
                 seed,
             );
-            let full = simulate_workload_with(p, Protection::FullMemoryMac, instrs, seed);
+            let full = simulate_workload(p, Protection::FullMemoryMac, instrs, seed);
             FullMemRow {
                 name: (*name).to_string(),
                 mpki: base.mpki,

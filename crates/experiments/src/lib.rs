@@ -1,9 +1,10 @@
 //! # Experiment harness
 //!
-//! One module per table/figure of the paper's evaluation, each exposing a
-//! `run(scale) -> …Result` function that regenerates the artefact and a
-//! renderer that prints the same rows/series the paper reports. The `exp`
-//! binary dispatches by artefact name:
+//! One module per table/figure of the paper's evaluation, and per study
+//! this reproduction adds, each with the functions that regenerate its
+//! artefact and the renderer that prints its rows/series.
+//! [`orchestrate`] maps every artefact name onto one job over them, and the
+//! `exp` binary dispatches by artefact name:
 //!
 //! ```text
 //! cargo run -p ptguard-experiments --release --bin exp -- fig6
@@ -32,7 +33,6 @@ pub mod multicore;
 pub mod oracle;
 pub mod orchestrate;
 pub mod priorwork;
-pub mod record_replay;
 pub mod report;
 pub mod rth_sweep;
 pub mod security;

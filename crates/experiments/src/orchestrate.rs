@@ -732,7 +732,8 @@ pub fn plan_artefacts(
 ///
 /// # Errors
 ///
-/// Returns `Err` for an unknown artefact name or an empty seed list.
+/// Returns `Err` for an unknown artefact name, an empty seed list or a
+/// seed listed twice (its run would count twice in the mean and stdev).
 pub fn plan_sweep(
     names: &[String],
     scale: Scale,
@@ -742,6 +743,11 @@ pub fn plan_sweep(
     validate(names)?;
     if seeds.is_empty() {
         return Err("sweep needs at least one seed".to_string());
+    }
+    for (i, seed) in seeds.iter().enumerate() {
+        if seeds[..i].contains(seed) {
+            return Err(format!("sweep seed {seed} is listed twice"));
+        }
     }
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut sections = Vec::new();
@@ -981,6 +987,14 @@ mod tests {
         assert_eq!(plan.specs[3].deps, vec![0, 1, 2]);
         assert_eq!(plan.sections.len(), 1);
         assert_eq!(plan.sections[0].job, 3);
+    }
+
+    #[test]
+    fn sweep_plan_rejects_a_repeated_seed() {
+        let names = ["priorwork".to_string()];
+        let err = plan_sweep(&names, Scale::Trial, &[1, 2, 1], 1).err();
+        assert_eq!(err.as_deref(), Some("sweep seed 1 is listed twice"));
+        assert!(plan_sweep(&names, Scale::Trial, &[], 1).is_err());
     }
 
     #[test]

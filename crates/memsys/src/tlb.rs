@@ -33,8 +33,8 @@ impl TlbStats {
 /// Multiplicative hash of a virtual page number for the TLB's map.
 ///
 /// The keys are simulated VPNs and at most `capacity` of them are resident,
-/// so keys crafted to collide (a replayed trace can choose its addresses)
-/// cost at most one probe sequence over the resident keys, which is what a
+/// so keys crafted to collide (a caller of `MemorySystem::load` chooses its
+/// addresses) cost at most one probe sequence over the resident keys, which is what a
 /// linear scan of the entries costs anyway. The product's high half is
 /// folded into the low half because the map places keys by the low bits.
 #[derive(Debug, Clone, Copy, Default)]

@@ -2,8 +2,8 @@
 //!
 //! Generators draw from `rng::SplitMix64` and confine addresses to a few
 //! sets so evictions, refills-over-stale, and aliasing all happen within a
-//! short stream. Reproducers reuse the `trace` crate's binary primitives
-//! (magic, varints, CRC-32) so the file format is one family:
+//! short stream. Reproducers are built from the `trace` crate's binary
+//! primitives (magic, varints, CRC-32):
 //!
 //! ```text
 //! "PTGT" | version | kind | seed | param | count | ops… | crc32
@@ -13,7 +13,7 @@ use ptguard::Line;
 use rng::SplitMix64;
 use trace::format::{crc32, get_varint, put_varint, MAGIC};
 
-/// Reproducer format version (independent of the trace-file version).
+/// Reproducer format version.
 pub const REPRO_VERSION: u64 = 1;
 
 /// One operation against a cache model.

@@ -12,10 +12,10 @@
 //! * [`multicore`] — the Section VII-C model: per-core private L1/L2 over a
 //!   contended shared LLC/DRAM, with an out-of-order overlap factor, used
 //!   for the SPEC-SAME/MIX bundles.
-//! * [`source`] — the [`source::OpSource`] abstraction: the single-core
-//!   [`Machine`] executes from either a live
-//!   [`workloads::tracegen::TraceGenerator`] or a recorded binary trace
-//!   ([`trace::TraceReader`]), interchangeably.
+//!
+//! Every core executes the ops of a seeded
+//! [`workloads::tracegen::TraceGenerator`], so a (profile, seed) pair pins
+//! a run's whole instruction stream.
 //!
 //! The paper's performance artefacts map onto this crate directly:
 //! Figure 6 = [`runner::simulate_workload`] across the 25 profiles,
@@ -28,10 +28,8 @@ mod driver;
 pub mod multicore;
 pub mod runner;
 pub mod shared;
-pub mod source;
 
 pub use runner::{
-    build_machine, build_machine_from_source, build_machine_from_source_cfg, run,
-    simulate_workload, Machine, Protection, RunResult,
+    build_machine, build_machine_from_source_cfg, run, simulate_workload, Machine, Protection,
+    RunResult,
 };
-pub use source::OpSource;

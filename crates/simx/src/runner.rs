@@ -18,20 +18,16 @@ use workloads::tracegen::{Op, TraceGenerator};
 use workloads::WorkloadProfile;
 
 use crate::driver::WindowedDriver;
-use crate::source::OpSource;
 
 /// A fully-built simulated machine for one workload.
-///
-/// Generic over the instruction source: `Machine` (the default) generates
-/// ops live, `Machine<TraceReader>` replays a recorded trace.
 #[derive(Debug)]
-pub struct Machine<S: OpSource = TraceGenerator> {
+pub struct Machine {
     /// The memory hierarchy (device + controller + caches + TLB).
     pub sys: MemorySystem,
     /// The workload's address space (page tables live in simulated DRAM).
     pub space: AddressSpace,
-    /// The instruction source (live generator or trace replay).
-    pub source: S,
+    /// The instruction source: the workload's seeded generator.
+    pub source: TraceGenerator,
 }
 
 /// Result of one simulation run.
@@ -75,11 +71,12 @@ pub enum Protection {
     FullMemoryMac,
 }
 
-/// Builds the simulated machine for `profile`.
+/// Builds the simulated machine for `profile`, generating its ops from
+/// `seed`.
 ///
-/// `guard` mounts a PT-Guard engine with that configuration; `None` builds
-/// the unprotected baseline. The DRAM device is Rowhammer-immune here —
-/// performance runs model benign operation (Section IV-H).
+/// `protection` is mounted at every channel's memory controller. The DRAM
+/// device is Rowhammer-immune here — performance runs model benign
+/// operation (Section IV-H).
 ///
 /// # Panics
 ///
@@ -87,56 +84,12 @@ pub enum Protection {
 #[must_use]
 pub fn build_machine(
     profile: WorkloadProfile,
-    guard: Option<PtGuardConfig>,
-    seed: u64,
-    dram_gb: u64,
-) -> Machine {
-    let protection = match guard {
-        Some(cfg) => Protection::PtGuard(cfg),
-        None => Protection::None,
-    };
-    build_machine_with(profile, protection, seed, dram_gb)
-}
-
-/// [`build_machine`] with the full [`Protection`] choice.
-///
-/// # Panics
-///
-/// Panics if the workload footprint exceeds the DRAM capacity.
-#[must_use]
-pub fn build_machine_with(
-    profile: WorkloadProfile,
     protection: Protection,
     seed: u64,
     dram_gb: u64,
 ) -> Machine {
-    build_machine_from_source(
-        TraceGenerator::new(profile, seed),
-        profile,
-        protection,
-        dram_gb,
-    )
-}
-
-/// Builds the machine around an arbitrary instruction source.
-///
-/// `profile` still determines the mapped address span and must match the
-/// source's footprint (for a trace replay, the profile named in the trace
-/// header). The machine build is seed-independent, so a replayed machine
-/// is identical to the live one the trace was recorded on.
-///
-/// # Panics
-///
-/// Panics if the workload footprint exceeds the DRAM capacity.
-#[must_use]
-pub fn build_machine_from_source<S: OpSource>(
-    source: S,
-    profile: WorkloadProfile,
-    protection: Protection,
-    dram_gb: u64,
-) -> Machine<S> {
     build_machine_from_source_cfg(
-        source,
+        TraceGenerator::new(profile, seed),
         profile,
         protection,
         dram_gb,
@@ -144,20 +97,23 @@ pub fn build_machine_from_source<S: OpSource>(
     )
 }
 
-/// [`build_machine_from_source`] with an explicit memory-system
+/// Builds the machine around `source` with an explicit memory-system
 /// configuration (e.g. an `mlp` window larger than 1).
+///
+/// `profile` determines the mapped address span and must be the profile
+/// `source` generates. The machine build does not depend on the seed.
 ///
 /// # Panics
 ///
 /// Panics if the workload footprint exceeds the DRAM capacity.
 #[must_use]
-pub fn build_machine_from_source_cfg<S: OpSource>(
-    source: S,
+pub fn build_machine_from_source_cfg(
+    source: TraceGenerator,
     profile: WorkloadProfile,
     protection: Protection,
     dram_gb: u64,
     mem_cfg: MemSysConfig,
-) -> Machine<S> {
+) -> Machine {
     let core_ghz = mem_cfg.core_ghz;
     // One controller (device + engine) per channel; every device keeps the
     // full geometry so physical addresses are uncompacted and the
@@ -216,7 +172,7 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
 /// the core clock advances to `max(issue + latency)` over the window. With
 /// `mlp = 1` every op retires before the next instruction issues — the
 /// blocking model, in which each memory instruction costs `1 + latency`.
-pub fn run<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResult {
+pub fn run(machine: &mut Machine, instructions: u64) -> RunResult {
     let stats_before = machine.sys.stats();
     let mac_before = read_mac_total(machine);
     let mut mem_ops = 0u64;
@@ -251,7 +207,7 @@ pub fn run<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResul
 }
 
 /// Read-path MAC computations summed over every channel's engine.
-fn read_mac_total<S: OpSource>(machine: &Machine<S>) -> u64 {
+fn read_mac_total(machine: &Machine) -> u64 {
     (0..machine.sys.channels())
         .filter_map(|c| machine.sys.channel(c).engine())
         .map(|e| e.stats().read_mac_computations)
@@ -264,25 +220,12 @@ fn read_mac_total<S: OpSource>(machine: &Machine<S>) -> u64 {
 #[must_use]
 pub fn simulate_workload(
     profile: WorkloadProfile,
-    guard: Option<PtGuardConfig>,
-    instructions: u64,
-    seed: u64,
-) -> RunResult {
-    let mut machine = build_machine(profile, guard, seed, 4);
-    let _ = run(&mut machine, instructions); // warm-up, discarded
-    run(&mut machine, instructions)
-}
-
-/// [`simulate_workload`] with the full [`Protection`] choice.
-#[must_use]
-pub fn simulate_workload_with(
-    profile: WorkloadProfile,
     protection: Protection,
     instructions: u64,
     seed: u64,
 ) -> RunResult {
-    let mut machine = build_machine_with(profile, protection, seed, 4);
-    let _ = run(&mut machine, instructions);
+    let mut machine = build_machine(profile, protection, seed, 4);
+    let _ = run(&mut machine, instructions); // warm-up, discarded
     run(&mut machine, instructions)
 }
 
@@ -296,7 +239,7 @@ mod tests {
     #[test]
     fn baseline_runs_without_faults() {
         let p = by_name("xz").unwrap();
-        let r = simulate_workload(p, None, INSTRS, 1);
+        let r = simulate_workload(p, Protection::None, INSTRS, 1);
         assert_eq!(r.integrity_faults, 0);
         assert!(r.ipc() > 0.0 && r.ipc() <= 1.0);
         assert!(r.walks > 0, "streaming must cause TLB misses");
@@ -305,8 +248,8 @@ mod tests {
     #[test]
     fn guarded_run_is_slower_but_correct() {
         let p = by_name("xalancbmk").unwrap();
-        let base = simulate_workload(p, None, INSTRS, 1);
-        let guard = simulate_workload(p, Some(PtGuardConfig::default()), INSTRS, 1);
+        let base = simulate_workload(p, Protection::None, INSTRS, 1);
+        let guard = simulate_workload(p, Protection::PtGuard(PtGuardConfig::default()), INSTRS, 1);
         assert_eq!(guard.integrity_faults, 0);
         assert!(guard.cycles >= base.cycles, "PT-Guard cannot be faster");
         let slowdown = guard.cycles as f64 / base.cycles as f64 - 1.0;
@@ -317,8 +260,13 @@ mod tests {
     #[test]
     fn optimized_engine_computes_fewer_macs() {
         let p = by_name("lbm").unwrap();
-        let base = simulate_workload(p, Some(PtGuardConfig::default()), INSTRS, 2);
-        let opt = simulate_workload(p, Some(PtGuardConfig::optimized()), INSTRS, 2);
+        let base = simulate_workload(p, Protection::PtGuard(PtGuardConfig::default()), INSTRS, 2);
+        let opt = simulate_workload(
+            p,
+            Protection::PtGuard(PtGuardConfig::optimized()),
+            INSTRS,
+            2,
+        );
         assert!(
             opt.mac_computations * 10 < base.mac_computations,
             "identifier must eliminate most MAC computations ({} vs {})",
@@ -331,8 +279,8 @@ mod tests {
     fn mpki_tracks_profile_targets() {
         // High- and low-MPKI profiles must separate cleanly, and the
         // measured value should be in the target's neighbourhood.
-        let hot = simulate_workload(by_name("povray").unwrap(), None, INSTRS, 3);
-        let cold = simulate_workload(by_name("mcf").unwrap(), None, INSTRS, 3);
+        let hot = simulate_workload(by_name("povray").unwrap(), Protection::None, INSTRS, 3);
+        let cold = simulate_workload(by_name("mcf").unwrap(), Protection::None, INSTRS, 3);
         assert!(hot.mpki < 2.0, "povray MPKI = {}", hot.mpki);
         assert!(cold.mpki > 7.0, "mcf MPKI = {}", cold.mpki);
     }
@@ -342,10 +290,9 @@ mod tests {
         // The Sections I / VIII-D motivation: conventional whole-memory
         // integrity pays extra DRAM accesses; PT-Guard pays only latency.
         let p = by_name("sssp").unwrap(); // pointer-chaser: worst case for a MAC table
-        let base = simulate_workload_with(p, Protection::None, INSTRS, 4);
-        let guard =
-            simulate_workload_with(p, Protection::PtGuard(PtGuardConfig::default()), INSTRS, 4);
-        let full = simulate_workload_with(p, Protection::FullMemoryMac, INSTRS, 4);
+        let base = simulate_workload(p, Protection::None, INSTRS, 4);
+        let guard = simulate_workload(p, Protection::PtGuard(PtGuardConfig::default()), INSTRS, 4);
+        let full = simulate_workload(p, Protection::FullMemoryMac, INSTRS, 4);
         let s_guard = guard.cycles as f64 / base.cycles as f64 - 1.0;
         let s_full = full.cycles as f64 / base.cycles as f64 - 1.0;
         assert!(
@@ -360,10 +307,28 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
+        // Two fresh machines per protection must agree on every field.
         let p = by_name("bfs").unwrap();
-        let a = simulate_workload(p, Some(PtGuardConfig::default()), 50_000, 9);
-        let b = simulate_workload(p, Some(PtGuardConfig::default()), 50_000, 9);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.walks, b.walks);
+        let fields = |r: RunResult| {
+            (
+                r.instructions,
+                r.cycles,
+                r.mpki.to_bits(),
+                r.walks,
+                r.integrity_faults,
+                r.mac_computations,
+                r.mem_ops,
+            )
+        };
+        for protection in [
+            Protection::None,
+            Protection::PtGuard(PtGuardConfig::default()),
+            Protection::PtGuard(PtGuardConfig::optimized()),
+            Protection::FullMemoryMac,
+        ] {
+            let a = simulate_workload(p, protection, 50_000, 9);
+            let b = simulate_workload(p, protection, 50_000, 9);
+            assert_eq!(fields(a), fields(b), "{protection:?}");
+        }
     }
 }

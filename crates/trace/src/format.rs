@@ -1,29 +1,7 @@
-//! Wire-level primitives: constants, varints, zigzag, CRC-32.
+//! Wire-level primitives: the magic, varints, CRC-32.
 
-/// File magic: the first four bytes of every trace.
+/// File magic: the first four bytes of every oracle reproducer file.
 pub const MAGIC: [u8; 4] = *b"PTGT";
-
-/// Format version this crate writes and understands.
-pub const VERSION: u16 = 1;
-
-/// `payload_len` sentinel marking the trailer instead of a chunk.
-pub const TRAILER_SENTINEL: u32 = u32::MAX;
-
-/// Record tag: a run of consecutive `Op::Compute`.
-pub const TAG_COMPUTE_RUN: u8 = 0;
-/// Record tag: `Op::Load`, payload = zigzag address delta.
-pub const TAG_LOAD: u8 = 1;
-/// Record tag: `Op::Store`, payload = zigzag address delta.
-pub const TAG_STORE: u8 = 2;
-
-/// Default ops per chunk (≈ tens of KB encoded; small enough that the
-/// reader's one decoded chunk stays cache-friendly).
-pub const DEFAULT_CHUNK_OPS: u32 = 16 * 1024;
-
-/// Most ops one chunk may hold (64× the default). The writer refuses a
-/// larger capacity and the reader rejects a chunk that declares more, so a
-/// decoded chunk never exceeds 16 MiB of ops whatever its header says.
-pub const MAX_CHUNK_OPS: u32 = 1 << 20;
 
 /// Appends `v` as an LEB128 varint.
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -60,18 +38,6 @@ pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Maps a signed delta onto unsigned so small magnitudes stay short.
-#[must_use]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[must_use]
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// CRC-32 (IEEE, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -93,7 +59,8 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `data` — the per-chunk payload checksum.
+/// CRC-32 (IEEE) of `data`: the checksum closing a serve frame or an
+/// oracle reproducer file.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
@@ -141,15 +108,6 @@ mod tests {
             ),
             None, // 10th byte carries bits beyond 2^64
         );
-    }
-
-    #[test]
-    fn zigzag_is_an_involution_and_orders_by_magnitude() {
-        for v in [0i64, 1, -1, 2, -2, 1 << 40, -(1 << 40), i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        assert!(zigzag(-1) < zigzag(100));
-        assert!(zigzag(64) < zigzag(-4096));
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! * [`memsys`] — caches, TLB, MMU cache, memory controller (+ the
 //!   whole-memory-MAC baseline).
 //! * [`workloads`] — calibrated SPEC/GAP-like models and the PTE census.
-//! * [`trace`] — binary memory-trace record/replay (chunked, checksummed,
-//!   streamed).
-//! * [`simx`] — single-core and multi-core timing simulation, generic over
-//!   live-generated or replayed op streams.
-//! * [`experiments`] — one regenerator per paper table/figure, plus the
-//!   `exp record`/`replay`/`trace-stats` pipeline.
+//! * [`trace`] — the varint and CRC-32 wire primitives `serve`'s frames and
+//!   `oracle`'s reproducer files share.
+//! * [`simx`] — single-core and multi-core timing simulation over seeded
+//!   op streams.
+//! * [`experiments`] — one regenerator per paper table/figure, behind the
+//!   `exp` binary.
 //! * [`orchestrator`] — the parallel, cached, resumable job engine behind
 //!   `exp all` / `exp sweep` (scoped worker pool, content-addressed disk
 //!   cache, JSONL event logs and run manifests).

@@ -16,7 +16,7 @@ fn measured_mpki_tracks_figure6_targets() {
     let mut report = String::new();
     let mut failures = 0;
     for (i, w) in ALL_WORKLOADS.iter().enumerate() {
-        let r = simulate_workload(*w, None, 120_000, 0xca11 + i as u64);
+        let r = simulate_workload(*w, simx::Protection::None, 120_000, 0xca11 + i as u64);
         let ok = if w.target_mpki >= 2.0 {
             // Within ±35 % for measurable targets.
             (r.mpki / w.target_mpki - 1.0).abs() < 0.35
@@ -47,7 +47,7 @@ fn memory_intensive_workloads_exercise_the_walk_path() {
         if w.target_mpki < 2.0 || i % 3 != 0 {
             continue;
         }
-        let r = simulate_workload(*w, None, 80_000, 0x3a1c + i as u64);
+        let r = simulate_workload(*w, simx::Protection::None, 80_000, 0x3a1c + i as u64);
         assert!(r.walks > 0, "{}: no page walks", w.name);
     }
 }

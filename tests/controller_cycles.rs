@@ -49,7 +49,7 @@ fn cycle_totals_are_pinned_for_all_25_profiles() {
     for (i, w) in ALL_WORKLOADS.iter().enumerate() {
         let r = simulate_workload(
             *w,
-            Some(ptguard::PtGuardConfig::default()),
+            simx::Protection::PtGuard(ptguard::PtGuardConfig::default()),
             60_000,
             0x5eed + i as u64,
         );
