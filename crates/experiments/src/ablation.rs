@@ -65,14 +65,8 @@ fn measure(cfgs: &[PtGuardConfig], scale: Scale, sweep_seed: u64) -> Vec<(f64, f
         .collect()
 }
 
-/// Runs the ablation.
-#[must_use]
-pub fn run(scale: Scale) -> Vec<AblationPoint> {
-    run_seeded(scale, 0)
-}
-
-/// [`run`], with a sweep seed mixed into every measurement's RNG stream
-/// (seed 0 reproduces [`run`] exactly).
+/// Runs the ablation, with a sweep seed mixed into every measurement's RNG
+/// stream.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<AblationPoint> {
     let detection_only = PtGuardConfig {
@@ -161,7 +155,7 @@ mod tests {
 
     #[test]
     fn ablation_orders_security_and_overhead() {
-        let pts = run(Scale::Trial);
+        let pts = run_seeded(Scale::Trial, 0);
         assert_eq!(pts.len(), 3);
         let (paper, det96, det64) = (&pts[0], &pts[1], &pts[2]);
         assert!(det96.n_eff > paper.n_eff);

@@ -182,7 +182,7 @@ fn run_perf_unit(cfg: &CampaignConfig, instructions: u64, widx: usize) -> PerfUn
     let profile = ALL_WORKLOADS[widx];
     let seed = salted(0x000A_2E7A + widx as u64, cfg.seed);
 
-    let mut machine = build_machine(profile, Protection::None, seed, 4);
+    let mut machine = build_machine(profile, Protection::None, seed);
     let _ = run(&mut machine, instructions); // warm-up, untapped
     machine
         .sys
@@ -230,7 +230,6 @@ fn run_perf_unit(cfg: &CampaignConfig, instructions: u64, widx: usize) -> PerfUn
         profile,
         Protection::PtGuard(ptguard::PtGuardConfig::default()),
         seed,
-        4,
     );
     let _ = run(&mut guarded_machine, instructions);
     let guarded = run(&mut guarded_machine, instructions);
@@ -245,13 +244,7 @@ fn run_perf_unit(cfg: &CampaignConfig, instructions: u64, widx: usize) -> PerfUn
     }
 }
 
-/// Runs the arena serially at `scale`.
-#[must_use]
-pub fn run_arena(scale: Scale) -> ArenaResult {
-    run_seeded_jobs(scale, 0, 1)
-}
-
-/// [`run_arena`] with a sweep seed and worker count; output is
+/// Runs the arena at `scale` with a sweep seed and worker count; output is
 /// byte-identical for every `jobs` value.
 #[must_use]
 pub fn run_seeded_jobs(scale: Scale, seed: u64, jobs: usize) -> ArenaResult {
@@ -409,7 +402,7 @@ mod tests {
 
     #[test]
     fn arena_covers_every_defense_with_paper_shape() {
-        let r = run_arena(Scale::Trial);
+        let r = run_seeded_jobs(Scale::Trial, 0, 1);
         assert_eq!(r.rows.len(), 8);
         assert_eq!(r.cells.len(), 128);
         assert_eq!(r.perf.len(), 25);

@@ -21,7 +21,7 @@ use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use experiments::orchestrate::{self, Plan, Section, ARTEFACTS};
+use experiments::orchestrate::{self, Plan, ARTEFACTS};
 use experiments::Scale;
 use orchestrator::{run_dag, DiskCache, RunOptions};
 
@@ -103,8 +103,10 @@ enum Format {
 /// Orchestration flags shared by `exp <artefact>` and `exp sweep`.
 struct OrchFlags {
     jobs: usize,
-    cache: Option<DiskCache>,
-    runs_dir: Option<PathBuf>,
+    /// The cache directory; `None` under `--no-cache`. It is opened (and
+    /// created) only once the plan has validated every artefact name.
+    cache_dir: Option<PathBuf>,
+    runs_dir: PathBuf,
     seed: u64,
     format: Format,
 }
@@ -116,15 +118,9 @@ fn take_orch_flags(args: &mut Vec<String>) -> Result<OrchFlags, String> {
     };
     let cache_dir =
         take_flag(args, "--cache-dir")?.map_or_else(|| PathBuf::from(".exp-cache"), PathBuf::from);
-    let cache = if take_switch(args, "--no-cache") {
-        None
-    } else {
-        Some(DiskCache::open(&cache_dir).map_err(|e| format!("cannot open cache dir: {e}"))?)
-    };
-    let runs_dir = match take_flag(args, "--runs-dir")? {
-        Some(s) => Some(PathBuf::from(s)),
-        None => Some(PathBuf::from("runs")),
-    };
+    let cache_dir = (!take_switch(args, "--no-cache")).then_some(cache_dir);
+    let runs_dir =
+        take_flag(args, "--runs-dir")?.map_or_else(|| PathBuf::from("runs"), PathBuf::from);
     let seed = match take_flag(args, "--seed")? {
         Some(s) => parse_u64(&s)?,
         None => 0,
@@ -136,7 +132,7 @@ fn take_orch_flags(args: &mut Vec<String>) -> Result<OrchFlags, String> {
     };
     Ok(OrchFlags {
         jobs,
-        cache,
+        cache_dir,
         runs_dir,
         seed,
         format,
@@ -154,14 +150,19 @@ fn run_id() -> String {
 /// Executes a plan and prints its sections in order. stdout gets artefact
 /// output only; the orchestration summary goes to stderr.
 fn execute(plan: Plan, flags: &OrchFlags, scale: Scale, label: String) -> Result<(), String> {
-    let run_dir = flags.runs_dir.as_ref().map(|d| d.join(run_id()));
+    let cache = flags
+        .cache_dir
+        .as_ref()
+        .map(|dir| DiskCache::open(dir).map_err(|e| format!("cannot open cache dir: {e}")))
+        .transpose()?;
+    let run_dir = flags.runs_dir.join(run_id());
     let report = run_dag(
         plan.specs,
         RunOptions {
             label,
             jobs: flags.jobs,
-            cache: flags.cache.clone(),
-            run_dir: run_dir.clone(),
+            cache,
+            run_dir: Some(run_dir.clone()),
         },
     );
     // Print every section that completed, in the fixed plan order, so
@@ -179,20 +180,17 @@ fn execute(plan: Plan, flags: &OrchFlags, scale: Scale, label: String) -> Result
                 println!("===== {} =====", section.heading);
                 print!("{}", out.rendered);
             }
-            Format::Json => println!("{}", render_json_line(section, scale, out)),
+            Format::Json => println!("{}", orchestrate::render_json(section, scale, out)),
         }
         printed += 1;
     }
     eprintln!(
-        "orchestrator: {} jobs ({} executed, {} cache hits), {} ms{}",
+        "orchestrator: {} jobs ({} executed, {} cache hits), {} ms, run dir {}",
         report.jobs.len(),
         report.executed,
         report.cache_hits,
         report.wall_ms,
-        run_dir
-            .as_ref()
-            .map(|d| format!(", run dir {}", d.display()))
-            .unwrap_or_default(),
+        run_dir.display(),
     );
     match report.error {
         Some(e) => {
@@ -207,10 +205,6 @@ fn execute(plan: Plan, flags: &OrchFlags, scale: Scale, label: String) -> Result
         }
         None => Ok(()),
     }
-}
-
-fn render_json_line(section: &Section, scale: Scale, out: &orchestrator::JobOutput) -> String {
-    orchestrate::render_json(section, scale, out)
 }
 
 /// Parses `--seeds`: either a count `N` (meaning seeds `1..=N`) or an
@@ -237,13 +231,14 @@ fn artefact_list(name: &str) -> Vec<String> {
     }
 }
 
+// Both commands build the plan, which validates every artefact name,
+// before they reject a stray argument or open the cache directory.
 fn cmd_artefacts(name: &str, mut args: Vec<String>, scale: Scale) -> Result<(), String> {
     let flags = take_orch_flags(&mut args)?;
+    let plan = orchestrate::plan_artefacts(&artefact_list(name), scale, flags.seed, flags.jobs)?;
     if let Some(stray) = args.first() {
         return Err(format!("unexpected argument: {stray}"));
     }
-    let names = artefact_list(name);
-    let plan = orchestrate::plan_artefacts(&names, scale, flags.seed, flags.jobs)?;
     let label = format!("exp {name} --{} (seed {})", scale.name(), flags.seed);
     execute(plan, &flags, scale, label)
 }
@@ -251,11 +246,12 @@ fn cmd_artefacts(name: &str, mut args: Vec<String>, scale: Scale) -> Result<(), 
 fn cmd_sweep(mut args: Vec<String>, scale: Scale) -> Result<(), String> {
     let seeds = parse_seeds(take_flag(&mut args, "--seeds")?.as_deref())?;
     let flags = take_orch_flags(&mut args)?;
-    let [name] = &args[..] else {
-        return Err("sweep needs exactly one artefact name (or `all`)".to_string());
-    };
-    let names = artefact_list(name);
-    let plan = orchestrate::plan_sweep(&names, scale, &seeds, flags.jobs)?;
+    let one_name = || "sweep needs exactly one artefact name (or `all`)".to_string();
+    let name = args.first().ok_or_else(one_name)?;
+    let plan = orchestrate::plan_sweep(&artefact_list(name), scale, &seeds, flags.jobs)?;
+    if args.len() > 1 {
+        return Err(one_name());
+    }
     let label = format!("exp sweep {name} --{} (seeds {seeds:?})", scale.name());
     execute(plan, &flags, scale, label)
 }

@@ -3,10 +3,8 @@
 //! The paper's timing model is single-channel; real DDR4 parts expose 1–4
 //! channels whose controllers drain independently. This artefact sweeps
 //! channel count × window over every workload profile and reports how much
-//! of the memory time channel-level parallelism recovers, how evenly the
-//! XOR-folded interleave spreads each profile's line stream, and — in a
-//! separate 4-core shared-system scenario — how extra channels relieve the
-//! bandwidth contention that MAC verification traffic rides on.
+//! of the memory time channel-level parallelism recovers and how evenly the
+//! XOR-folded interleave spreads each profile's line stream.
 //!
 //! `channels = 1` is pinned byte-identical to the single-controller model
 //! (the same pinned totals as `tests/controller_cycles.rs`), so the sweep's
@@ -17,8 +15,6 @@ use memsys::MemSysConfig;
 use orchestrator::ThreadPool;
 use ptguard::PtGuardConfig;
 use simx::runner::{build_machine_from_source_cfg, run, Protection};
-use simx::shared::{SharedConfig, SharedSystem};
-use workloads::multiprog::same_bundles;
 use workloads::profiles::ALL_WORKLOADS;
 use workloads::tracegen::TraceGenerator;
 
@@ -55,39 +51,18 @@ pub struct ChannelRow {
     pub idle_skip_mean_ps: [f64; CHANNELS.len()],
 }
 
-/// One channel count of the 4-core shared-system contention scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct ContentionRow {
-    /// Channel count.
-    pub channels: usize,
-    /// Slowest core's measured cycles, unprotected.
-    pub base_cycles: u64,
-    /// Slowest core's measured cycles under PT-Guard.
-    pub guard_cycles: u64,
-    /// PT-Guard slowdown at this channel count.
-    pub slowdown: f64,
-    /// Fraction of baseline DRAM requests that queued at their channel.
-    pub queued_frac: f64,
-}
-
 /// The full artefact result.
 #[derive(Debug, Clone)]
 pub struct ChannelsResult {
     /// The workload sweep, in `ALL_WORKLOADS × WINDOWS` order.
     pub rows: Vec<ChannelRow>,
-    /// The shared-system contention scenario, in [`CHANNELS`] order.
-    pub contention: Vec<ContentionRow>,
-    /// Instructions per core used by the contention scenario.
-    pub contention_instrs: u64,
 }
 
 impl ChannelsResult {
     /// Deterministic simulated-op volume of the whole artefact.
     #[must_use]
     pub fn sim_ops(&self, instrs: u64) -> u64 {
-        let sweep = self.rows.len() as u64 * CHANNELS.len() as u64 * 2 * instrs;
-        let shared = self.contention.len() as u64 * 2 * 4 * 2 * self.contention_instrs;
-        sweep + shared
+        self.rows.len() as u64 * CHANNELS.len() as u64 * 2 * instrs
     }
 }
 
@@ -97,13 +72,8 @@ impl ChannelsResult {
 #[must_use]
 pub fn run_seeded_jobs(scale: Scale, sweep_seed: u64, jobs: usize) -> ChannelsResult {
     let all: Vec<usize> = (0..ALL_WORKLOADS.len()).collect();
-    let rows = sweep_rows(scale, sweep_seed, jobs, &all);
-    let contention_instrs = (scale.instructions() / 4).max(1_000);
-    let contention = contention_sweep(contention_instrs);
     ChannelsResult {
-        rows,
-        contention,
-        contention_instrs,
+        rows: sweep_rows(scale, sweep_seed, jobs, &all),
     }
 }
 
@@ -172,45 +142,6 @@ fn sweep_rows(scale: Scale, sweep_seed: u64, jobs: usize, workloads: &[usize]) -
     ThreadPool::new(jobs).map_indexed(n, cell)
 }
 
-/// The MAC-verification bandwidth-contention scenario: four cores running
-/// the memory-bound SAME-lbm bundle through one shared system, baseline vs
-/// PT-Guard, at each channel count. MAC traffic competes with demand
-/// traffic for the channels; spreading lines must shrink both the queueing
-/// fraction and the residual MAC slowdown.
-#[allow(clippy::cast_precision_loss)]
-fn contention_sweep(instructions_per_core: u64) -> Vec<ContentionRow> {
-    let bundles = same_bundles(4);
-    let lbm = bundles
-        .iter()
-        .find(|b| b.name == "SAME-lbm")
-        .expect("SAME-lbm bundle");
-    CHANNELS
-        .iter()
-        .map(|&channels| {
-            let cfg = SharedConfig {
-                channels,
-                instructions_per_core,
-            };
-            let mut base_sys = SharedSystem::new(lbm, None, cfg);
-            let base = *base_sys.run().iter().max().expect("cores");
-            let queued_frac =
-                base_sys.queued_requests as f64 / base_sys.dram_requests.max(1) as f64;
-            let guard = *SharedSystem::new(lbm, Some(PtGuardConfig::default()), cfg)
-                .run()
-                .iter()
-                .max()
-                .expect("cores");
-            ContentionRow {
-                channels,
-                base_cycles: base,
-                guard_cycles: guard,
-                slowdown: guard as f64 / base.max(1) as f64 - 1.0,
-                queued_frac,
-            }
-        })
-        .collect()
-}
-
 /// Renders the artefact.
 #[must_use]
 pub fn render(r: &ChannelsResult) -> String {
@@ -240,27 +171,9 @@ pub fn render(r: &ChannelsResult) -> String {
             format!("{:.1} ns", row.idle_skip_mean_ps[2] / 1000.0),
         ]);
     }
-    let mut c = Table::new(vec![
-        "channels",
-        "base cycles",
-        "guard cycles",
-        "slowdown",
-        "queued",
-    ]);
-    for row in &r.contention {
-        c.row(vec![
-            row.channels.to_string(),
-            row.base_cycles.to_string(),
-            row.guard_cycles.to_string(),
-            format!("{:+.2}%", 100.0 * row.slowdown),
-            format!("{:.1}%", 100.0 * row.queued_frac),
-        ]);
-    }
     format!(
-        "Multi-channel memory system: channel-level parallelism under PT-Guard\n{}\nchannels=1 is pinned byte-identical to the single-controller model;\nwider systems spread lines with the XOR-folded interleave and drain\nper-channel controllers merged in integer-picosecond retire order.\nevents@4 / idle-skip@4 report the event pump at the widest channel\ncount: drains fired and mean virtual time jumped per advance.\n\nMAC bandwidth contention (4-core SAME-lbm, {} instrs/core):\n{}",
+        "Multi-channel memory system: channel-level parallelism under PT-Guard\n{}\nchannels=1 is pinned byte-identical to the single-controller model;\nwider systems spread lines with the XOR-folded interleave and drain\nper-channel controllers merged in integer-picosecond retire order.\nevents@4 / idle-skip@4 report the event pump at the widest channel\ncount: drains fired and mean virtual time jumped per advance.\n",
         t.render(),
-        r.contention_instrs,
-        c.render()
     )
 }
 
@@ -301,22 +214,6 @@ mod tests {
                     row.mlp
                 );
             }
-        }
-    }
-
-    #[test]
-    fn contention_relaxes_with_channel_count() {
-        let rows = contention_sweep(10_000);
-        assert_eq!(rows.len(), CHANNELS.len());
-        let q: Vec<f64> = rows.iter().map(|c| c.queued_frac).collect();
-        assert!(q[2] < q[0], "4 channels must queue less than 1: {q:?}");
-        for c in &rows {
-            assert!(
-                c.slowdown > -0.01 && c.slowdown < 0.1,
-                "contention slowdown out of range at {} channels: {}",
-                c.channels,
-                c.slowdown
-            );
         }
     }
 }

@@ -37,14 +37,8 @@ impl CoverageResult {
 }
 
 /// Runs the coverage experiment (paper: 126 M PTE accesses across SPEC and
-/// GAP; `Full` here runs 2 M line accesses, `Trial` far fewer).
-#[must_use]
-pub fn run(scale: Scale) -> CoverageResult {
-    run_seeded(scale, 0)
-}
-
-/// [`run`], with a sweep seed mixed into the fault-injection RNG (seed 0
-/// reproduces [`run`] exactly).
+/// GAP; `Full` here runs 2 M line accesses, `Trial` far fewer), with a
+/// sweep seed mixed into the fault-injection RNG.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> CoverageResult {
     let accesses = match scale {
@@ -108,7 +102,7 @@ mod tests {
 
     #[test]
     fn coverage_is_total() {
-        let r = run(Scale::Trial);
+        let r = run_seeded(Scale::Trial, 0);
         assert!(
             r.erroneous > 100,
             "want meaningful sample, got {}",

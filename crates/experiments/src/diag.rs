@@ -33,14 +33,8 @@ pub struct DiagReport {
     pub engine: Option<(u64, u64, u64, u64, u64)>,
 }
 
-/// Runs one workload with the given configuration and snapshots everything.
-#[must_use]
-pub fn diagnose(name: &str, protection: Protection, scale: Scale) -> DiagReport {
-    diagnose_seeded(name, protection, scale, 0)
-}
-
-/// [`diagnose`], with a sweep seed mixed into the machine's RNG stream
-/// (seed 0 reproduces [`diagnose`] exactly).
+/// Runs one workload with the given configuration, with a sweep seed mixed
+/// into the machine's RNG stream, and snapshots everything.
 #[must_use]
 pub fn diagnose_seeded(
     name: &str,
@@ -49,7 +43,7 @@ pub fn diagnose_seeded(
     sweep_seed: u64,
 ) -> DiagReport {
     let profile = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-    let mut machine = build_machine(profile, protection, crate::salted(0xd1a6, sweep_seed), 4);
+    let mut machine = build_machine(profile, protection, crate::salted(0xd1a6, sweep_seed));
     let _ = run(&mut machine, scale.instructions()); // warm-up
     let before = Counters::read(&machine.sys);
     let result = run(&mut machine, scale.instructions());
@@ -185,10 +179,11 @@ mod tests {
 
     #[test]
     fn diagnostics_are_internally_consistent() {
-        let d = diagnose(
+        let d = diagnose_seeded(
             "xalancbmk",
             Protection::PtGuard(PtGuardConfig::optimized()),
             Scale::Trial,
+            0,
         );
         // A memory-hungry workload shows misses at every level.
         assert!(d.mpki > 10.0, "mpki = {}", d.mpki);
@@ -213,7 +208,7 @@ mod tests {
         // MPKI: the same run through `simulate_workload` (same seed, same
         // warm-up) reports the region's read MACs.
         let guard = Protection::PtGuard(PtGuardConfig::default());
-        let d = diagnose("xalancbmk", guard, Scale::Trial);
+        let d = diagnose_seeded("xalancbmk", guard, Scale::Trial, 0);
         let profile = by_name("xalancbmk").expect("profile");
         let region = simx::runner::simulate_workload(
             profile,

@@ -48,14 +48,8 @@ impl Fig6Result {
     }
 }
 
-/// Runs Figure 6 at the given scale with a specific PT-Guard configuration.
-#[must_use]
-pub fn run_with(scale: Scale, guard: PtGuardConfig) -> Fig6Result {
-    run_with_seed(scale, guard, 0)
-}
-
-/// [`run_with`], with a sweep seed mixed into every workload's RNG stream
-/// (seed 0 reproduces [`run_with`] exactly).
+/// Runs Figure 6 at the given scale with a specific PT-Guard configuration,
+/// with a sweep seed mixed into every workload's RNG stream.
 #[must_use]
 pub fn run_with_seed(scale: Scale, guard: PtGuardConfig, sweep_seed: u64) -> Fig6Result {
     run_designs(scale, &[guard], sweep_seed)
@@ -94,12 +88,6 @@ pub fn run_designs(scale: Scale, guards: &[PtGuardConfig], sweep_seed: u64) -> V
         .collect()
 }
 
-/// Runs Figure 6 with the paper's baseline PT-Guard (10-cycle MAC).
-#[must_use]
-pub fn run(scale: Scale) -> Fig6Result {
-    run_with(scale, PtGuardConfig::default())
-}
-
 /// Renders the figure as a table.
 #[must_use]
 pub fn render(r: &Fig6Result) -> String {
@@ -130,7 +118,7 @@ mod tests {
 
     #[test]
     fn trial_fig6_has_paper_shape() {
-        let r = run(Scale::Trial);
+        let r = run_with_seed(Scale::Trial, PtGuardConfig::default(), 0);
         assert_eq!(r.rows.len(), 25);
         // Slowdown is bounded and grows with MPKI: the highest-MPKI
         // workload must be among the slowest.

@@ -95,13 +95,13 @@ pub fn render(r: &Fig7Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig6::run_with;
+    use crate::fig6::run_with_seed;
 
     #[test]
     fn optimized_removes_most_overhead_at_default_latency() {
         // A single-latency slice of Figure 7 (full sweep is bench-scale).
-        let base = run_with(Scale::Trial, PtGuardConfig::default());
-        let opt = run_with(Scale::Trial, PtGuardConfig::optimized());
+        let base = run_with_seed(Scale::Trial, PtGuardConfig::default(), 0);
+        let opt = run_with_seed(Scale::Trial, PtGuardConfig::optimized(), 0);
         assert!(
             opt.mean_slowdown() < base.mean_slowdown(),
             "optimized {} vs base {}",

@@ -6,14 +6,8 @@ use workloads::pte_census::{run_census, CensusConfig, CensusReport};
 use crate::report::Table;
 use crate::{salted, Scale};
 
-/// Runs the census at the given scale.
-#[must_use]
-pub fn run(scale: Scale) -> CensusReport {
-    run_seeded(scale, 0)
-}
-
-/// [`run`], with a sweep seed mixed into the census RNG (seed 0
-/// reproduces [`run`] exactly).
+/// Runs the census at the given scale, with a sweep seed mixed into the
+/// census RNG.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> CensusReport {
     let base = CensusConfig::default();
@@ -69,7 +63,7 @@ mod tests {
 
     #[test]
     fn trial_census_matches_marginals() {
-        let r = run(Scale::Trial);
+        let r = run_seeded(Scale::Trial, 0);
         assert!((52.0..76.0).contains(&r.pct_zero), "zero = {}", r.pct_zero);
         assert!(
             (15.0..33.0).contains(&r.pct_contiguous),

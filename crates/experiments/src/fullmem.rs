@@ -32,14 +32,8 @@ pub struct FullMemRow {
 /// Workloads compared (streaming + pointer-chasing + cache-friendly).
 pub const WORKLOADS: [&str; 6] = ["xalancbmk", "mcf", "lbm", "bc", "sssp", "povray"];
 
-/// Runs the comparison.
-#[must_use]
-pub fn run(scale: Scale) -> Vec<FullMemRow> {
-    run_seeded(scale, 0)
-}
-
-/// [`run`], with a sweep seed mixed into every workload's RNG stream
-/// (seed 0 reproduces [`run`] exactly).
+/// Runs the comparison, with a sweep seed mixed into every workload's RNG
+/// stream.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<FullMemRow> {
     let instrs = scale.instructions();
@@ -113,7 +107,7 @@ mod tests {
 
     #[test]
     fn whole_memory_mac_is_categorically_more_expensive() {
-        let rows = run(Scale::Trial);
+        let rows = run_seeded(Scale::Trial, 0);
         let avg_guard: f64 = rows.iter().map(|r| r.ptguard).sum::<f64>() / rows.len() as f64;
         let avg_full: f64 = rows.iter().map(|r| r.fullmem).sum::<f64>() / rows.len() as f64;
         assert!(

@@ -60,14 +60,8 @@ pub struct MlpRow {
     pub idle_skip_mean_ps: f64,
 }
 
-/// Runs the sweep.
-#[must_use]
-pub fn run_sweep(scale: Scale) -> Vec<MlpRow> {
-    run_seeded(scale, 0)
-}
-
-/// [`run_sweep`], with a sweep seed mixed into every workload's RNG stream
-/// (seed 0 reproduces [`run_sweep`] exactly).
+/// Runs the sweep, with a sweep seed mixed into every workload's RNG
+/// stream.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<MlpRow> {
@@ -161,8 +155,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_overlap_helps() {
-        let a = run_sweep(Scale::Trial);
-        let b = run_sweep(Scale::Trial);
+        let a = run_seeded(Scale::Trial, 0);
+        let b = run_seeded(Scale::Trial, 0);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.cycles, y.cycles, "{}@{}", x.name, x.mlp);

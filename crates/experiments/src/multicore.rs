@@ -3,7 +3,6 @@
 
 use ptguard::PtGuardConfig;
 use simx::multicore::{evaluate_bundle, BundleResult, CORES};
-use simx::shared::{evaluate_bundle_shared, SharedConfig};
 use workloads::multiprog::{mix_bundles, same_bundles};
 
 use crate::report::{amean, pct, Table};
@@ -21,19 +20,20 @@ pub struct MultiCoreResult {
     pub worst: f64,
     /// Name of the worst bundle.
     pub worst_name: String,
-    /// Cross-check: `(bundle, slowdown)` under the true shared-LLC /
-    /// shared-channel model for a memory-heavy sample of bundles.
-    pub shared_model: Vec<(String, f64)>,
+    /// Instructions each core ran in the measured region.
+    pub instructions_per_core: u64,
 }
 
-/// Runs the study: 18 SAME + 16 MIX bundles at `Full`, a subset otherwise.
-#[must_use]
-pub fn run(scale: Scale) -> MultiCoreResult {
-    run_seeded(scale, 0)
+impl MultiCoreResult {
+    /// Deterministic simulated-op volume: every core's measured region.
+    #[must_use]
+    pub fn sim_ops(&self) -> u64 {
+        self.bundles.len() as u64 * CORES as u64 * self.instructions_per_core
+    }
 }
 
-/// [`run`], with a sweep seed mixed into the MIX-bundle draw (seed 0
-/// reproduces [`run`] exactly).
+/// Runs the study: 18 SAME + 16 MIX bundles at `Full`, a subset otherwise,
+/// with a sweep seed mixed into the MIX-bundle draw.
 #[must_use]
 pub fn run_seeded(scale: Scale, sweep_seed: u64) -> MultiCoreResult {
     let instructions_per_core = match scale {
@@ -57,33 +57,12 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> MultiCoreResult {
         .map(|r| (r.name.clone(), r.slowdown))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("non-empty");
-
-    // Cross-check a memory-heavy sample under the derived-contention model.
-    let shared_cfg = SharedConfig {
-        instructions_per_core: instructions_per_core.min(60_000),
-        ..SharedConfig::default()
-    };
-    let sample: Vec<&str> = match scale {
-        Scale::Trial => vec!["SAME-xalancbmk"],
-        _ => vec!["SAME-xalancbmk", "SAME-lbm", "SAME-mcf", "SAME-povray"],
-    };
-    let shared_model = bundles
-        .iter()
-        .filter(|b| sample.contains(&b.name.as_str()))
-        .map(|b| {
-            (
-                b.name.clone(),
-                evaluate_bundle_shared(b, PtGuardConfig::default(), shared_cfg).max(0.0),
-            )
-        })
-        .collect();
-
     MultiCoreResult {
         bundles: results,
         avg,
         worst,
         worst_name,
-        shared_model,
+        instructions_per_core,
     }
 }
 
@@ -94,17 +73,12 @@ pub fn render(r: &MultiCoreResult) -> String {
     for b in &r.bundles {
         t.row(vec![b.name.clone(), pct(b.slowdown.max(0.0))]);
     }
-    let mut shared = String::new();
-    for (name, s) in &r.shared_model {
-        shared.push_str(&format!("  {name}: {}\n", pct(*s)));
-    }
     format!(
-        "Section VII-C: 4-core slowdown, SAME + MIX bundles (paper: 0.5% avg, 1.6% worst)\n{}\naverage = {}, worst = {} ({})\ncross-check, derived-contention shared-LLC model (sampled bundles):\n{}",
+        "Section VII-C: 4-core slowdown, SAME + MIX bundles (paper: 0.5% avg, 1.6% worst)\n{}\naverage = {}, worst = {} ({})\n",
         t.render(),
         pct(r.avg),
         pct(r.worst.max(0.0)),
         r.worst_name,
-        shared,
     )
 }
 
@@ -114,7 +88,7 @@ mod tests {
 
     #[test]
     fn trial_multicore_slowdowns_are_small() {
-        let r = run(Scale::Trial);
+        let r = run_seeded(Scale::Trial, 0);
         assert!(!r.bundles.is_empty());
         // The trial subset is the four *most* memory-intensive SAME
         // bundles, so the bound is looser than the paper's all-bundle 0.5%.

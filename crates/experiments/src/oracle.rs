@@ -114,13 +114,6 @@ fn diff_cache_cfg() -> CacheConfig {
     }
 }
 
-/// Runs the oracle at `scale` with the sweep `seed` (0 = the historical
-/// single-seed output), serially.
-#[must_use]
-pub fn run_with_seed(scale: Scale, seed: u64) -> OracleResult {
-    run_with_seed_jobs(scale, seed, 1)
-}
-
 /// Runs the oracle at `scale` with the sweep `seed`, fanning the MAC pair
 /// sweep and the fault campaign across `jobs` workers (`0` = every core).
 /// The worker count never leaks into results: per-unit seeds are derived
@@ -229,21 +222,21 @@ mod tests {
 
     #[test]
     fn trial_oracle_is_clean_and_deterministic() {
-        let a = run_with_seed(Scale::Trial, 0);
+        let a = run_with_seed_jobs(Scale::Trial, 0, 1);
         assert!(a.clean(), "{}", render(&a));
-        let b = run_with_seed(Scale::Trial, 0);
+        let b = run_with_seed_jobs(Scale::Trial, 0, 1);
         assert_eq!(render(&a), render(&b));
     }
 
     #[test]
     fn seeds_change_the_campaign_stream() {
-        let a = run_with_seed(Scale::Trial, 1);
+        let a = run_with_seed_jobs(Scale::Trial, 1, 1);
         assert!(a.clean(), "{}", render(&a));
     }
 
     #[test]
     fn parallel_oracle_renders_byte_identically_to_serial() {
-        let serial = run_with_seed(Scale::Trial, 0);
+        let serial = run_with_seed_jobs(Scale::Trial, 0, 1);
         for jobs in [2, 8] {
             let par = run_with_seed_jobs(Scale::Trial, 0, jobs);
             assert_eq!(

@@ -83,22 +83,14 @@ fn mu(metrics: &mut Vec<(String, f64)>, name: impl Into<String>, v: u64) {
     metrics.push((name.into(), v as f64));
 }
 
-/// Runs one artefact serially and packages its rendered text, numeric
-/// metrics, and deterministic simulated-op count. Seed 0 reproduces the
-/// historical single-seed output byte for byte.
-///
-/// # Errors
-///
-/// Returns `Err` for an unknown artefact name.
-pub fn run_artefact(name: &str, scale: Scale, seed: u64) -> Result<JobOutput, String> {
-    run_artefact_jobs(name, scale, seed, 1)
-}
-
-/// [`run_artefact`] with an inner worker count for the artefacts that fan
-/// out internally (`arena`, `attack`, `channels`, `oracle` and `serve`,
-/// each through `ThreadPool::map_indexed`). `jobs` never enters the cache
-/// key: every worker count produces byte-identical output, so a cached
-/// serial result is a valid answer for a parallel request and vice versa.
+/// Runs one artefact and packages its rendered text, numeric metrics, and
+/// deterministic simulated-op count. Seed 0 reproduces the historical
+/// single-seed output byte for byte. `jobs` is the inner worker count for
+/// the artefacts that fan out internally (`arena`, `attack`, `channels`,
+/// `oracle` and `serve`, each through `ThreadPool::map_indexed`). It never
+/// enters the cache key: every worker count produces byte-identical
+/// output, so a cached serial result is a valid answer for a parallel
+/// request and vice versa.
 ///
 /// # Errors
 ///
@@ -279,16 +271,10 @@ pub fn run_artefact_jobs(
             let r = multicore::run_seeded(scale, seed);
             m(&mut metrics, "avg_slowdown", r.avg);
             m(&mut metrics, "worst_slowdown", r.worst);
-            let per_core = match scale {
-                Scale::Trial => 30_000u64,
-                Scale::Quick => 100_000,
-                Scale::Full => 250_000,
-            };
-            let ops = r.bundles.len() as u64 * 4 * per_core;
             JobOutput {
                 rendered: multicore::render(&r),
                 metrics,
-                sim_ops: ops,
+                sim_ops: r.sim_ops(),
             }
         }
         "coverage" => {
@@ -318,15 +304,10 @@ pub fn run_artefact_jobs(
             mu(&mut metrics, "guarded_faults", r.guarded_faults);
             mu(&mut metrics, "guarded_corrected", r.guarded_corrected);
             mu(&mut metrics, "guarded_hijacks", r.guarded_hijacks);
-            let spray = match scale {
-                Scale::Trial => 4096u64,
-                Scale::Quick => 8192,
-                Scale::Full => 16384,
-            };
             JobOutput {
                 rendered: exploit::render(&r),
                 metrics,
-                sim_ops: spray + 40_000,
+                sim_ops: r.sim_ops(),
             }
         }
         "oracle" => {
@@ -604,18 +585,6 @@ pub fn run_artefact_jobs(
                     &mut metrics,
                     format!("{}@{}.idle_skip_mean_ps4", row.name, row.mlp),
                     row.idle_skip_mean_ps[2],
-                );
-            }
-            for c in &r.contention {
-                m(
-                    &mut metrics,
-                    format!("contention{}.slowdown", c.channels),
-                    c.slowdown,
-                );
-                m(
-                    &mut metrics,
-                    format!("contention{}.queued_frac", c.channels),
-                    c.queued_frac,
                 );
             }
             let ops = r.sim_ops(instrs);
@@ -916,7 +885,7 @@ mod tests {
 
     #[test]
     fn oracle_artefact_runs_clean_at_trial_scale() {
-        let job = run_artefact("oracle", Scale::Trial, 0).unwrap();
+        let job = run_artefact_jobs("oracle", Scale::Trial, 0, 1).unwrap();
         assert_eq!(job.metric_value("divergences"), Some(0.0));
         assert!(job.rendered.contains("Verdict: CLEAN"));
         assert!(job.sim_ops > 0);
@@ -924,16 +893,16 @@ mod tests {
 
     #[test]
     fn seed_zero_matches_legacy_render() {
-        let legacy = coverage::render(&coverage::run(Scale::Trial));
-        let job = run_artefact("coverage", Scale::Trial, 0).unwrap();
+        let legacy = coverage::render(&coverage::run_seeded(Scale::Trial, 0));
+        let job = run_artefact_jobs("coverage", Scale::Trial, 0, 1).unwrap();
         assert_eq!(job.rendered, legacy);
         assert!(job.sim_ops > 0);
     }
 
     #[test]
     fn seeds_decorrelate_stochastic_artefacts() {
-        let a = run_artefact("coverage", Scale::Trial, 1).unwrap();
-        let b = run_artefact("coverage", Scale::Trial, 2).unwrap();
+        let a = run_artefact_jobs("coverage", Scale::Trial, 1, 1).unwrap();
+        let b = run_artefact_jobs("coverage", Scale::Trial, 2, 1).unwrap();
         assert_ne!(
             a.metric_value("erroneous"),
             b.metric_value("erroneous"),
@@ -963,7 +932,7 @@ mod tests {
             let spec = JobSpec::new(
                 "table1",
                 key_material_for("table1", Scale::Trial, 0, fingerprint),
-                |_| run_artefact("table1", Scale::Trial, 0),
+                |_| run_artefact_jobs("table1", Scale::Trial, 0, 1),
             );
             let opts = RunOptions {
                 jobs: 1,
@@ -1000,6 +969,6 @@ mod tests {
     #[test]
     fn unknown_artefact_is_rejected() {
         assert!(plan_artefacts(&["nope".to_string()], Scale::Trial, 0, 1).is_err());
-        assert!(run_artefact("nope", Scale::Trial, 0).is_err());
+        assert!(run_artefact_jobs("nope", Scale::Trial, 0, 1).is_err());
     }
 }

@@ -33,14 +33,8 @@ pub struct DefenceRow {
     pub ptguard: f64,
 }
 
-/// Runs the comparison with `trials` random PTEs per damage class.
-#[must_use]
-pub fn run(trials: usize) -> Vec<DefenceRow> {
-    run_seeded(trials, 0)
-}
-
-/// [`run`], with a sweep seed mixed into the trial RNG (seed 0 reproduces
-/// [`run`] exactly).
+/// Runs the comparison with `trials` random PTEs per damage class, with a
+/// sweep seed mixed into the trial RNG.
 #[must_use]
 pub fn run_seeded(trials: usize, sweep_seed: u64) -> Vec<DefenceRow> {
     let mut rng = SplitMix64::new(crate::salted(0x9e37, sweep_seed));
@@ -184,7 +178,7 @@ mod tests {
 
     #[test]
     fn comparison_matches_paper_claims() {
-        let rows = run(400);
+        let rows = run_seeded(400, 0);
         let by = |l: &str| rows.iter().find(|r| r.label == l).copied().unwrap();
         // Everyone detects small random damage.
         assert!(by("1 random flip").secwalk > 0.999);

@@ -82,13 +82,8 @@ pub struct ServeResult {
     pub rates: Vec<SimReport>,
 }
 
-/// Runs the artefact at the given scale with the default seed.
-#[must_use]
-pub fn run(scale: Scale) -> ServeResult {
-    run_seeded_jobs(scale, 0, 1)
-}
-
-/// [`run`] with a sweep seed and an inner worker count. Output is
+/// Runs the artefact at the given scale with a sweep seed and an inner
+/// worker count. Output is
 /// byte-identical for every `jobs` value: the census uses fixed shard
 /// counts and the model's batch plan is computed sequentially.
 #[must_use]
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn saturating_rate_coalesces_and_faults_are_corrected() {
-        let r = run(Scale::Trial);
+        let r = run_seeded_jobs(Scale::Trial, 0, 1);
         assert_eq!(r.rates.len(), RATES.len());
         // The top rate exceeds scalar capacity: batches must form.
         let top = r.rates.last().unwrap();

@@ -1,9 +1,10 @@
 //! End-to-end orchestration over real artefacts: byte-identical output for
-//! any worker count, warm-cache runs executing nothing, and multi-seed
-//! sweep determinism.
+//! any worker count, warm-cache runs executing nothing, multi-seed sweep
+//! determinism, and an `exp` that refuses an unknown artefact first.
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 use experiments::orchestrate::{plan_artefacts, plan_sweep};
 use experiments::Scale;
@@ -129,4 +130,26 @@ fn sweep_aggregate_is_deterministic_and_jobs_independent() {
         .expect("aggregated stdev metric");
     assert!(sd > 0.0, "expected seed spread, stdev = {sd}");
     assert!(agg.rendered.contains("±"), "table renders mean ± stdev");
+}
+
+#[test]
+fn exp_names_an_unknown_artefact_before_touching_the_disk() {
+    let cases: [&[&str]; 3] = [&["nope"], &["nope", "extra"], &["sweep", "nope"]];
+    for args in cases {
+        let tmp = TempDir::new("unknown");
+        let out = Command::new(env!("CARGO_BIN_EXE_exp"))
+            .args(args)
+            .current_dir(&tmp.0)
+            .output()
+            .expect("exp runs");
+        assert!(!out.status.success(), "exp {args:?} succeeded");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "exp: unknown artefact: nope\n",
+            "exp {args:?}"
+        );
+        // No `.exp-cache/` (nor anything else) is created for a bad name.
+        let left: Vec<_> = fs::read_dir(&tmp.0).expect("temp dir").collect();
+        assert!(left.is_empty(), "exp {args:?} left {left:?} behind");
+    }
 }

@@ -157,15 +157,6 @@ pub mod clock {
     pub fn cycles_to_ps(cycles: u64, khz: u64) -> u128 {
         (u128::from(cycles) * 1_000_000_000 + u128::from(khz) / 2) / u128::from(khz)
     }
-
-    /// Converts milli-cycles (the shared model's core-pipeline unit) to
-    /// integer picoseconds, rounding to nearest. One milli-cycle is a
-    /// thousandth of a cycle, so the scale factor is `cycles_to_ps`'s
-    /// divided by a thousand.
-    #[must_use]
-    pub fn millicycles_to_ps(mc: u64, khz: u64) -> u128 {
-        (u128::from(mc) * 1_000_000 + u128::from(khz) / 2) / u128::from(khz)
-    }
 }
 
 #[cfg(test)]
@@ -206,14 +197,6 @@ mod tests {
         // 1 cycle at 3 GHz is 333.333… ps, rounded to nearest.
         assert_eq!(clock::cycles_to_ps(1, khz), 333);
         assert_eq!(clock::cycles_to_ps(3, khz), 1000);
-        // Milli-cycles land on the same timeline: 1000 mc == 1 cycle.
-        for cycles in [0u64, 1, 3, 29, 1_000_000] {
-            assert_eq!(
-                clock::millicycles_to_ps(cycles * 1000, khz),
-                clock::cycles_to_ps(cycles, khz)
-            );
-        }
-        assert_eq!(clock::millicycles_to_ps(500, khz), 167); // half a cycle
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! [`ptguard::mac::PteMac::compute_batch`] call.
 //!
 //! [`MemoryController::read_line`] services one read to completion at the
-//! device's current time, for the blocking reference core
-//! (`oracle::refmachine`) and the shared multi-core model
-//! (`simx::shared`). A drain of a single request is
+//! device's current time; only the blocking reference core
+//! (`oracle::refmachine`) uses it. A drain of a single request is
 //! *bit-identical* to one `read_line` call: the bank wait is exactly zero,
 //! a batch of one computes the same MAC, and both end in the same
 //! `finish_read` tail.

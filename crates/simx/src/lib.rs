@@ -9,9 +9,10 @@
 //!   profile (device → controller(+engine) → hierarchy → mapped address
 //!   space) and executes a fixed instruction budget, reporting IPC,
 //!   LLC-MPKI, walk counts, and PT-Guard engine statistics.
-//! * [`multicore`] — the Section VII-C model: per-core private L1/L2 over a
-//!   contended shared LLC/DRAM, with an out-of-order overlap factor, used
-//!   for the SPEC-SAME/MIX bundles.
+//! * [`multicore`] — the Section VII-C model for the SPEC-SAME/MIX
+//!   bundles: each core runs alone on its own `MemorySystem` with a 1 MB
+//!   LLC slice (not over a shared LLC), a DRAM-latency contention
+//!   multiplier and an out-of-order overlap factor.
 //!
 //! Every core executes the ops of a seeded
 //! [`workloads::tracegen::TraceGenerator`], so a (profile, seed) pair pins
@@ -27,7 +28,6 @@
 mod driver;
 pub mod multicore;
 pub mod runner;
-pub mod shared;
 
 pub use runner::{
     build_machine, build_machine_from_source_cfg, run, simulate_workload, Machine, Protection,

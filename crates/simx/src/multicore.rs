@@ -8,9 +8,10 @@
 //! time, diluting the constant MAC delay.
 //!
 //! We model both effects directly on top of the single-core machinery:
-//! each core runs its own L1/L2 over a shared-capacity LLC configuration;
-//! an *overlap factor* hides a fraction of every memory stall (O3), and a
-//! *contention factor* scales DRAM latency with core count.
+//! each core runs alone on its own `MemorySystem`, with private L1/L2 and a
+//! 1 MB slice of the LLC; an *overlap factor* hides a fraction of every
+//! memory stall (O3), and a *contention factor* scales DRAM latency with
+//! core count.
 
 use memsys::system::OsPort;
 use memsys::{MemSysConfig, MemoryController, MemorySystem};
@@ -30,11 +31,11 @@ use crate::driver::WindowedDriver;
 pub const CORES: usize = 4;
 
 /// DRAM capacity in GB (the paper's 16 GB DDR4).
-pub(crate) const DRAM_GB: u64 = 16;
+const DRAM_GB: u64 = 16;
 
 /// The unhidden part of a memory stall, in milli-cycles per stall cycle:
 /// the O3 core hides 60 % of every stall and exposes 400/1000 of it.
-pub(crate) const EXPOSED_MILLIS: u64 = 400;
+const EXPOSED_MILLIS: u64 = 400;
 
 /// DRAM latency multiplier from channel contention.
 const CONTENTION: f64 = 2.5;

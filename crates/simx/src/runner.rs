@@ -71,8 +71,8 @@ pub enum Protection {
     FullMemoryMac,
 }
 
-/// Builds the simulated machine for `profile`, generating its ops from
-/// `seed`.
+/// Builds the simulated machine for `profile` over 4 GB of DRAM,
+/// generating its ops from `seed`.
 ///
 /// `protection` is mounted at every channel's memory controller. The DRAM
 /// device is Rowhammer-immune here — performance runs model benign
@@ -82,17 +82,12 @@ pub enum Protection {
 ///
 /// Panics if the workload footprint exceeds the DRAM capacity.
 #[must_use]
-pub fn build_machine(
-    profile: WorkloadProfile,
-    protection: Protection,
-    seed: u64,
-    dram_gb: u64,
-) -> Machine {
+pub fn build_machine(profile: WorkloadProfile, protection: Protection, seed: u64) -> Machine {
     build_machine_from_source_cfg(
         TraceGenerator::new(profile, seed),
         profile,
         protection,
-        dram_gb,
+        4,
         MemSysConfig::default(),
     )
 }
@@ -224,7 +219,7 @@ pub fn simulate_workload(
     instructions: u64,
     seed: u64,
 ) -> RunResult {
-    let mut machine = build_machine(profile, protection, seed, 4);
+    let mut machine = build_machine(profile, protection, seed);
     let _ = run(&mut machine, instructions); // warm-up, discarded
     run(&mut machine, instructions)
 }

@@ -238,20 +238,6 @@ fn section_vii_c_table_quotes_the_artefact() {
     let bold = doc_bold(h, "worst bundle");
     assert!(bold.contains(&format!("({bundle})")), "{bold} vs {bundle}");
     assert_eq!(numbers(&bold), [worst]);
-    let cross = multicore
-        .split("cross-check")
-        .nth(1)
-        .expect("the cross-check lines")
-        .lines()
-        .filter_map(|l| l.split(": ").nth(1))
-        .map(|v| v.trim().trim_end_matches('%').parse::<f64>().unwrap());
-    assert_eq!(
-        numbers(&doc_bold(
-            h,
-            "cross-check (derived-contention shared-LLC model)"
-        )),
-        span(cross, 2)
-    );
 }
 
 #[test]
