@@ -166,8 +166,6 @@ pub struct Placement {
     pub victim_frames: Vec<Frame>,
     /// A benign mapping far from the blast radius (false-positive probe).
     pub benign_va: VirtAddr,
-    /// Frames the spray burned to reach the target region.
-    pub frames_burned: u64,
 }
 
 /// Runs the massaging playbook against a freshly booted [`Victim`]:
@@ -230,48 +228,39 @@ pub fn massage(
         .map(|_| space.alloc_frame(&mut port).expect("oom"))
         .collect();
 
-    fn burn_to(space: &mut AddressSpace, port: &mut OsPort, burned: &mut u64, last: Frame) {
+    fn burn_to(space: &mut AddressSpace, port: &mut OsPort, last: Frame) {
         loop {
             let f = space.alloc_frame(port).expect("oom");
-            *burned += 1;
             if f >= last {
                 assert_eq!(f, last, "burn overshot the groomed frame");
                 return;
             }
         }
     }
-    let mut burned = 0u64;
 
     // Hugepage sprays allocate whole 2 MB blocks: burn to the next
     // 512-frame boundary before aiming.
     if strategy.hugepage_aligned() {
         let f = space.alloc_frame(&mut port).expect("oom");
-        burned += 1;
         if f.0 % 512 != 511 {
-            burn_to(
-                space,
-                &mut port,
-                &mut burned,
-                Frame(f.0 + (511 - f.0 % 512)),
-            );
+            burn_to(space, &mut port, Frame(f.0 + (511 - f.0 % 512)));
         }
     }
 
     // Aim: a row comfortably above the spray watermark, jittered per trial.
     let probe = space.alloc_frame(&mut port).expect("oom");
-    burned += 1;
     let watermark_row = geometry.row_of(probe.base()).row;
     let target_row = watermark_row + 4 + jitter;
 
     // Land the aggressor PT pages at the first frame of rows target ± 1.
     let fa_lo = frame_of(target_row - 1);
     let fa_hi = frame_of(target_row + 1);
-    burn_to(space, &mut port, &mut burned, Frame(fa_lo.0 - 1));
+    burn_to(space, &mut port, Frame(fa_lo.0 - 1));
     space
         .map(&mut port, va_lo, aggressor_data[0], PteFlags::user_data())
         .expect("aggressor-low map");
     let pt_lo = *space.table_frames().last().unwrap();
-    burn_to(space, &mut port, &mut burned, Frame(fa_hi.0 - 1));
+    burn_to(space, &mut port, Frame(fa_hi.0 - 1));
     space
         .map(&mut port, va_hi, aggressor_data[1], PteFlags::user_data())
         .expect("aggressor-high map");
@@ -287,12 +276,7 @@ pub fn massage(
     // burned, so the hole goes to the row's second frame — still in row
     // target+e, which is all the attack cares about.
     let error = strategy.row_error(rng);
-    burn_to(
-        space,
-        &mut port,
-        &mut burned,
-        Frame(frame_of(target_row + 2).0 + 1),
-    );
+    burn_to(space, &mut port, Frame(frame_of(target_row + 2).0 + 1));
     let hole = if error == 0 {
         frame_of(target_row)
     } else {
@@ -342,7 +326,6 @@ pub fn massage(
         victim_vas,
         victim_frames,
         benign_va,
-        frames_burned: burned,
     }
 }
 

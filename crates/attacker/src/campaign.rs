@@ -160,16 +160,6 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Total activations observed across every cell (a work measure).
-    #[must_use]
-    pub fn total_activations(&self) -> u64 {
-        self.cells
-            .iter()
-            .chain(std::iter::once(&self.throttling))
-            .map(|c| c.provenance.total())
-            .sum()
-    }
-
     /// Largest correction-guess count observed anywhere in the campaign.
     #[must_use]
     pub fn max_guesses(&self) -> u32 {

@@ -60,7 +60,7 @@ impl Victim {
     fn build_with(rh: RowhammerConfig, guarded: bool, isolated: bool) -> Self {
         let device = DramDevice::ddr4_4gb(rh);
         let engine = guarded.then(|| PtGuardEngine::new(PtGuardConfig::default()));
-        let controller = MemoryController::new(device, engine, 3.0);
+        let controller = MemoryController::new(device, engine);
         let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
         let space = {
             let mut port = OsPort::new(&mut sys);

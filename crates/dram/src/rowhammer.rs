@@ -64,15 +64,6 @@ impl RowhammerConfig {
             ..Self::default()
         }
     }
-
-    /// A 2014 DDR3-like module (RTH = 139 K).
-    #[must_use]
-    pub fn ddr3_2014() -> Self {
-        Self {
-            threshold: 139_000.0,
-            ..Self::default()
-        }
-    }
 }
 
 /// One weak cell of a row.

@@ -75,17 +75,6 @@ impl Scale {
         }
     }
 
-    /// Parses a canonical CLI name back into a scale.
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Scale> {
-        match s {
-            "trial" => Some(Scale::Trial),
-            "quick" => Some(Scale::Quick),
-            "full" => Some(Scale::Full),
-            _ => None,
-        }
-    }
-
     /// Measured instructions per workload for timing experiments.
     #[must_use]
     pub fn instructions(self) -> u64 {

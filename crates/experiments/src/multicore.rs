@@ -20,16 +20,6 @@ pub struct MultiCoreResult {
     pub worst: f64,
     /// Name of the worst bundle.
     pub worst_name: String,
-    /// Instructions each core ran in the measured region.
-    pub instructions_per_core: u64,
-}
-
-impl MultiCoreResult {
-    /// Deterministic simulated-op volume: every core's measured region.
-    #[must_use]
-    pub fn sim_ops(&self) -> u64 {
-        self.bundles.len() as u64 * CORES as u64 * self.instructions_per_core
-    }
 }
 
 /// Runs the study: 18 SAME + 16 MIX bundles at `Full`, a subset otherwise,
@@ -62,7 +52,6 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> MultiCoreResult {
         avg,
         worst,
         worst_name,
-        instructions_per_core,
     }
 }
 

@@ -83,14 +83,13 @@ fn mu(metrics: &mut Vec<(String, f64)>, name: impl Into<String>, v: u64) {
     metrics.push((name.into(), v as f64));
 }
 
-/// Runs one artefact and packages its rendered text, numeric metrics, and
-/// deterministic simulated-op count. Seed 0 reproduces the historical
-/// single-seed output byte for byte. `jobs` is the inner worker count for
-/// the artefacts that fan out internally (`arena`, `attack`, `channels`,
-/// `oracle` and `serve`, each through `ThreadPool::map_indexed`). It never
-/// enters the cache key: every worker count produces byte-identical
-/// output, so a cached serial result is a valid answer for a parallel
-/// request and vice versa.
+/// Runs one artefact and packages its rendered text and numeric metrics.
+/// Seed 0 reproduces the historical single-seed output byte for byte.
+/// `jobs` is the inner worker count for the artefacts that fan out
+/// internally (`arena`, `attack`, `channels`, `oracle` and `serve`, each
+/// through `ThreadPool::map_indexed`). It never enters the cache key:
+/// every worker count produces byte-identical output, so a cached serial
+/// result is a valid answer for a parallel request and vice versa.
 ///
 /// # Errors
 ///
@@ -102,7 +101,6 @@ pub fn run_artefact_jobs(
     seed: u64,
     jobs: usize,
 ) -> Result<JobOutput, String> {
-    let instrs = scale.instructions();
     let mut metrics = Vec::new();
     let out = match name {
         "table1" => JobOutput::rendered(tables::table1()),
@@ -118,7 +116,6 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: fig6::render(&r),
                 metrics,
-                sim_ops: 25 * 2 * instrs,
             }
         }
         "fig7" => {
@@ -143,8 +140,6 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: fig7::render(&r),
                 metrics,
-                // 25 baselines shared by the 8 points' 25 guarded runs each.
-                sim_ops: (25 + 8 * 25) * instrs,
             }
         }
         "fig8" => {
@@ -153,11 +148,9 @@ pub fn run_artefact_jobs(
             m(&mut metrics, "pct_contiguous", r.pct_contiguous);
             m(&mut metrics, "pct_noncontiguous", r.pct_noncontiguous);
             m(&mut metrics, "flag_uniformity", r.flag_uniformity);
-            let ops = r.total_ptes;
             JobOutput {
                 rendered: fig8::render(&r),
                 metrics,
-                sim_ops: ops,
             }
         }
         "fig9" => {
@@ -166,12 +159,9 @@ pub fn run_artefact_jobs(
                 let denom = (1.0 / fig9::P_FLIPS[pi]).round() as u64;
                 m(&mut metrics, format!("avg_rate[p=1/{denom}]"), *avg);
             }
-            let ops = (fig9::FIG9_WORKLOADS.len() * fig9::P_FLIPS.len()) as u64
-                * scale.correction_lines() as u64;
             JobOutput {
                 rendered: fig9::render(&r),
                 metrics,
-                sim_ops: ops,
             }
         }
         "security" => JobOutput::rendered(security::render()),
@@ -188,11 +178,9 @@ pub fn run_artefact_jobs(
                 );
                 m(&mut metrics, format!("{}.ptguard", row.label), row.ptguard);
             }
-            let ops = rows.len() as u64 * trials as u64 * 3;
             JobOutput {
                 rendered: priorwork::render(&rows),
                 metrics,
-                sim_ops: ops,
             }
         }
         "rth" => {
@@ -217,11 +205,9 @@ pub fn run_artefact_jobs(
                     p.ptguard_detected,
                 );
             }
-            let ops = points.len() as u64 * acts;
             JobOutput {
                 rendered: rth_sweep::render(&points),
                 metrics,
-                sim_ops: ops,
             }
         }
         "ablation" => {
@@ -242,13 +228,9 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: ablation::render(&points),
                 metrics,
-                // 3 baselines shared by the 3 designs' 3 guarded runs each.
-                sim_ops: (3 + 3 * 3) * instrs,
             }
         }
-        "diag" => {
-            JobOutput::rendered(diag::run_default_seeded(scale, seed)).ops(3 * 3 * 2 * instrs)
-        }
+        "diag" => JobOutput::rendered(diag::run_default_seeded(scale, seed)),
         "fullmem" => {
             let rows = fullmem::run_seeded(scale, seed);
             for row in &rows {
@@ -260,11 +242,9 @@ pub fn run_artefact_jobs(
                 );
                 m(&mut metrics, format!("{}.fullmem", row.name), row.fullmem);
             }
-            let ops = rows.len() as u64 * 4 * instrs;
             JobOutput {
                 rendered: fullmem::render(&rows),
                 metrics,
-                sim_ops: ops,
             }
         }
         "multicore" => {
@@ -274,7 +254,6 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: multicore::render(&r),
                 metrics,
-                sim_ops: r.sim_ops(),
             }
         }
         "coverage" => {
@@ -285,7 +264,6 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: coverage::render(&r),
                 metrics,
-                sim_ops: r.accesses,
             }
         }
         "exploit" => {
@@ -307,7 +285,6 @@ pub fn run_artefact_jobs(
             JobOutput {
                 rendered: exploit::render(&r),
                 metrics,
-                sim_ops: r.sim_ops(),
             }
         }
         "oracle" => {
@@ -342,11 +319,9 @@ pub fn run_artefact_jobs(
                 "campaign_max_guesses",
                 u64::from(r.campaign.max_guesses),
             );
-            let work = r.diff_ops + r.mac.single_flips + r.mac.pair_flips + r.campaign.injected;
             JobOutput {
                 rendered: oracle::render(&r),
                 metrics,
-                sim_ops: work,
             }
         }
         "mlp" => {
@@ -393,11 +368,9 @@ pub fn run_artefact_jobs(
                     row.idle_skip_mean_ps,
                 );
             }
-            let ops = (mlp::WORKLOADS.len() * mlp::WINDOWS.len()) as u64 * 2 * instrs;
             JobOutput {
                 rendered: mlp::render(&rows),
                 metrics,
-                sim_ops: ops,
             }
         }
         "serve" => {
@@ -441,11 +414,9 @@ pub fn run_artefact_jobs(
                 "census.pct_contiguous",
                 r.census.pct_contiguous(),
             );
-            let ops = r.census.total_ptes() + r.rates.iter().map(|s| s.requests).sum::<u64>();
             JobOutput {
                 rendered: serve::render(&r),
                 metrics,
-                sim_ops: ops,
             }
         }
         "attack" => {
@@ -499,11 +470,9 @@ pub fn run_artefact_jobs(
                 "throttle.successes",
                 u64::from(r.throttling.successes),
             );
-            let ops = r.total_activations();
             JobOutput {
                 rendered: attack::render(&r),
                 metrics,
-                sim_ops: ops,
             }
         }
         "arena" => {
@@ -551,11 +520,9 @@ pub fn run_artefact_jobs(
                     u64::from(row.detected),
                 );
             }
-            let ops = r.sim_ops();
             JobOutput {
                 rendered: arena::render(&r),
                 metrics,
-                sim_ops: ops,
             }
         }
         "channels" => {
@@ -587,11 +554,9 @@ pub fn run_artefact_jobs(
                     row.idle_skip_mean_ps[2],
                 );
             }
-            let ops = r.sim_ops(instrs);
             JobOutput {
                 rendered: channels::render(&r),
                 metrics,
-                sim_ops: ops,
             }
         }
         other => return Err(format!("unknown artefact: {other}")),
@@ -783,12 +748,7 @@ fn aggregate(name: &str, scale: Scale, seeds: &[u64], runs: &[JobOutput]) -> Job
         scale.name(),
         seeds.len(),
     );
-    let sim_ops = runs.iter().map(|r| r.sim_ops).sum();
-    JobOutput {
-        rendered,
-        metrics,
-        sim_ops,
-    }
+    JobOutput { rendered, metrics }
 }
 
 /// Renders one section's result as a single machine-readable JSON line.
@@ -799,7 +759,6 @@ pub fn render_json(section: &Section, scale: Scale, out: &JobOutput) -> String {
         ("scale", Value::Str(scale.name().to_string())),
         ("seed", section.seed.map_or(Value::Null, Value::U64)),
         ("sweep", Value::Bool(section.seed.is_none())),
-        ("sim_ops", Value::U64(out.sim_ops)),
         (
             "metrics",
             Value::Obj(
@@ -856,7 +815,6 @@ mod tests {
         assert!(job.metric_value("pt_guard.gmean_norm_ipc").unwrap() > 0.0);
         assert!(job.metric_value("dapper.attack_delay_ps").unwrap() > 0.0);
         assert!(job.metric_value("trr.storage_bytes").unwrap() > 0.0);
-        assert!(job.sim_ops > 0);
     }
 
     #[test]
@@ -870,7 +828,6 @@ mod tests {
         assert!(job.metric_value("pthammer.prov_walk").unwrap() > 0.0);
         assert!(job.metric_value("max_guesses").unwrap() <= 372.0);
         assert!(job.metric_value("throttle.delay_ps").unwrap() > 0.0);
-        assert!(job.sim_ops > 0);
     }
 
     #[test]
@@ -880,7 +837,6 @@ mod tests {
         assert_eq!(a.rendered, b.rendered);
         assert_eq!(a.metrics, b.metrics);
         assert!(a.metric_value("rate1200000.mean_batch").unwrap() > 1.0);
-        assert!(a.sim_ops > 0);
     }
 
     #[test]
@@ -888,7 +844,6 @@ mod tests {
         let job = run_artefact_jobs("oracle", Scale::Trial, 0, 1).unwrap();
         assert_eq!(job.metric_value("divergences"), Some(0.0));
         assert!(job.rendered.contains("Verdict: CLEAN"));
-        assert!(job.sim_ops > 0);
     }
 
     #[test]
@@ -896,7 +851,6 @@ mod tests {
         let legacy = coverage::render(&coverage::run_seeded(Scale::Trial, 0));
         let job = run_artefact_jobs("coverage", Scale::Trial, 0, 1).unwrap();
         assert_eq!(job.rendered, legacy);
-        assert!(job.sim_ops > 0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Tables I–IV: architectural layouts and the baseline configuration.
 
+use memsys::config::clock;
 use memsys::MemSysConfig;
 use pagetable::x86_64::{mac_protected_mask, unused_mask};
 
@@ -56,7 +57,7 @@ pub fn table3() -> String {
     let mut t = Table::new(vec!["Component", "Configuration"]);
     t.row(vec![
         "Core".to_string(),
-        format!("In-order, {} GHz, x86_64 ISA", c.core_ghz),
+        format!("In-order, {} GHz, x86_64 ISA", clock::CORE_KHZ / 1_000_000),
     ]);
     t.row(vec![
         "TLB".to_string(),

@@ -62,8 +62,6 @@ pub struct MemSysConfig {
     pub mmu_cache_ways: usize,
     /// MMU cache hit latency in cycles.
     pub mmu_cache_latency_cycles: u64,
-    /// Core clock in GHz (Table III: 3 GHz), used to convert DRAM ns.
-    pub core_ghz: f64,
     /// Memory-level parallelism: the bounded window of in-flight memory
     /// operations the `simx` drivers issue against the event engine. `1`
     /// (the default) is the paper's blocking in-order core; larger windows
@@ -79,7 +77,8 @@ pub struct MemSysConfig {
 
 impl Default for MemSysConfig {
     /// The paper's baseline: 32 KB/8-way L1, 256 KB/16-way L2, 2 MB/16-way
-    /// LLC, 64-entry TLB, 8 KB/4-way MMU cache, 3 GHz core.
+    /// LLC, 64-entry TLB, 8 KB/4-way MMU cache. The 3 GHz core clock is
+    /// [`clock::CORE_KHZ`].
     fn default() -> Self {
         Self {
             l1d: CacheConfig {
@@ -101,7 +100,6 @@ impl Default for MemSysConfig {
             mmu_cache_entries: (8 << 10) / 8,
             mmu_cache_ways: 4,
             mmu_cache_latency_cycles: 2,
-            core_ghz: 3.0,
             mlp: 1,
             channels: 1,
         }
@@ -113,7 +111,7 @@ impl MemSysConfig {
     /// (single rounding point; see [`clock`]).
     #[must_use]
     pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        clock::ps_to_cycles(clock::ns_to_ps(ns), clock::ghz_to_khz(self.core_ghz))
+        clock::ps_to_cycles(clock::ns_to_ps(ns), clock::CORE_KHZ)
     }
 }
 
@@ -127,7 +125,11 @@ impl MemSysConfig {
 /// overflow for any simulated duration) and converted to cycles at a single
 /// rounding point.
 pub mod clock {
-    /// Converts a core clock in GHz (profile input) to integer kHz once.
+    /// The core clock in integer kHz (Table III: 3 GHz). Every DRAM
+    /// picosecond total becomes core cycles at this rate.
+    pub const CORE_KHZ: u64 = 3_000_000;
+
+    /// Converts a core clock in GHz to integer kHz.
     #[must_use]
     pub fn ghz_to_khz(ghz: f64) -> u64 {
         (ghz * 1e6).round() as u64

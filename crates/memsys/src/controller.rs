@@ -146,9 +146,6 @@ pub struct MemoryController {
     device: DramDevice,
     engine: Option<PtGuardEngine>,
     full_mac: Option<FullMemoryMac>,
-    /// Core clock in integer kHz — the float GHz profile figure is rounded
-    /// exactly once, at construction (see [`clock`]).
-    core_khz: u64,
     stats: ControllerStats,
     /// Reads waiting for the next drain, in arrival order.
     queue: Vec<QueuedRead>,
@@ -161,12 +158,11 @@ pub struct MemoryController {
 impl MemoryController {
     /// Creates a controller over `device`; `engine` enables PT-Guard.
     #[must_use]
-    pub fn new(device: DramDevice, engine: Option<PtGuardEngine>, core_ghz: f64) -> Self {
+    pub fn new(device: DramDevice, engine: Option<PtGuardEngine>) -> Self {
         Self {
             device,
             engine,
             full_mac: None,
-            core_khz: clock::ghz_to_khz(core_ghz),
             stats: ControllerStats::default(),
             queue: Vec::new(),
             next_req_id: 0,
@@ -179,11 +175,11 @@ impl MemoryController {
     /// consulted on every data read/write, with a 64-entry MAC cache — the
     /// conventional design PT-Guard's introduction argues against.
     #[must_use]
-    pub fn with_full_memory_mac(device: DramDevice, core_ghz: f64) -> Self {
+    pub fn with_full_memory_mac(device: DramDevice) -> Self {
         let full_mac = Some(FullMemoryMac::new(device.size()));
         Self {
             full_mac,
-            ..Self::new(device, None, core_ghz)
+            ..Self::new(device, None)
         }
     }
 
@@ -269,7 +265,7 @@ impl MemoryController {
         self.stats.mac_cycles_added += mac_cycles;
         DramRead {
             line,
-            latency_cycles: clock::ps_to_cycles(dram_ps, self.core_khz) + mac_cycles,
+            latency_cycles: clock::ps_to_cycles(dram_ps, clock::CORE_KHZ) + mac_cycles,
             mac_cycles,
             verdict,
             dram_ps,
@@ -494,7 +490,7 @@ mod tests {
     fn controller(guarded: bool) -> MemoryController {
         let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
         let engine = guarded.then(|| PtGuardEngine::new(PtGuardConfig::default()));
-        MemoryController::new(device, engine, 3.0)
+        MemoryController::new(device, engine)
     }
 
     #[test]
@@ -526,7 +522,7 @@ mod tests {
     #[test]
     fn full_memory_mac_roundtrips_and_detects_tampering() {
         let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
-        let mut mc = MemoryController::with_full_memory_mac(device, 3.0);
+        let mut mc = MemoryController::with_full_memory_mac(device);
         let addr = PhysAddr::new(0x5_0000);
         let data = Line::from_words([u64::MAX, 1, 2, 3, 4, 5, 6, 7]);
         mc.write_line(addr, data);
@@ -561,8 +557,8 @@ mod tests {
     fn full_memory_mac_charges_extra_latency_on_cache_misses() {
         let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
         let mut unprotected =
-            MemoryController::new(DramDevice::ddr4_4gb(RowhammerConfig::immune()), None, 3.0);
-        let mut mc = MemoryController::with_full_memory_mac(device, 3.0);
+            MemoryController::new(DramDevice::ddr4_4gb(RowhammerConfig::immune()), None);
+        let mut mc = MemoryController::with_full_memory_mac(device);
         // Scatter reads so the 64-entry MAC cache keeps missing (stride of
         // 512 data lines = one MAC line each).
         let (mut plain_total, mut mac_total) = (0u64, 0u64);
@@ -604,7 +600,7 @@ mod tests {
         assert_eq!(guarded.stats().mac_cycles_added, total);
 
         let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
-        let mut fm = MemoryController::with_full_memory_mac(device, 3.0);
+        let mut fm = MemoryController::with_full_memory_mac(device);
         let mut total = 0u64;
         for i in 0..32u64 {
             let addr = PhysAddr::new(0x5_0000 + i * 64);

@@ -1084,7 +1084,7 @@ mod tests {
     fn system(guarded: bool) -> MemorySystem {
         let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
         let engine = guarded.then(|| PtGuardEngine::new(PtGuardConfig::default()));
-        let mc = MemoryController::new(device, engine, 3.0);
+        let mc = MemoryController::new(device, engine);
         MemorySystem::new(MemSysConfig::default(), vec![mc])
     }
 
@@ -1481,7 +1481,7 @@ mod tests {
             .map(|_| {
                 let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
                 let engine = guarded.then(|| PtGuardEngine::new(PtGuardConfig::default()));
-                MemoryController::new(device, engine, 3.0)
+                MemoryController::new(device, engine)
             })
             .collect();
         MemorySystem::new(cfg, controllers)
@@ -1541,7 +1541,7 @@ mod tests {
     /// (the controller's data-read path), in that order.
     fn forged_word0(cfg: PtGuardConfig, addr: PhysAddr) -> (Line, u64, u64) {
         let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
-        let mc = MemoryController::new(device, Some(PtGuardEngine::new(cfg)), 3.0);
+        let mc = MemoryController::new(device, Some(PtGuardEngine::new(cfg)));
         let mut sys = MemorySystem::new(MemSysConfig::default(), vec![mc]);
         let engine = sys.channel(0).engine().unwrap();
         let fmt = engine.config().format;

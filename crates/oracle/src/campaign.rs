@@ -175,7 +175,7 @@ const PAGES: u64 = 60;
 fn build_rig() -> Rig {
     let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
     let engine = PtGuardEngine::new(PtGuardConfig::default());
-    let mc = MemoryController::new(device, Some(engine), 3.0);
+    let mc = MemoryController::new(device, Some(engine));
     let mut sys = MemorySystem::new(MemSysConfig::default(), vec![mc]);
 
     let base = 0x40_0000_0000u64;

@@ -67,8 +67,6 @@ pub struct JobReport {
     pub outcome: JobOutcome,
     /// Wall time spent executing (0 for cache hits and skips).
     pub wall_ms: u64,
-    /// The job's deterministic simulated-op count.
-    pub sim_ops: u64,
 }
 
 /// The result of a [`run_dag`] call.
@@ -87,8 +85,6 @@ pub struct RunReport {
     pub error: Option<String>,
     /// Total wall time of the run.
     pub wall_ms: u64,
-    /// Highest per-job throughput observed (`sim_ops / wall`), in ops/sec.
-    pub peak_ops_per_sec: f64,
     /// Where the manifest was written, when run logging was enabled.
     pub run_dir: Option<PathBuf>,
 }
@@ -121,7 +117,6 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
                     spec.id
                 )),
                 wall_ms: 0,
-                peak_ops_per_sec: 0.0,
                 run_dir: None,
             };
         }
@@ -216,11 +211,6 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
         .filter(|r| r.outcome == JobOutcome::CacheHit)
         .count();
     let wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let peak_ops_per_sec = jobs
-        .iter()
-        .filter(|r| r.outcome == JobOutcome::Executed && r.wall_ms > 0 && r.sim_ops > 0)
-        .map(|r| ops_per_sec(r.sim_ops, r.wall_ms))
-        .fold(0.0f64, f64::max);
 
     ctx.log.emit(
         "run_finish",
@@ -228,7 +218,6 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
             ("executed", Value::U64(executed as u64)),
             ("cache_hits", Value::U64(cache_hits as u64)),
             ("wall_ms", Value::U64(wall_ms)),
-            ("peak_ops_per_sec", Value::F64(peak_ops_per_sec)),
             (
                 "error",
                 error
@@ -250,7 +239,6 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
             ("executed", Value::U64(executed as u64)),
             ("cache_hits", Value::U64(cache_hits as u64)),
             ("wall_ms", Value::U64(wall_ms)),
-            ("peak_ops_per_sec", Value::F64(peak_ops_per_sec)),
             (
                 "cache_dir",
                 ctx.cache
@@ -273,7 +261,6 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
                                 ("key", Value::Str(r.key.clone())),
                                 ("outcome", Value::Str(r.outcome.as_str().to_string())),
                                 ("wall_ms", Value::U64(r.wall_ms)),
-                                ("sim_ops", Value::U64(r.sim_ops)),
                             ])
                         })
                         .collect(),
@@ -292,14 +279,8 @@ pub fn run_dag(specs: Vec<JobSpec>, opts: RunOptions) -> RunReport {
         cache_hits,
         error,
         wall_ms,
-        peak_ops_per_sec,
         run_dir,
     }
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn ops_per_sec(sim_ops: u64, wall_ms: u64) -> f64 {
-    sim_ops as f64 / (wall_ms.max(1) as f64 / 1000.0)
 }
 
 /// Runs job `j`, serves it from the cache, or skips it when `deps` (its
@@ -313,18 +294,17 @@ fn execute_job(
 ) -> (Option<JobOutput>, JobReport, Option<String>) {
     let spec = &ctx.specs[j];
     let key = &ctx.keys[j];
-    let report = |outcome, wall_ms, sim_ops| JobReport {
+    let report = |outcome, wall_ms| JobReport {
         id: spec.id.clone(),
         key: key.clone(),
         outcome,
         wall_ms,
-        sim_ops,
     };
 
     let Some(deps) = deps else {
         ctx.log
             .emit("job_skipped", vec![("job", Value::Str(spec.id.clone()))]);
-        return (None, report(JobOutcome::Skipped, 0, 0), None);
+        return (None, report(JobOutcome::Skipped, 0), None);
     };
 
     // Memoization.
@@ -337,7 +317,7 @@ fn execute_job(
                     ("key", Value::Str(key.clone())),
                 ],
             );
-            let report = report(JobOutcome::CacheHit, 0, out.sim_ops);
+            let report = report(JobOutcome::CacheHit, 0);
             return (Some(out), report, None);
         }
     }
@@ -378,11 +358,9 @@ fn execute_job(
                 vec![
                     ("job", Value::Str(spec.id.clone())),
                     ("wall_ms", Value::U64(wall_ms)),
-                    ("sim_ops", Value::U64(out.sim_ops)),
-                    ("ops_per_sec", Value::F64(ops_per_sec(out.sim_ops, wall_ms))),
                 ],
             );
-            let report = report(JobOutcome::Executed, wall_ms, out.sim_ops);
+            let report = report(JobOutcome::Executed, wall_ms);
             (Some(out), report, None)
         }
         Err(e) => {
@@ -394,7 +372,7 @@ fn execute_job(
                 ],
             );
             let error = format!("{}: {e}", spec.id);
-            (None, report(JobOutcome::Failed, wall_ms, 0), Some(error))
+            (None, report(JobOutcome::Failed, wall_ms), Some(error))
         }
     }
 }

@@ -2,19 +2,14 @@
 
 use crate::json::Value;
 
-/// The structured result of one job: the rendered artefact text, named
-/// scalar metrics, and a deterministic count of simulated operations (used
-/// for ops/sec throughput events — the count must not depend on wall time,
-/// worker count, or cache state).
+/// The structured result of one job: the rendered artefact text and named
+/// scalar metrics.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobOutput {
     /// Rendered artefact text, exactly as it should reach stdout.
     pub rendered: String,
     /// Named scalar metrics, in a deterministic order.
     pub metrics: Vec<(String, f64)>,
-    /// Simulated operations performed (instructions, modelled line ops,
-    /// trials — whatever the job's natural unit is). Deterministic.
-    pub sim_ops: u64,
 }
 
 impl JobOutput {
@@ -24,7 +19,6 @@ impl JobOutput {
         JobOutput {
             rendered: text,
             metrics: Vec::new(),
-            sim_ops: 0,
         }
     }
 
@@ -32,13 +26,6 @@ impl JobOutput {
     #[must_use]
     pub fn metric(mut self, name: &str, value: f64) -> Self {
         self.metrics.push((name.to_string(), value));
-        self
-    }
-
-    /// Sets the simulated-op count (builder style).
-    #[must_use]
-    pub fn ops(mut self, sim_ops: u64) -> Self {
-        self.sim_ops = sim_ops;
         self
     }
 
@@ -56,7 +43,6 @@ impl JobOutput {
                         .collect(),
                 ),
             ),
-            ("sim_ops", Value::U64(self.sim_ops)),
         ])
     }
 
@@ -71,12 +57,7 @@ impl JobOutput {
             };
             metrics.push((name.as_str()?.to_string(), value.as_f64()?));
         }
-        let sim_ops = v.get("sim_ops")?.as_u64()?;
-        Some(JobOutput {
-            rendered,
-            metrics,
-            sim_ops,
-        })
+        Some(JobOutput { rendered, metrics })
     }
 
     /// Looks a metric up by name.
@@ -152,8 +133,7 @@ mod tests {
     fn output_json_roundtrip() {
         let out = JobOutput::rendered("table ± stdev\nline2\n".to_string())
             .metric("gmean", 0.987_654_321)
-            .metric("n", 25.0)
-            .ops(1_234_567);
+            .metric("n", 25.0);
         let back = JobOutput::from_json(&Value::parse(&out.to_json().render()).unwrap()).unwrap();
         assert_eq!(back, out);
     }
@@ -163,7 +143,7 @@ mod tests {
         for s in [
             "{}",
             r#"{"rendered":"x"}"#,
-            r#"{"rendered":1,"metrics":[],"sim_ops":0}"#,
+            r#"{"rendered":1,"metrics":[]}"#,
         ] {
             assert!(JobOutput::from_json(&Value::parse(s).unwrap()).is_none());
         }

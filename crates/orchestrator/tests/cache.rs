@@ -35,9 +35,7 @@ impl Drop for TempDir {
 fn store_then_load_roundtrips() {
     let tmp = TempDir::new("roundtrip");
     let cache = DiskCache::open(&tmp.0).unwrap();
-    let out = JobOutput::rendered("hello ± world\n".to_string())
-        .metric("x", 1.5)
-        .ops(42);
+    let out = JobOutput::rendered("hello ± world\n".to_string()).metric("x", 1.5);
     cache.store("abc123", &out).unwrap();
     assert_eq!(cache.load("abc123"), Some(out));
 }
@@ -112,7 +110,7 @@ fn engine_serves_warm_cache_without_executing() {
                 let counter = Arc::clone(&counter);
                 JobSpec::new(format!("job{i}"), vec![format!("job:{i}")], move |_| {
                     counter.fetch_add(1, Ordering::SeqCst);
-                    Ok(JobOutput::rendered(format!("out{i}")).ops(10))
+                    Ok(JobOutput::rendered(format!("out{i}")))
                 })
             })
             .collect::<Vec<_>>()

@@ -196,19 +196,3 @@ fn run_dir_gets_events_and_manifest() {
     assert_eq!(v.get("executed").unwrap().as_u64(), Some(5));
     assert_eq!(v.get("job_list").unwrap().as_arr().unwrap().len(), 5);
 }
-
-#[test]
-fn throughput_is_reported_from_deterministic_op_counts() {
-    let specs = vec![JobSpec::new("ops", vec!["ops".to_string()], |_| {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        Ok(JobOutput::rendered(String::new()).ops(1_000_000))
-    })];
-    let report = run_dag(specs, RunOptions::default());
-    assert!(report.error.is_none());
-    assert_eq!(report.jobs[0].sim_ops, 1_000_000);
-    assert!(
-        report.peak_ops_per_sec > 0.0,
-        "peak {}",
-        report.peak_ops_per_sec
-    );
-}

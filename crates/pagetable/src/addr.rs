@@ -160,12 +160,6 @@ impl Frame {
     pub fn base(self) -> PhysAddr {
         PhysAddr(self.0 << 12)
     }
-
-    /// Number of bits needed to express this frame number.
-    #[must_use]
-    pub fn significant_bits(self) -> u32 {
-        64 - self.0.leading_zeros()
-    }
 }
 
 impl fmt::Debug for Frame {

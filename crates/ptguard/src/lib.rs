@@ -62,7 +62,6 @@ pub mod format;
 pub mod line;
 pub mod mac;
 pub mod pattern;
-pub mod rekey;
 pub mod security;
 pub mod sram;
 

@@ -65,12 +65,6 @@ pub fn effective_mac_bits(n: u32, k: u32, g_max: u32) -> f64 {
     -p_escape(n, k, g_max).log2()
 }
 
-/// Loss of security (bits) relative to the raw `n`-bit MAC.
-#[must_use]
-pub fn security_loss_bits(n: u32, k: u32, g_max: u32) -> f64 {
-    f64::from(n) - effective_mac_bits(n, k, g_max)
-}
-
 /// Equation 2: probability that an `n`-bit MAC suffers more than `k` bit
 /// flips at per-bit flip probability `p_flip`.
 #[must_use]

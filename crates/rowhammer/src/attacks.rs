@@ -24,15 +24,6 @@ pub enum AttackKind {
 }
 
 impl AttackKind {
-    /// All patterns, in historical order.
-    pub const ALL: [AttackKind; 5] = [
-        AttackKind::SingleSided,
-        AttackKind::DoubleSided,
-        AttackKind::ManySided,
-        AttackKind::Blacksmith,
-        AttackKind::HalfDouble,
-    ];
-
     /// Display name.
     #[must_use]
     pub fn name(self) -> &'static str {

@@ -42,14 +42,6 @@ pub struct ActivationProvenance {
     pub refresh: u64,
 }
 
-impl ActivationProvenance {
-    /// Total observed activations across all provenance classes.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.explicit + self.demand + self.walk + self.refresh
-    }
-}
-
 /// Couples a DRAM host with a mitigation: every attacker activation is
 /// observed by the mitigation, which may issue victim refreshes (that
 /// themselves disturb distance-2 rows) or inject delay.

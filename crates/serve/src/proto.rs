@@ -25,7 +25,6 @@
 
 use std::io::{self, Read, Write};
 
-use pagetable::addr::PhysAddr;
 use pagetable::CACHELINE_SIZE;
 use ptguard::Line;
 use trace::format::crc32;
@@ -268,17 +267,6 @@ impl Request {
                 }
             }
             _ => Err(WireError::Malformed("unknown opcode")),
-        }
-    }
-
-    /// The physical address of an operation request, as a [`PhysAddr`].
-    #[must_use]
-    pub fn phys_addr(&self) -> Option<PhysAddr> {
-        match *self {
-            Request::Embed { addr, .. }
-            | Request::Verify { addr, .. }
-            | Request::Correct { addr, .. } => Some(PhysAddr::new(addr)),
-            Request::Shutdown => None,
         }
     }
 }

@@ -69,7 +69,7 @@ fn run_core(
     let geometry = DramGeometry::with_capacity(DRAM_GB << 30);
     let device = DramDevice::new(geometry, timing, RowhammerConfig::immune());
     let engine = guard.map(PtGuardEngine::new);
-    let controller = MemoryController::new(device, engine, mem_cfg.core_ghz);
+    let controller = MemoryController::new(device, engine);
     let mut sys = MemorySystem::new(mem_cfg, vec![controller]);
 
     let base = TraceGenerator::HEAP_BASE;

@@ -109,7 +109,6 @@ pub fn build_machine_from_source_cfg(
     dram_gb: u64,
     mem_cfg: MemSysConfig,
 ) -> Machine {
-    let core_ghz = mem_cfg.core_ghz;
     // One controller (device + engine) per channel; every device keeps the
     // full geometry so physical addresses are uncompacted and the
     // interleave alone decides which store holds a line.
@@ -119,13 +118,11 @@ pub fn build_machine_from_source_cfg(
             let device =
                 DramDevice::new(geometry, DramTiming::default(), RowhammerConfig::immune());
             match protection {
-                Protection::None => MemoryController::new(device, None, core_ghz),
+                Protection::None => MemoryController::new(device, None),
                 Protection::PtGuard(cfg) => {
-                    MemoryController::new(device, Some(PtGuardEngine::new(cfg)), core_ghz)
+                    MemoryController::new(device, Some(PtGuardEngine::new(cfg)))
                 }
-                Protection::FullMemoryMac => {
-                    MemoryController::with_full_memory_mac(device, core_ghz)
-                }
+                Protection::FullMemoryMac => MemoryController::with_full_memory_mac(device),
             }
         })
         .collect();

@@ -71,16 +71,6 @@ impl TraceGenerator {
         &self.profile
     }
 
-    /// Virtual address span the generator touches (for pre-mapping):
-    /// `(base, pages)`.
-    #[must_use]
-    pub fn va_span(&self) -> (u64, u64) {
-        (
-            self.base,
-            self.profile.hot_pages + self.profile.stream_pages,
-        )
-    }
-
     #[inline]
     fn next_u64(&mut self) -> u64 {
         let mut x = self.rng;

@@ -23,7 +23,7 @@ fn main() {
         ..RowhammerConfig::default()
     });
     let engine = PtGuardEngine::new(PtGuardConfig::default());
-    let controller = MemoryController::new(device, Some(engine), 3.0);
+    let controller = MemoryController::new(device, Some(engine));
     let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
 
     // The victim process: 2048 mapped pages.

@@ -21,7 +21,6 @@ fn attack_artefact_is_byte_identical_across_jobs() {
     let sharded = run_artefact_jobs("attack", Scale::Trial, 0, 8).unwrap();
     assert_eq!(serial.rendered, sharded.rendered);
     assert_eq!(serial.metrics, sharded.metrics);
-    assert_eq!(serial.sim_ops, sharded.sim_ops);
 }
 
 #[test]

@@ -60,7 +60,7 @@ fn build(guarded: bool, optimized: bool) -> MemorySystem {
             PtGuardConfig::default()
         })
     });
-    let controller = MemoryController::new(device, engine, 3.0);
+    let controller = MemoryController::new(device, engine);
     MemorySystem::new(MemSysConfig::default(), vec![controller])
 }
 

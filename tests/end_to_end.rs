@@ -18,7 +18,7 @@ use workloads::pte_census::{generate_process, CensusConfig};
 fn guarded_system(pages: u64, cfg: PtGuardConfig) -> (MemorySystem, AddressSpace, u64) {
     let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
     let engine = PtGuardEngine::new(cfg);
-    let controller = MemoryController::new(device, Some(engine), 3.0);
+    let controller = MemoryController::new(device, Some(engine));
     let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
     let base = 0x20_0000_0000u64;
     let mut port = OsPort::new(&mut sys);
@@ -206,7 +206,7 @@ fn os_migration_recovers_from_persistent_hammering() {
         ..RowhammerConfig::default()
     });
     let engine = PtGuardEngine::new(PtGuardConfig::default());
-    let controller = MemoryController::new(device, Some(engine), 3.0);
+    let controller = MemoryController::new(device, Some(engine));
     let mut sys = MemorySystem::new(MemSysConfig::default(), vec![controller]);
 
     let base = 0x40_0000_0000u64;
