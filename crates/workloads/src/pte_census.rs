@@ -213,56 +213,31 @@ pub fn flags_uniform(line: &[u64; 8]) -> bool {
     true
 }
 
-/// Runs the full census and aggregates the Figure 8 statistics.
+/// Runs the full census and aggregates the Figure 8 statistics: one
+/// [`CensusTally`] per process, merged for the census-wide figures.
 #[must_use]
 pub fn run_census(cfg: &CensusConfig) -> CensusReport {
     let mut per_process = Vec::with_capacity(cfg.processes);
-    let (mut tz, mut tc, mut tn) = (0u64, 0u64, 0u64);
-    let mut uniform_lines = 0u64;
-    let mut nonzero_lines = 0u64;
+    let mut all = CensusTally::default();
     for pid in 0..cfg.processes {
-        let proc = generate_process(cfg, pid);
-        let (mut z, mut c, mut n) = (0u64, 0u64, 0u64);
-        for line in &proc.lines {
-            for class in classify_line(line) {
-                match class {
-                    PteClass::Zero => z += 1,
-                    PteClass::Contiguous => c += 1,
-                    PteClass::NonContiguous => n += 1,
-                }
-            }
-            if line.iter().any(|&w| w != 0) {
-                nonzero_lines += 1;
-                if flags_uniform(line) {
-                    uniform_lines += 1;
-                }
-            }
-        }
-        let total = (z + c + n) as f64;
-        per_process.push((
-            100.0 * z as f64 / total,
-            100.0 * c as f64 / total,
-            100.0 * n as f64 / total,
-        ));
-        tz += z;
-        tc += c;
-        tn += n;
+        let t = tally_processes(cfg, pid, pid + 1);
+        per_process.push((t.pct_zero(), t.pct_contiguous(), t.pct_noncontiguous()));
+        all.merge(&t);
     }
     per_process.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let total = (tz + tc + tn) as f64;
     CensusReport {
-        pct_zero: 100.0 * tz as f64 / total,
-        pct_contiguous: 100.0 * tc as f64 / total,
-        pct_noncontiguous: 100.0 * tn as f64 / total,
-        flag_uniformity: uniform_lines as f64 / nonzero_lines.max(1) as f64,
+        pct_zero: all.pct_zero(),
+        pct_contiguous: all.pct_contiguous(),
+        pct_noncontiguous: all.pct_noncontiguous(),
+        flag_uniformity: all.flag_uniformity(),
         per_process,
-        total_ptes: tz + tc + tn,
+        total_ptes: all.total_ptes(),
     }
 }
 
-/// Mergeable census counts: everything [`run_census`] aggregates except
-/// the per-process breakdown, in O(1) memory. All fields are plain sums,
-/// so merging shard tallies in any order gives identical results.
+/// Mergeable census counts, in O(1) memory: one process's or one shard's
+/// classified lines. All fields are plain sums, so merging tallies in any
+/// order gives identical results.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CensusTally {
     /// All-zero PTEs.
