@@ -7,11 +7,13 @@
 //! artefact sweeps the window over MAC-heavy profiles and reports how much
 //! of the PT-Guard latency bank-level overlap hides, alongside the
 //! pipeline's observability counters (queue/MSHR high-water marks, MAC
-//! batch sizes, per-bank row locality). `mlp = 1` is pinned byte-identical
-//! to the blocking model, so the sweep's first column doubles as a
-//! regression anchor.
+//! batch sizes, row locality). Every counter except the two high-water
+//! marks covers the measured region only. `mlp = 1` is pinned
+//! byte-identical to the blocking model, so the sweep's first column
+//! doubles as a regression anchor.
 
 use memsys::controller::MAC_BATCH_BUCKETS;
+use memsys::system::PumpStats;
 use memsys::MemSysConfig;
 use ptguard::PtGuardConfig;
 use simx::runner::{build_machine_from_source_cfg, run, Protection};
@@ -41,17 +43,18 @@ pub struct MlpRow {
     pub ipc: f64,
     /// Speedup over the same workload at `mlp = 1`.
     pub speedup: f64,
-    /// Controller read-queue occupancy high-water mark.
+    /// Controller read-queue occupancy high-water mark over the machine's
+    /// whole run.
     pub queue_hwm: u64,
-    /// MSHR file high-water mark.
+    /// MSHR file high-water mark over the machine's whole run.
     pub mshr_hwm: u64,
     /// DRAM row-buffer hit fraction over all banks.
     pub row_hit_rate: f64,
     /// MAC verification batch-size histogram
     /// (buckets: 1, 2, 3–4, 5–8, 9–16, >16).
     pub mac_batches: [u64; MAC_BATCH_BUCKETS],
-    /// Events accepted by the wheel over both regions (one drain arm per
-    /// channel with outstanding reads; completions ride the drain).
+    /// Events accepted by the scheduler (one drain arm per channel with
+    /// outstanding reads; completions ride the drain).
     pub events_posted: u64,
     /// Events fired by the pump.
     pub events_fired: u64,
@@ -84,15 +87,18 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<MlpRow> {
                 mem_cfg,
             );
             let _ = run(&mut machine, instrs); // warm-up, discarded
+            let pump = machine.sys.pump_stats();
+            let dram = machine.sys.channel(0).device().stats();
+            let (hits, misses) = (dram.row_hits, dram.row_misses);
+            let batches = machine.sys.channel(0).stats().mac_batch_hist;
             let r = run(&mut machine, instrs);
             if mlp == 1 {
                 base_cycles = r.cycles;
             }
+            let pump = PumpRegion::between(&pump, &machine.sys.pump_stats());
+            let dram = machine.sys.channel(0).device().stats();
+            let (hits, misses) = (dram.row_hits - hits, dram.row_misses - misses);
             let cstats = machine.sys.channel(0).stats();
-            let dstats = machine.sys.channel(0).device().stats();
-            let pump = machine.sys.pump_stats();
-            let hits: u64 = dstats.per_bank_row_hits.iter().sum();
-            let misses: u64 = dstats.per_bank_row_misses.iter().sum();
             rows.push(MlpRow {
                 name: (*name).to_string(),
                 mlp,
@@ -102,14 +108,43 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<MlpRow> {
                 queue_hwm: cstats.queue_occupancy_hwm,
                 mshr_hwm: machine.sys.stats().mshr_hwm,
                 row_hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-                mac_batches: cstats.mac_batch_hist,
-                events_posted: pump.events_posted,
-                events_fired: pump.events_fired,
-                idle_skip_mean_ps: pump.idle_skip_ps.mean(),
+                mac_batches: std::array::from_fn(|i| cstats.mac_batch_hist[i] - batches[i]),
+                events_posted: pump.posted,
+                events_fired: pump.fired,
+                idle_skip_mean_ps: pump.idle_skip_mean_ps,
             });
         }
     }
     rows
+}
+
+/// The event pump's counters over a measured region, from its stats
+/// before and after the region.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PumpRegion {
+    /// Events accepted by the scheduler.
+    pub posted: u64,
+    /// Events fired.
+    pub fired: u64,
+    /// Mean virtual time skipped per pump advance, in ps (0 with none).
+    pub idle_skip_mean_ps: f64,
+}
+
+impl PumpRegion {
+    #[allow(clippy::cast_precision_loss)]
+    pub(crate) fn between(before: &PumpStats, after: &PumpStats) -> Self {
+        let advances = after.idle_skip_ps.count() - before.idle_skip_ps.count();
+        let skipped_ps = after.idle_skip_ps.sum() - before.idle_skip_ps.sum();
+        Self {
+            posted: after.events_posted - before.events_posted,
+            fired: after.events_fired - before.events_fired,
+            idle_skip_mean_ps: if advances == 0 {
+                0.0
+            } else {
+                skipped_ps as f64 / advances as f64
+            },
+        }
+    }
 }
 
 /// Renders the sweep.
@@ -144,14 +179,15 @@ pub fn render(rows: &[MlpRow]) -> String {
         ]);
     }
     format!(
-        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and batch MAC verification per drain.\nevents p/f = wheel posts/fires; idle-skip = mean virtual time\njumped per pump advance instead of being polled through.\n",
+        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and batch MAC verification per drain.\nevents p/f = wheel posts/fires; idle-skip = mean virtual time\njumped per pump advance instead of being polled through.\nqueue and MSHR are high-water marks over the run (page-table build,\nflush, warm-up and region); every other column covers the region.\n",
         t.render()
     )
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use workloads::WorkloadProfile;
 
     #[test]
     fn sweep_is_deterministic_and_overlap_helps() {
@@ -187,5 +223,30 @@ mod tests {
                 .any(|r| r.mlp == 4 && r.mac_batches[1..].iter().sum::<u64>() > 0),
             "no multi-MAC batch observed at mlp=4"
         );
+    }
+
+    /// Events the pump fires over the measured region of `p`'s guarded
+    /// machine, counted around the measured run alone.
+    pub(crate) fn region_events_fired(p: WorkloadProfile, seed: u64, cfg: MemSysConfig) -> u64 {
+        let guard = Protection::PtGuard(PtGuardConfig::default());
+        let mut machine =
+            build_machine_from_source_cfg(TraceGenerator::new(p, seed), p, guard, 4, cfg);
+        let instrs = Scale::Trial.instructions();
+        let _ = run(&mut machine, instrs);
+        let before = machine.sys.pump_stats().events_fired;
+        let _ = run(&mut machine, instrs);
+        machine.sys.pump_stats().events_fired - before
+    }
+
+    #[test]
+    fn pump_counters_cover_the_measured_region_only() {
+        // The page-table build, flush and warm-up fire events too; sssp's
+        // mlp-1 row must count its measured region's alone.
+        let row = &run_seeded(Scale::Trial, 0)[0];
+        assert_eq!((row.name.as_str(), row.mlp), (WORKLOADS[0], 1));
+        let p = by_name(WORKLOADS[0]).expect("profile");
+        let seed = crate::salted(0x317, 0);
+        let fired = region_events_fired(p, seed, MemSysConfig::default());
+        assert_eq!(row.events_fired, fired);
     }
 }

@@ -125,8 +125,8 @@ impl<T> EventWheel<T> {
 /// skips span ps to ms, so linear buckets are useless).
 ///
 /// Bucket `0` holds zeros; bucket `i ≥ 1` holds values in
-/// `[2^(i-1), 2^i)`. The exact sum and max are kept alongside, so the
-/// mean is not quantised.
+/// `[2^(i-1), 2^i)`. The exact sum and max are kept alongside, so a
+/// mean over the count is not quantised.
 #[derive(Debug, Clone)]
 pub struct Log2Hist {
     buckets: [u64; 65],
@@ -182,16 +182,6 @@ impl Log2Hist {
     #[must_use]
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Exact mean (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Upper bound of the bucket containing the `p`-th percentile
