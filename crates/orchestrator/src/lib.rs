@@ -19,8 +19,7 @@
 //!   threads, the caller among them, that take indices from one shared
 //!   counter. It is the crate's only parallel mechanism.
 //! * [`job`] — [`job::JobSpec`] (id, key material, dependencies, work
-//!   closure) and [`job::JobOutput`] (rendered text + named metrics + a
-//!   deterministic simulated-op count for throughput accounting).
+//!   closure) and [`job::JobOutput`] (rendered text + named metrics).
 //! * [`events`] — the JSON-lines event log (`job_start` / `job_finish` /
 //!   `cache_hit` / …) and the run manifest writer.
 //! * [`engine`] — [`engine::run_dag`], which ties it all together: each
