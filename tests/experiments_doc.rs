@@ -1,11 +1,16 @@
 //! EXPERIMENTS.md's paper-vs-measured tables quote `experiments_quick.txt`.
-//! Every bold measured cell of the Figure 6–9 and §VII-C tables, and every
-//! measured cell of the §VI-E, §VII-A and §I/VIII-D tables, must carry the
-//! numbers of the artefact line it summarizes, so regenerating an artefact
-//! without its summary fails here.
+//! Every bold measured cell of the Figure 6–9 and §VII-C tables, every
+//! measured cell of the §VI-E, §VII-A and §I/VIII-D tables, and every
+//! number of the `mlp` and `channels` findings must carry the numbers of
+//! the artefact lines it summarizes, so regenerating an artefact without
+//! its summary fails here. README.md's artefact list must name every
+//! artefact `exp` runs.
+
+use experiments::orchestrate::ARTEFACTS;
 
 const DOC: &str = include_str!("../EXPERIMENTS.md");
 const QUICK: &str = include_str!("../experiments_quick.txt");
+const README: &str = include_str!("../README.md");
 
 /// The `===== name =====` section of `experiments_quick.txt`.
 fn artefact(name: &str) -> &'static str {
@@ -34,6 +39,25 @@ fn artefact_row(section: &str, keys: &[&str]) -> Vec<&'static str> {
         .unwrap_or_else(|| panic!("no row {keys:?} in {section}"))
 }
 
+/// The rows of a `mlp` or `channels` table: cells after the header, each
+/// row's second cell its window size.
+fn window_rows(name: &str) -> Vec<Vec<&'static str>> {
+    artefact(name)
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .map(cells)
+        .filter(|row| row[1].parse::<usize>().is_ok())
+        .collect()
+}
+
+/// A table cell's number without its unit (`1.378x`, `72.9%`, `25.0 ns`).
+fn value(cell: &str) -> f64 {
+    let number = cell.trim_end_matches(" ns").trim_end_matches(['x', '%']);
+    number
+        .parse()
+        .unwrap_or_else(|_| panic!("not a number: {cell}"))
+}
+
 /// The word after `marker` in `section`, without trailing punctuation.
 fn after(section: &str, marker: &str) -> String {
     let rest = &section[section.find(marker).expect(marker) + marker.len()..];
@@ -52,6 +76,13 @@ fn doc_section(heading: &str) -> &'static str {
         .find("\n## ")
         .map_or(DOC.len() - start, |n| n + 1);
     &DOC[start..start + len]
+}
+
+/// The paragraph of `heading`'s section that starts with `start`.
+fn doc_paragraph(heading: &str, start: &str) -> &'static str {
+    let section = doc_section(heading);
+    let from = &section[section.find(start).expect(start)..];
+    &from[..from.find("\n\n").unwrap_or(from.len())]
 }
 
 /// The table row labelled `label` in `heading`'s section.
@@ -332,4 +363,65 @@ fn sections_i_viii_d_table_quotes_the_artefact() {
             );
         }
     }
+}
+
+#[test]
+fn mlp_section_quotes_the_artefact() {
+    fn batches(r: &[&str]) -> Vec<f64> {
+        r[10].split(" / ").map(value).collect()
+    }
+    let rows = window_rows("mlp");
+    let at = |mlp: &'static str| rows.iter().filter(move |r| r[1] == mlp);
+    let span_at = |mlp, decimals, cell: fn(&[&str]) -> f64| {
+        span(at(mlp).map(|r| cell(r)), decimals).join(" ")
+    };
+    let fired = |r: &[&str]| value(r[8].split('/').nth(1).unwrap());
+    let smaller = at("4")
+        .map(|r| batches(r)[..2].iter().sum::<f64>())
+        .fold(0.0, f64::max);
+    let quoted = format!(
+        "4 {} 1 {} 4 {} {} 1 {} {} 4 3 4 {} {smaller}",
+        span_at("4", 3, |r| value(r[4])),
+        span_at("4", 1, |r| value(r[7])),
+        span_at("4", 0, fired),
+        span_at("1", 0, fired),
+        span_at("4", 1, |r| value(r[9])),
+        span_at("1", 1, |r| value(r[9])),
+        span_at("4", 0, |r| batches(r)[2]),
+    );
+    let paragraph = doc_paragraph("## Event-driven memory pipeline", "At `--quick` scale");
+    assert_eq!(numbers(paragraph).join(" "), quoted);
+}
+
+#[test]
+fn channels_section_quotes_the_artefact() {
+    let paragraph = doc_paragraph("## Multi-channel memory system", "At `--quick` scale");
+    let rows = window_rows("channels");
+    let speedup4 = |mlp: &'static str| {
+        rows.iter()
+            .filter(move |r| r[1] == mlp)
+            .map(|r| (r[0], value(r[6])))
+    };
+    let by_speedup = |a: &(&str, f64), b: &(&str, f64)| a.1.total_cmp(&b.1);
+    let (_, serial_best) = speedup4("1").max_by(by_speedup).unwrap();
+    let (worst, serial_worst) = speedup4("1").min_by(by_speedup).unwrap();
+    let (best, window_best) = speedup4("4").max_by(by_speedup).unwrap();
+    assert_eq!(after(paragraph, "worst `"), worst);
+    assert_eq!(after(paragraph, "best `"), best);
+    assert_eq!(after(paragraph, "streamer `"), "lbm");
+    let lbm = value(artefact_row("channels", &["lbm", "4"])[6]);
+    let balance = span(rows.iter().map(|r| value(r[7])), 2).join(" ");
+    assert_eq!(
+        numbers(paragraph).join(" "),
+        format!("1 {serial_best:.3} {serial_worst:.3} 4 4 {window_best:.3} {lbm:.3} 4 {balance}")
+    );
+}
+
+#[test]
+fn readme_lists_every_artefact() {
+    let marker = "Artefacts: `";
+    let start = README.find(marker).expect("the artefact list") + marker.len();
+    let list = &README[start..start + README[start..].find('`').unwrap()];
+    let names: Vec<&str> = ARTEFACTS.iter().copied().chain(["all"]).collect();
+    assert_eq!(list.split_whitespace().collect::<Vec<_>>(), names);
 }
