@@ -7,13 +7,12 @@
 
 /// Converts nanoseconds to integer picoseconds, rounding to nearest.
 ///
-/// This is the device-side twin of `memsys::config::clock::ns_to_ps` (the
-/// `dram` crate sits below `memsys` and cannot depend on it): all datasheet
-/// timings have at most three decimals of ns, so the conversion is exact and
-/// the two definitions agree bit for bit. Internally the device accumulates
-/// time **only** in integer picoseconds — f64 sums drift once the clock is
-/// large (beyond 2^53 ps the f64 ulp exceeds a full core cycle), which is
-/// precisely the bug class this representation removes.
+/// `memsys::config::clock` re-exports it. All datasheet timings have at
+/// most three decimals of ns, so the conversion is exact. Internally the
+/// device accumulates time **only** in integer picoseconds — f64 sums
+/// drift once the clock is large (beyond 2^53 ps the f64 ulp exceeds a
+/// full core cycle), which is precisely the bug class this representation
+/// removes.
 #[must_use]
 pub fn ns_to_ps(ns: f64) -> u128 {
     (ns * 1e3).round() as u128

@@ -5,8 +5,8 @@
 //!
 //! 1. **Differentials** — seeded op streams through the fast cache, TLB,
 //!    MMU cache, and page walker, checked op-for-op against naive
-//!    reference models. Any divergence is shrunk to a minimal reproducer
-//!    and written next to the run.
+//!    reference models. Any divergence is shrunk to a minimal op stream,
+//!    which the report prints under its DIVERGENCE line.
 //! 2. **MAC sweep** — the bit-level QARMA MAC oracle: cross-checks,
 //!    embed→extract→verify round-trips, exhaustive 1-bit (and, at quick
 //!    scale and above, exhaustive 2-bit) protected-flip rejection, and the
@@ -30,7 +30,7 @@ pub struct OracleResult {
     pub diff_runs: u64,
     /// Total ops driven through the differentials.
     pub diff_ops: u64,
-    /// Divergences found (must be empty; each carries a shrunk reproducer).
+    /// Divergences found (must be empty; each carries its shrunk stream).
     pub divergences: Vec<Divergence>,
     /// MAC-oracle sweep report.
     pub mac: MacSweepReport,
@@ -169,8 +169,8 @@ pub fn render(r: &OracleResult) -> String {
     ));
     for d in &r.divergences {
         out.push_str(&format!(
-            "  DIVERGENCE [{}] {} ops -> {} ops: {}\n",
-            d.kind, d.ops_total, d.ops_minimal, d.message
+            "  DIVERGENCE [{}] {} ops -> {} ops: {}\n    {}\n",
+            d.kind, d.ops_total, d.ops_minimal, d.message, d.stream
         ));
     }
     out.push_str(&format!(

@@ -290,18 +290,10 @@ pub fn run_artefact_jobs(
         "oracle" => {
             let r = oracle::run_with_seed_jobs(scale, seed, jobs);
             // A divergence is a *simulator bug*: fail the job loudly, with
-            // the shrunk reproducer saved for offline replay.
+            // the report (and each divergence's shrunk stream) as the error.
             if !r.clean() {
-                let dir = std::env::temp_dir().join("ptguard-oracle");
-                let mut paths = Vec::new();
-                for d in &r.divergences {
-                    if let Ok(p) = d.write_to(&dir) {
-                        paths.push(p.display().to_string());
-                    }
-                }
                 return Err(format!(
-                    "oracle found simulator divergences/violations \
-                     (reproducers: {paths:?}):\n{}",
+                    "oracle found simulator divergences/violations:\n{}",
                     oracle::render(&r)
                 ));
             }

@@ -106,15 +106,6 @@ impl Default for MemSysConfig {
     }
 }
 
-impl MemSysConfig {
-    /// Converts nanoseconds to core cycles through the fixed-point clock
-    /// (single rounding point; see [`clock`]).
-    #[must_use]
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        clock::ps_to_cycles(clock::ns_to_ps(ns), clock::CORE_KHZ)
-    }
-}
-
 /// Integer fixed-point clock conversion.
 ///
 /// DRAM timing parameters are quoted in (fractional) nanoseconds while the
@@ -125,6 +116,8 @@ impl MemSysConfig {
 /// overflow for any simulated duration) and converted to cycles at a single
 /// rounding point.
 pub mod clock {
+    pub use dram::timing::ns_to_ps;
+
     /// The core clock in integer kHz (Table III: 3 GHz). Every DRAM
     /// picosecond total becomes core cycles at this rate.
     pub const CORE_KHZ: u64 = 3_000_000;
@@ -133,14 +126,6 @@ pub mod clock {
     #[must_use]
     pub fn ghz_to_khz(ghz: f64) -> u64 {
         (ghz * 1e6).round() as u64
-    }
-
-    /// Converts a (fractional) nanosecond figure to integer picoseconds.
-    /// DRAM timing parameters have at most 3 decimal digits, so this is
-    /// exact for every profile value.
-    #[must_use]
-    pub fn ns_to_ps(ns: f64) -> u128 {
-        (ns * 1e3).round() as u128
     }
 
     /// Converts accumulated picoseconds to core cycles, rounding to nearest
@@ -174,17 +159,6 @@ mod tests {
         assert_eq!(c.tlb_entries, 64);
         assert_eq!(c.mmu_cache_entries, 1024);
         assert_eq!(c.mlp, 1, "Table III's core is blocking and in-order");
-    }
-
-    #[test]
-    fn ns_conversion_at_3ghz() {
-        let c = MemSysConfig::default();
-        assert_eq!(c.ns_to_cycles(10.0), 30);
-        assert_eq!(
-            c.ns_to_cycles(3.4),
-            10,
-            "the paper's 3.4 ns MAC ≈ 10 cycles"
-        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Differential drivers: fast implementation vs naive reference, op for
 //! op, with a ddmin-style shrinking loop that reduces a failing stream to
-//! a minimal reproducer.
+//! a minimal one.
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt::Debug;
 
 use memsys::cache::Cache;
 use memsys::config::CacheConfig;
@@ -17,14 +16,13 @@ use pagetable::x86_64::{Pte, PteFlags};
 use rng::SplitMix64;
 
 use crate::ops::{
-    encode_repro, gen_cache_ops, gen_mmu_ops, gen_tlb_ops, line_from_seed, CacheOp, MmuOp, ReproOp,
-    TlbOp, WalkProbe,
+    gen_cache_ops, gen_mmu_ops, gen_tlb_ops, line_from_seed, CacheOp, MmuOp, TlbOp, WalkProbe,
 };
 use crate::refmodel::{RefCache, RefMmuCache, RefTlb};
 use crate::refwalk::{ref_walk, RefTables, RefWalkResult};
 
-/// A confirmed divergence between the fast and reference models, with a
-/// shrunk reproducer ready to write to disk.
+/// A confirmed divergence between the fast and reference models, with the
+/// shrunk op stream that still reproduces it.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Which differential found it (`cache`, `tlb`, `mmu`, `walker`).
@@ -35,33 +33,19 @@ pub struct Divergence {
     pub ops_total: usize,
     /// Ops left after shrinking.
     pub ops_minimal: usize,
-    /// Serialised minimal reproducer ([`crate::ops::encode_repro`]).
-    pub repro: Vec<u8>,
-}
-
-impl Divergence {
-    /// Writes the reproducer to `dir` as `oracle-<kind>-repro.bin`,
-    /// returning the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("oracle-{}-repro.bin", self.kind));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(&self.repro)?;
-        Ok(path)
-    }
+    /// The minimal stream as text: the differential's seed, its size
+    /// argument and the ops, enough to rebuild the failing run by hand.
+    pub stream: String,
 }
 
 /// Runs `fails` on `ops`; if it reports a mismatch, shrinks the stream to
 /// a minimal one that still fails and packages it as a [`Divergence`]
-/// (`param` is the reproducer header's geometry field).
-fn shrunk<T: ReproOp>(
+/// (`size` is the differential's size argument: cache bytes, TLB or MMU
+/// entries, walker mappings).
+fn shrunk<T: Clone + Debug>(
     kind: &'static str,
     seed: u64,
-    param: u64,
+    size: u64,
     ops: &[T],
     fails: impl Fn(&[T]) -> Option<String>,
 ) -> Option<Divergence> {
@@ -73,7 +57,7 @@ fn shrunk<T: ReproOp>(
         message,
         ops_total: ops.len(),
         ops_minimal: minimal.len(),
-        repro: encode_repro(seed, param, &minimal),
+        stream: format!("seed {seed}, size {size}, ops {minimal:?}"),
     })
 }
 
@@ -630,40 +614,6 @@ pub fn diff_walker(seed: u64, mappings: usize, probes: usize) -> Option<Divergen
     shrunk("walker", seed, mappings as u64, &fixture.probes, fails)
 }
 
-/// Decodes and re-runs a cache reproducer file against the real [`Cache`],
-/// returning the mismatch it captures (`None` means it no longer fails —
-/// i.e. the bug is fixed).
-///
-/// # Errors
-///
-/// Returns `Err` if the bytes are not a valid cache reproducer.
-pub fn replay_cache_repro(bytes: &[u8], ways: usize) -> Result<Option<String>, String> {
-    let (_seed, size_bytes, ops) = crate::ops::decode_repro::<CacheOp>(bytes)?;
-    let cfg = CacheConfig {
-        size_bytes: size_bytes as usize,
-        ways,
-        latency_cycles: 1,
-    };
-    Ok(run_cache_ops(
-        &mut Cache::new(cfg),
-        cfg.size_bytes,
-        ways,
-        &ops,
-    ))
-}
-
-/// Decodes and re-runs a walker reproducer file, returning the captured
-/// mismatch (`None` means fixed).
-///
-/// # Errors
-///
-/// Returns `Err` if the bytes are not a valid walker reproducer.
-pub fn replay_walker_repro(bytes: &[u8], probes_hint: usize) -> Result<Option<String>, String> {
-    let (seed, mappings, probes) = crate::ops::decode_repro::<WalkProbe>(bytes)?;
-    let fixture = build_walk_fixture(seed, mappings as usize, probes_hint);
-    Ok(probes.iter().find_map(|&p| check_walk_probe(&fixture, p)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,18 +784,24 @@ mod tests {
             d.ops_minimal,
             d.message
         );
-        // The reproducer file decodes, and the *fixed* cache passes it.
-        let replay = replay_cache_repro(&d.repro, cfg.ways).expect("valid reproducer");
+        // The report carries the minimal stream, and the *fixed* cache
+        // passes it.
+        let minimal = shrink_ops(&ops, |s| {
+            let mut buggy = BuggyLookupDirtiesCache {
+                inner: Cache::new(cfg),
+            };
+            run_cache_ops(&mut buggy, cfg.size_bytes, cfg.ways, s).is_some()
+        });
+        assert!(
+            d.stream.contains(&format!("{minimal:?}")),
+            "divergence text lacks the minimal stream: {}",
+            d.stream
+        );
+        let replay = run_cache_ops(&mut Cache::new(cfg), cfg.size_bytes, cfg.ways, &minimal);
         assert!(
             replay.is_none(),
-            "fixed cache still fails the reproducer: {replay:?}"
+            "fixed cache still fails the minimal stream: {replay:?}"
         );
-        // Writing it to disk round-trips.
-        let dir = std::env::temp_dir().join("ptguard-oracle-test");
-        let path = d.write_to(&dir).expect("write reproducer");
-        let bytes = std::fs::read(&path).expect("read back");
-        assert_eq!(bytes, d.repro);
-        let _ = std::fs::remove_file(path);
     }
 
     /// A deliberately wrong walker fixture probe: corrupt the reference

@@ -10,8 +10,8 @@
 //!   interpreter) run op-for-op against `memsys`/`pagetable` under seeded
 //!   SplitMix64 operation streams ([`ops`]), with the drivers in [`diff`].
 //!   On divergence, a ddmin-style shrinking loop reduces the stream to a
-//!   minimal reproducer and serialises it with the `trace` crate's binary
-//!   primitives. [`refmachine`] assembles the same models into a naive
+//!   minimal one, which the [`Divergence`] carries as text beside its seed.
+//!   [`refmachine`] assembles the same models into a naive
 //!   blocking core over the real controllers: the reference the event
 //!   engine must match op for op at `mlp = 1`.
 //! * [`macoracle`] — a bit-level MAC oracle that rebuilds the Table IV

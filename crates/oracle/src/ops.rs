@@ -1,20 +1,11 @@
-//! Seeded operation streams and the binary divergence-reproducer format.
+//! Seeded operation streams.
 //!
 //! Generators draw from `rng::SplitMix64` and confine addresses to a few
 //! sets so evictions, refills-over-stale, and aliasing all happen within a
-//! short stream. Reproducers are built from the `trace` crate's binary
-//! primitives (magic, varints, CRC-32):
-//!
-//! ```text
-//! "PTGT" | version | kind | seed | param | count | ops… | crc32
-//! ```
+//! short stream.
 
 use ptguard::Line;
 use rng::SplitMix64;
-use trace::format::{crc32, get_varint, put_varint, MAGIC};
-
-/// Reproducer format version.
-pub const REPRO_VERSION: u64 = 1;
 
 /// One operation against a cache model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +61,7 @@ pub enum MmuOp {
 }
 
 /// One probe of the walker differential (the page tables themselves are
-/// regenerated from the reproducer's seed).
+/// regenerated from the differential's seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkProbe(
     /// The probed virtual address.
@@ -93,196 +84,6 @@ pub fn line_from_seed(seed: u64) -> Line {
         _ => words.fill_with(|| rng.next_u64()),
     }
     Line::from_words(words)
-}
-
-/// An op that can be serialised into a reproducer file.
-pub trait ReproOp: Sized + Clone {
-    /// Kind byte in the reproducer header.
-    const KIND: u8;
-    /// Appends the op's encoding to `buf`.
-    fn encode_into(&self, buf: &mut Vec<u8>);
-    /// Decodes one op starting at `pos`, advancing it.
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self>;
-}
-
-impl ReproOp for CacheOp {
-    const KIND: u8 = 1;
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        match *self {
-            CacheOp::Lookup(a) => {
-                buf.push(0);
-                put_varint(buf, a);
-            }
-            CacheOp::Fill(a, d, dirty) => {
-                buf.push(if dirty { 2 } else { 1 });
-                put_varint(buf, a);
-                put_varint(buf, d);
-            }
-            CacheOp::Update(a, d, dirty) => {
-                buf.push(if dirty { 4 } else { 3 });
-                put_varint(buf, a);
-                put_varint(buf, d);
-            }
-            CacheOp::Invalidate(a) => {
-                buf.push(5);
-                put_varint(buf, a);
-            }
-            CacheOp::Drain => buf.push(6),
-        }
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        Some(match tag {
-            0 => CacheOp::Lookup(get_varint(buf, pos)?),
-            1 | 2 => CacheOp::Fill(get_varint(buf, pos)?, get_varint(buf, pos)?, tag == 2),
-            3 | 4 => CacheOp::Update(get_varint(buf, pos)?, get_varint(buf, pos)?, tag == 4),
-            5 => CacheOp::Invalidate(get_varint(buf, pos)?),
-            6 => CacheOp::Drain,
-            _ => return None,
-        })
-    }
-}
-
-impl ReproOp for TlbOp {
-    const KIND: u8 = 2;
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        match *self {
-            TlbOp::Lookup(v) => {
-                buf.push(0);
-                put_varint(buf, v);
-            }
-            TlbOp::Insert(v, f) => {
-                buf.push(1);
-                put_varint(buf, v);
-                put_varint(buf, f);
-            }
-            TlbOp::Invalidate(v) => {
-                buf.push(2);
-                put_varint(buf, v);
-            }
-            TlbOp::Flush => buf.push(3),
-        }
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        Some(match tag {
-            0 => TlbOp::Lookup(get_varint(buf, pos)?),
-            1 => TlbOp::Insert(get_varint(buf, pos)?, get_varint(buf, pos)?),
-            2 => TlbOp::Invalidate(get_varint(buf, pos)?),
-            3 => TlbOp::Flush,
-            _ => return None,
-        })
-    }
-}
-
-impl ReproOp for MmuOp {
-    const KIND: u8 = 3;
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        match *self {
-            MmuOp::Lookup(a) => {
-                buf.push(0);
-                put_varint(buf, a);
-            }
-            MmuOp::Insert(a, f) => {
-                buf.push(1);
-                put_varint(buf, a);
-                put_varint(buf, f);
-            }
-            MmuOp::Flush => buf.push(2),
-        }
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        Some(match tag {
-            0 => MmuOp::Lookup(get_varint(buf, pos)?),
-            1 => MmuOp::Insert(get_varint(buf, pos)?, get_varint(buf, pos)?),
-            2 => MmuOp::Flush,
-            _ => return None,
-        })
-    }
-}
-
-impl ReproOp for WalkProbe {
-    const KIND: u8 = 4;
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.0);
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(WalkProbe(get_varint(buf, pos)?))
-    }
-}
-
-/// Serialises a minimal reproducer: header, ops, CRC-32 trailer. `seed`
-/// and `param` let the decoder rebuild seed-derived context (page tables,
-/// geometry) that is not part of the op stream itself.
-#[must_use]
-pub fn encode_repro<T: ReproOp>(seed: u64, param: u64, ops: &[T]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&MAGIC);
-    put_varint(&mut buf, REPRO_VERSION);
-    buf.push(T::KIND);
-    put_varint(&mut buf, seed);
-    put_varint(&mut buf, param);
-    put_varint(&mut buf, ops.len() as u64);
-    for op in ops {
-        op.encode_into(&mut buf);
-    }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
-}
-
-/// Decodes a reproducer produced by [`encode_repro`], returning
-/// `(seed, param, ops)`.
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem: bad magic, kind
-/// mismatch, CRC mismatch, an op count the body cannot hold, or truncation.
-pub fn decode_repro<T: ReproOp>(bytes: &[u8]) -> Result<(u64, u64, Vec<T>), String> {
-    if bytes.len() < MAGIC.len() + 4 || bytes[..MAGIC.len()] != MAGIC {
-        return Err("bad reproducer magic".to_string());
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let stored_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-    if crc32(body) != stored_crc {
-        return Err("reproducer CRC mismatch".to_string());
-    }
-    let mut pos = MAGIC.len();
-    let version = get_varint(body, &mut pos).ok_or("truncated header")?;
-    if version != REPRO_VERSION {
-        return Err(format!("unsupported reproducer version {version}"));
-    }
-    let kind = *body.get(pos).ok_or("truncated header")?;
-    pos += 1;
-    if kind != T::KIND {
-        return Err(format!("kind mismatch: file {kind}, expected {}", T::KIND));
-    }
-    let seed = get_varint(body, &mut pos).ok_or("truncated header")?;
-    let param = get_varint(body, &mut pos).ok_or("truncated header")?;
-    let count = get_varint(body, &mut pos).ok_or("truncated header")?;
-    // Every op encodes in at least one byte, so the bytes left bound the
-    // count before anything is sized from it.
-    let left = body.len() - pos;
-    if count > left as u64 {
-        return Err(format!("op count {count} exceeds the {left} bytes left"));
-    }
-    let mut ops = Vec::with_capacity(count as usize);
-    for i in 0..count {
-        ops.push(T::decode_from(body, &mut pos).ok_or(format!("truncated op {i}"))?);
-    }
-    Ok((seed, param, ops))
 }
 
 /// Generates a cache op stream confined to `footprint_lines` distinct line
@@ -353,51 +154,6 @@ pub fn gen_mmu_ops(rng: &mut SplitMix64, n: usize, footprint_entries: u64) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn repro_roundtrip_cache() {
-        let ops = vec![
-            CacheOp::Lookup(0x1000),
-            CacheOp::Fill(0x40, 7, true),
-            CacheOp::Update(0x40, 9, false),
-            CacheOp::Invalidate(0x1000),
-            CacheOp::Drain,
-        ];
-        let bytes = encode_repro(42, 512, &ops);
-        let (seed, param, back) = decode_repro::<CacheOp>(&bytes).unwrap();
-        assert_eq!((seed, param), (42, 512));
-        assert_eq!(back, ops);
-    }
-
-    #[test]
-    fn repro_rejects_corruption_and_kind_mismatch() {
-        let bytes = encode_repro(1, 2, &[TlbOp::Flush, TlbOp::Lookup(3)]);
-        assert!(decode_repro::<TlbOp>(&bytes).is_ok());
-        assert!(decode_repro::<CacheOp>(&bytes)
-            .unwrap_err()
-            .contains("kind mismatch"));
-        let mut bad = bytes.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xff;
-        assert!(decode_repro::<TlbOp>(&bad).is_err());
-    }
-
-    #[test]
-    fn repro_count_is_bounded_by_the_body() {
-        // A well-formed header and CRC around a count of u64::MAX and a
-        // one-op body.
-        let mut bytes = MAGIC.to_vec();
-        put_varint(&mut bytes, REPRO_VERSION);
-        bytes.push(TlbOp::KIND);
-        put_varint(&mut bytes, 1);
-        put_varint(&mut bytes, 2);
-        put_varint(&mut bytes, u64::MAX);
-        TlbOp::Flush.encode_into(&mut bytes);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        let err = decode_repro::<TlbOp>(&bytes).unwrap_err();
-        assert!(err.contains("op count"), "{err}");
-    }
 
     #[test]
     fn generators_are_deterministic() {

@@ -6,10 +6,10 @@
 //! body  := opcode:u8  payload
 //! ```
 //!
-//! `crc` is CRC-32 (IEEE) of the whole body — the same polynomial the
-//! oracle's reproducer files end in. `len` counts the body only and is bounded by
-//! [`MAX_BODY`]; anything larger is rejected before a single payload byte
-//! is read, so a corrupt length cannot make the server buffer garbage.
+//! `crc` is CRC-32 (IEEE) of the whole body. `len` counts the body only
+//! and is bounded by [`MAX_BODY`]; anything larger is rejected before a
+//! single payload byte is read, so a corrupt length cannot make the server
+//! buffer garbage.
 //! All integers are little-endian; a cacheline travels as its 64 raw bytes.
 //!
 //! Request payloads (embed / verify / correct share one shape):

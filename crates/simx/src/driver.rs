@@ -1,18 +1,10 @@
-//! The windowed in-order driver shared by the single-core and multi-core
-//! runners.
+//! The windowed in-order driver behind [`crate::runner::run`], which both
+//! the single-core figures and the multi-core model run through.
 //!
-//! Both runners execute the same issue/retire discipline against the
-//! pipelined [`MemorySystem`]: each instruction advances the front-end
-//! clock by a fixed `tick`, each memory op is issued into the pipeline,
-//! and when the in-flight window is full the oldest op retires, folding
-//! `t_issue + latency × scale` into the in-order retire horizon. They
-//! differ only in units — the single-core runner ticks one cycle and keeps
-//! the whole latency (`tick = 1`, `scale = 1`); the multi-core runner runs
-//! in milli-cycles and keeps the unhidden fraction of each stall
-//! (`tick = 1000`, `scale = EXPOSED_MILLIS`). Extracting the loop here keeps
-//! the two from drifting apart; the identity tests
-//! (`tests/pipeline_identity.rs`, `tests/controller_cycles.rs`) pin the
-//! extraction bit-for-bit.
+//! Each instruction advances the front-end clock by one cycle, each memory
+//! op is issued into the pipelined [`MemorySystem`], and when the in-flight
+//! window is full the oldest op retires, folding `t_issue + latency` into
+//! the in-order retire horizon.
 //!
 //! Issue goes through [`MemorySystem::pipe_issue_event`], and the window
 //! semantics are those of DESIGN.md §9:
@@ -35,16 +27,12 @@ use memsys::system::IssueOutcome;
 use memsys::MemorySystem;
 use pagetable::addr::VirtAddr;
 
-/// The shared issue/retire window over a pipelined [`MemorySystem`].
+/// The issue/retire window over a pipelined [`MemorySystem`].
 #[derive(Debug)]
 pub(crate) struct WindowedDriver {
     /// In-flight op cap ([`memsys::MemSysConfig::mlp`], clamped to ≥ 1).
     window: usize,
-    /// Front-end clock advance per instruction (1 cycle or 1000 mc).
-    tick: u64,
-    /// Latency multiplier at retire (1, or the unhidden `EXPOSED_MILLIS`).
-    scale: u64,
-    /// Front-end clock (instruction issue), in `tick` units.
+    /// Front-end clock (instruction issue), in cycles.
     clock: u64,
     /// In-order retire horizon: the max of every retired op's finish time.
     finish_prev: u64,
@@ -53,11 +41,9 @@ pub(crate) struct WindowedDriver {
 }
 
 impl WindowedDriver {
-    pub(crate) fn new(window: usize, tick: u64, scale: u64) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         Self {
             window: window.max(1),
-            tick,
-            scale,
             clock: 0,
             finish_prev: 0,
             inflight: VecDeque::new(),
@@ -66,7 +52,7 @@ impl WindowedDriver {
 
     /// Advances the front-end clock by one instruction.
     pub(crate) fn tick_instruction(&mut self) {
-        self.clock += self.tick;
+        self.clock += 1;
     }
 
     /// Issues one memory op; blocks (retiring oldest-first) while the
@@ -91,15 +77,7 @@ impl WindowedDriver {
         }
     }
 
-    /// Resets both clocks for a fresh measured region (the in-flight
-    /// window must already be drained).
-    pub(crate) fn reset_clocks(&mut self) {
-        debug_assert!(self.inflight.is_empty(), "reset with ops in flight");
-        self.clock = 0;
-        self.finish_prev = 0;
-    }
-
-    /// The run's cycle count so far, in `tick` units.
+    /// The run's cycle count so far.
     pub(crate) fn clock(&self) -> u64 {
         self.clock.max(self.finish_prev)
     }
@@ -125,7 +103,7 @@ impl WindowedDriver {
     /// window of 1 this reproduces the blocking `+=` chain exactly:
     /// `finish_prev <= t_issue` always holds, so the max is the sum.
     fn fold(&mut self, t_issue: u64, cycles: u64) {
-        let finish = (t_issue + cycles * self.scale).max(self.finish_prev);
+        let finish = (t_issue + cycles).max(self.finish_prev);
         self.finish_prev = finish;
         self.clock = self.clock.max(finish);
     }

@@ -23,9 +23,9 @@ use ptguard::{PtGuardConfig, PtGuardEngine};
 
 use dram::{DramDevice, DramGeometry, DramTiming, RowhammerConfig};
 use workloads::multiprog::Bundle;
-use workloads::tracegen::{Op, TraceGenerator};
+use workloads::tracegen::TraceGenerator;
 
-use crate::driver::WindowedDriver;
+use crate::runner::{run, Machine};
 
 /// Cores per bundle (the paper's four).
 pub const CORES: usize = 4;
@@ -89,36 +89,21 @@ fn run_core(
     sys.set_root(root, 34);
     sys.flush_caches();
 
-    // O3 core: one cycle per instruction plus the *unhidden* fraction of
-    // the memory latency, one memory op at a time (the default `mlp = 1`).
     // The first pass warms caches and TLB (unmeasured, like the paper's 25
     // Bn-instruction fast-forward); the second pass is the measured region.
-    // Each pass drains its window and the measured pass resets both clocks,
-    // so warm-up completion times cannot leak into the measurement.
-    //
-    // The core clock runs in integer milli-cycles: each instruction adds
-    // 1000, each retire adds the unhidden fraction of the miss latency
-    // ([`EXPOSED_MILLIS`] per cycle). An f64 clock drifts at long
-    // horizons — past 2^53 the ulp exceeds a cycle and `+= 1.0` stops
-    // advancing; integers cannot lose ticks.
-    let mut source = TraceGenerator::new(profile, seed);
-    let mut driver = WindowedDriver::new(mem_cfg.mlp, 1000, EXPOSED_MILLIS);
-    for phase in 0..2 {
-        if phase == 1 {
-            driver.reset_clocks();
-        }
-        for _ in 0..instructions {
-            driver.tick_instruction();
-            let (va, write) = match source.next_op() {
-                Op::Compute => continue,
-                Op::Load(va) => (va, false),
-                Op::Store(va) => (va, true),
-            };
-            driver.mem_op(&mut sys, va, write);
-        }
-        driver.drain(&mut sys);
-    }
-    (driver.clock() + 500) / 1000
+    let mut machine = Machine {
+        sys,
+        space,
+        source: TraceGenerator::new(profile, seed),
+    };
+    let _ = run(&mut machine, instructions);
+    let r = run(&mut machine, instructions);
+    // O3 core: one cycle per instruction plus the *unhidden* fraction of
+    // the memory latency. At `mlp = 1` every op retires before the next
+    // issues, so `run`'s cycles are `instructions + Σ latency`; rescale the
+    // latency part by [`EXPOSED_MILLIS`] in integer milli-cycles and round
+    // once.
+    (1000 * instructions + EXPOSED_MILLIS * (r.cycles - instructions) + 500) / 1000
 }
 
 /// Evaluates one bundle over `instructions_per_core`: per-core slowdown of

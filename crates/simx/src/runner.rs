@@ -168,11 +168,10 @@ pub fn run(machine: &mut Machine, instructions: u64) -> RunResult {
     let stats_before = machine.sys.stats();
     let mac_before = read_mac_total(machine);
     let mut mem_ops = 0u64;
-    // The shared windowed driver: one cycle per instruction, the whole
-    // latency kept at retire. With a window of 1 the front-end clock
-    // accumulates exactly `1 + out.cycles()` per memory instruction — the
-    // blocking sum.
-    let mut driver = WindowedDriver::new(machine.sys.config().mlp, 1, 1);
+    // One cycle per instruction, the whole latency kept at retire. With a
+    // window of 1 the front-end clock accumulates exactly `1 +
+    // out.cycles()` per memory instruction — the blocking sum.
+    let mut driver = WindowedDriver::new(machine.sys.config().mlp);
     for _ in 0..instructions {
         driver.tick_instruction();
         let (va, write) = match machine.source.next_op() {

@@ -1,42 +1,4 @@
-//! Wire-level primitives: the magic, varints, CRC-32.
-
-/// File magic: the first four bytes of every oracle reproducer file.
-pub const MAGIC: [u8; 4] = *b"PTGT";
-
-/// Appends `v` as an LEB128 varint.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Reads an LEB128 varint from `buf[*pos..]`, advancing `pos`.
-/// Returns `None` on overrun or an overlong (>10-byte) encoding.
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return None; // would overflow u64
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
+//! Wire-level primitives: CRC-32.
 
 /// CRC-32 (IEEE, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -59,8 +21,7 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `data`: the checksum closing a serve frame or an
-/// oracle reproducer file.
+/// CRC-32 (IEEE) of `data`: the checksum closing a serve frame.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
@@ -73,42 +34,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_roundtrips_edge_values() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn varint_rejects_overrun_and_overlong() {
-        let mut pos = 0;
-        assert_eq!(get_varint(&[0x80, 0x80], &mut pos), None); // continuation into EOF
-        let mut pos = 0;
-        assert_eq!(get_varint(&[0x80; 11], &mut pos), None); // > 10 bytes
-        let mut pos = 0;
-        assert_eq!(
-            get_varint(
-                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03],
-                &mut pos
-            ),
-            None, // 10th byte carries bits beyond 2^64
-        );
-    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -14,6 +14,7 @@ use pagetable::addr::VirtAddr;
 use pagetable::space::AddressSpace;
 use pagetable::x86_64::PteFlags;
 use ptguard::{PtGuardConfig, PtGuardEngine};
+use rowhammer::exploit::hammer_page_table_rows;
 
 fn main() {
     // An LPDDR4-class vulnerable device under a PT-Guard controller.
@@ -52,22 +53,7 @@ fn main() {
 
     // --- The attacker hammers every page-table row, persistently. ---
     let hammer = |sys: &mut MemorySystem, space: &AddressSpace| {
-        let dev = sys.channel_mut(0).device_mut();
-        let rows_per_bank = dev.geometry().rows_per_bank;
-        let mut rows: Vec<_> = space
-            .table_frames()
-            .iter()
-            .map(|f| dev.geometry().row_of(f.base()))
-            .collect();
-        rows.sort();
-        rows.dedup();
-        for victim in rows {
-            for d in [-1i64, 1] {
-                if let Some(aggr) = victim.offset(d, rows_per_bank) {
-                    dev.hammer(aggr, 40_000);
-                }
-            }
-        }
+        hammer_page_table_rows(space, sys.channel_mut(0).device_mut(), 40_000);
     };
     hammer(&mut sys, &space);
     println!(

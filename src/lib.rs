@@ -12,8 +12,7 @@
 //! * [`memsys`] — caches, TLB, MMU cache, memory controller (+ the
 //!   whole-memory-MAC baseline).
 //! * [`workloads`] — calibrated SPEC/GAP-like models and the PTE census.
-//! * [`trace`] — the varint and CRC-32 wire primitives `serve`'s frames and
-//!   `oracle`'s reproducer files share.
+//! * [`trace`] — the CRC-32 that closes `serve`'s wire frames.
 //! * [`simx`] — single-core and multi-core timing simulation over seeded
 //!   op streams.
 //! * [`experiments`] — one regenerator per paper table/figure, behind the

@@ -12,6 +12,7 @@ use ptguard::engine::ReadVerdict;
 use ptguard::line::Line;
 use ptguard::{pattern, PtGuardConfig, PtGuardEngine};
 use rng::SplitMix64;
+use rowhammer::exploit::hammer_page_table_rows;
 use workloads::pte_census::{generate_process, CensusConfig};
 
 /// Builds a guarded memory system with `pages` mapped.
@@ -228,22 +229,7 @@ fn os_migration_recovers_from_persistent_hammering() {
 
     // Round 1: hammer every page-table row.
     let hammer = |sys: &mut MemorySystem, space: &AddressSpace| {
-        let dev = sys.channel_mut(0).device_mut();
-        let rows_per_bank = dev.geometry().rows_per_bank;
-        let mut rows: Vec<_> = space
-            .table_frames()
-            .iter()
-            .map(|f| dev.geometry().row_of(f.base()))
-            .collect();
-        rows.sort();
-        rows.dedup();
-        for victim in rows {
-            for d in [-1i64, 1] {
-                if let Some(aggr) = victim.offset(d, rows_per_bank) {
-                    dev.hammer(aggr, 40_000);
-                }
-            }
-        }
+        hammer_page_table_rows(space, sys.channel_mut(0).device_mut(), 40_000);
     };
     hammer(&mut sys, &space);
     let flips_round1 = sys.channel(0).device().stats().total_flips;
