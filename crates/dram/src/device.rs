@@ -78,6 +78,43 @@ pub struct ServiceTiming {
     pub latency_ps: u128,
 }
 
+/// Lines per chunk of the backing store: 1,024 × 64 B = 64 KiB.
+const CHUNK_LINES: usize = 1024;
+
+/// Sparse backing store of 64-byte lines. A line's bytes sit in a slot of
+/// a fixed chunk, allocated whole and never reallocated, so a stored line
+/// never moves and growing the index moves only its 16-byte buckets.
+/// Slots are handed out in order of first write, so every chunk but the
+/// last is full. A slot is a `u32`: a 4 GB device has 2^26 lines.
+#[derive(Debug, Default)]
+struct LineStore {
+    /// Line number (`addr >> 6`) → slot.
+    slots: HashMap<u64, u32>,
+    /// Slot `s` is line `s % CHUNK_LINES` of chunk `s / CHUNK_LINES`.
+    chunks: Vec<Box<[[u8; 64]]>>,
+}
+
+impl LineStore {
+    /// The stored line `line`, if it was ever written.
+    fn get(&self, line: u64) -> Option<&[u8; 64]> {
+        let s = *self.slots.get(&line)? as usize;
+        Some(&self.chunks[s / CHUNK_LINES][s % CHUNK_LINES])
+    }
+
+    /// The stored line `line`, given the next slot (zeros) on first use.
+    fn get_or_insert(&mut self, line: u64) -> &mut [u8; 64] {
+        let fresh = self.slots.len();
+        let chunks = &mut self.chunks;
+        let s = *self.slots.entry(line).or_insert_with(|| {
+            if fresh.is_multiple_of(CHUNK_LINES) {
+                chunks.push(vec![[0; 64]; CHUNK_LINES].into_boxed_slice());
+            }
+            u32::try_from(fresh).expect("a device holds at most 2^32 lines")
+        }) as usize;
+        &mut self.chunks[s / CHUNK_LINES][s % CHUNK_LINES]
+    }
+}
+
 /// A DRAM device with open-row bank state and Rowhammer disturbance.
 ///
 /// Functional reads and writes go through [`PhysMem`] and are untimed. The
@@ -96,10 +133,9 @@ pub struct DramDevice {
     geometry: DramGeometry,
     timing: DramTiming,
     rh: RowhammerConfig,
-    /// Sparse backing store: line number (`addr >> 6`) → the line's 64
-    /// bytes, allocated on the line's first write or flip. A line never
-    /// written reads as zeros.
-    store: HashMap<u64, [u8; 64]>,
+    /// Sparse backing store: a line's 64 bytes are allocated on its first
+    /// write or flip. A line never written reads as zeros.
+    store: LineStore,
     capacity: u64,
     open_row: Vec<Option<u32>>,
     /// Per-bank time (integer ps) at which the bank finishes its last
@@ -142,7 +178,7 @@ impl DramDevice {
             "row size must be a whole number of 64-byte lines"
         );
         Self {
-            store: HashMap::new(),
+            store: LineStore::default(),
             capacity: geometry.capacity(),
             open_row: vec![None; geometry.banks as usize],
             busy_until_ps: vec![0; geometry.banks as usize],
@@ -466,7 +502,7 @@ impl DramDevice {
     /// The stored line holding `addr`, allocated as zeros on first write.
     fn line_mut(&mut self, addr: u64) -> &mut [u8; 64] {
         debug_assert!(addr < self.capacity, "address {addr:#x} beyond capacity");
-        self.store.entry(addr >> 6).or_insert([0; 64])
+        self.store.get_or_insert(addr >> 6)
     }
 
     /// Copies `N` bytes out of the store starting at `addr`. The range must
@@ -479,7 +515,7 @@ impl DramDevice {
         let off = (addr % 64) as usize;
         debug_assert!(off + N <= 64, "read at {addr:#x} crosses a line");
         let mut out = [0u8; N];
-        if let Some(line) = self.store.get(&(addr >> 6)) {
+        if let Some(line) = self.store.get(addr >> 6) {
             out.copy_from_slice(&line[off..off + N]);
         }
         out
@@ -820,7 +856,10 @@ mod tests {
             assert_eq!(fast.read_line(a), ByteLoop(&mut bytes).read_line(a));
         }
         let same = |a: &DramDevice, b: &DramDevice, when: &str| {
-            assert!(a.store == b.store, "store bytes differ {when}");
+            assert!(
+                stored_lines(a) == stored_lines(b),
+                "store bytes differ {when}"
+            );
             assert_eq!(a.weak_cells, b.weak_cells, "weak-cell state differs {when}");
             assert_eq!(a.flips(), b.flips(), "flip records differ {when}");
         };
@@ -837,9 +876,71 @@ mod tests {
         same(&fast, &bytes, "after hammering again");
     }
 
+    /// Every stored line's number and bytes.
+    fn stored_lines(d: &DramDevice) -> HashMap<u64, [u8; 64]> {
+        d.store
+            .slots
+            .keys()
+            .map(|&l| (l, *d.store.get(l).expect("an indexed line")))
+            .collect()
+    }
+
     /// Bytes of simulated memory the store holds.
     fn held_bytes(d: &DramDevice) -> usize {
-        d.store.values().map(|v| v.len()).sum()
+        64 * d.store.slots.len()
+    }
+
+    #[test]
+    fn lines_fill_whole_chunks_in_write_order() {
+        // 3,072 distinct lines spread over the device in a scrambled order
+        // fill slots 0..3072, crossing the 1023/1024 and 2047/2048 chunk
+        // boundaries; multiplying by an odd constant permutes the 2^26
+        // line numbers of the 4 GB device.
+        let mut d = DramDevice::ddr4_4gb(RowhammerConfig::immune());
+        let line_no = |i: u64| i.wrapping_mul(0x9e37_79b9) & ((1 << 26) - 1);
+        let fill = |l: u64| -> [u8; 64] { std::array::from_fn(|b| (l ^ (l >> 8)) as u8 ^ b as u8) };
+        let written = 3 * CHUNK_LINES as u64;
+        for i in 0..written {
+            let l = line_no(i);
+            d.write_line(PhysAddr::new(l << 6), &fill(l));
+            let lines = i as usize + 1;
+            assert_eq!(
+                d.store.chunks.len(),
+                lines.div_ceil(CHUNK_LINES),
+                "line {i}"
+            );
+        }
+        // A rewrite finds the line's slot; a read of an unwritten line
+        // takes none.
+        for i in (0..written).step_by(5) {
+            let a = PhysAddr::new((line_no(i) << 6) + 8 * (i % 8));
+            d.write_u64(a, i);
+        }
+        assert_eq!(d.read_line(PhysAddr::new(line_no(written) << 6)), [0; 64]);
+        assert_eq!(held_bytes(&d), 64 * written as usize);
+
+        // A flip into an unwritten line takes slot 3,072 and opens a
+        // fourth chunk.
+        let at = PhysAddr::new(line_no(written + 1) << 6);
+        let bit = 8 * u64::from(d.geometry().column_of(at)) + 5;
+        d.apply_flip(d.geometry().row_of(at), bit, false);
+        assert_eq!(d.stats().total_flips, 1);
+        let lines = written as usize + 1;
+        assert_eq!(held_bytes(&d), 64 * lines);
+        assert_eq!(d.store.chunks.len(), lines.div_ceil(CHUNK_LINES));
+
+        let mut flipped = [0; 64];
+        flipped[0] = 1 << 5;
+        assert_eq!(d.read_line(at), flipped);
+        for i in 0..written {
+            let l = line_no(i);
+            let mut want = fill(l);
+            if i % 5 == 0 {
+                let w = 8 * (i % 8) as usize;
+                want[w..w + 8].copy_from_slice(&i.to_le_bytes());
+            }
+            assert_eq!(d.read_line(PhysAddr::new(l << 6)), want, "line {l:#x}");
+        }
     }
 
     #[test]

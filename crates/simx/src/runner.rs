@@ -46,8 +46,9 @@ pub struct RunResult {
     /// MAC computations performed on the read path (0 without an engine).
     pub mac_computations: u64,
     /// Memory operations (loads + stores) the run issued. Deterministic
-    /// for a given workload/seed — the orchestrator's throughput events
-    /// divide this by wall time, never the other way around.
+    /// for a given workload/seed — perfbench's `host_ns_per_op` divides
+    /// a region's wall time by it, and `tests/writeback_traffic.rs` its
+    /// protected DRAM writes.
     pub mem_ops: u64,
 }
 

@@ -4,7 +4,7 @@
 //! number of the `mlp` and `channels` findings must carry the numbers of
 //! the artefact lines it summarizes, so regenerating an artefact without
 //! its summary fails here. README.md's artefact list must name every
-//! artefact `exp` runs.
+//! artefact `exp` runs, and its crate table every crate under `crates/`.
 
 use experiments::orchestrate::ARTEFACTS;
 
@@ -424,4 +424,24 @@ fn readme_lists_every_artefact() {
     let list = &README[start..start + README[start..].find('`').unwrap()];
     let names: Vec<&str> = ARTEFACTS.iter().copied().chain(["all"]).collect();
     assert_eq!(list.split_whitespace().collect::<Vec<_>>(), names);
+}
+
+#[test]
+fn readme_crate_table_names_every_crate() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates");
+    let crates: Vec<String> = std::fs::read_dir(dir)
+        .expect("the crates directory")
+        .map(|e| e.expect("a directory entry").path())
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert!(crates.len() > 10, "found only {crates:?}");
+    let missing: Vec<&String> = crates
+        .iter()
+        .filter(|c| !README.contains(&format!("\n| `crates/{c}` | ")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "README's crate table has no row for {missing:?}"
+    );
 }
